@@ -7,23 +7,31 @@
 // GEMM panel packing, and epilogue setup amortize across the batch.  The
 // gated key is per-sample latency at the fill loop's batch size.
 //
+// Then times one CmpNetwork gradient evaluation (S_plan and dS_plan/dx on
+// a 32x32-window, 3-layer design, the production surrogate architecture)
+// through the compiled reverse pass and through the autograd reference.
+//
 // Emits a one-line JSON summary; --json FILE writes the same object for CI
 // (tools/check_bench_regression.py gates unet_infer_ms_1t,
-// infer_vs_autograd_speedup — the redesign's acceptance is >= 2x — and
-// unet_infer_b8_ms_per_sample, which must stay below batch-1 latency).
+// infer_vs_autograd_speedup — the redesign's acceptance is >= 2x —
+// unet_infer_b8_ms_per_sample, which must stay below batch-1 latency, and
+// grad_vs_autograd_speedup, a same-host ratio like the forward one).
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "geom/designs.hpp"
 #include "nn/infer/session.hpp"
 #include "nn/tensor.hpp"
 #include "nn/unet.hpp"
 #include "runtime/parallel.hpp"
+#include "surrogate/cmp_network.hpp"
 #include "surrogate/features.hpp"
 
 namespace {
@@ -117,6 +125,40 @@ int main(int argc, char** argv) {
   }
   runtime::set_thread_count(0);
 
+  // One gradient evaluation, compiled reverse pass vs autograd sweep.
+  const WindowExtraction ext = extract_windows(make_design('b', 32));
+  ScoreCoefficients coeffs;
+  coeffs.beta_sigma = 1e4;
+  coeffs.beta_sigma_star = 1e5;
+  coeffs.beta_ol = 1e3;
+  auto compiled_s = std::make_shared<CmpSurrogate>(SurrogateConfig(), 21);
+  auto autograd_s = std::make_shared<CmpSurrogate>(SurrogateConfig(), 21);
+  autograd_s->set_fast_inference(false);
+  const CmpNetwork compiled_net(compiled_s, ext, coeffs);
+  const CmpNetwork autograd_net(autograd_s, ext, coeffs);
+  std::vector<GridD> x;
+  for (const auto& l : ext.layers) {
+    GridD g = l.slack;
+    for (double& v : g) v *= 0.3;
+    x.push_back(g);
+  }
+  constexpr int kGradReps = 11;
+  std::vector<double> grad_compiled_s(kGradReps), grad_autograd_s(kGradReps);
+  runtime::set_thread_count(1);
+  (void)compiled_net.evaluate(x, true);  // warm-up (arenas, records)
+  (void)autograd_net.evaluate(x, true);
+  for (int r = 0; r < kGradReps; ++r) {
+    Timer t;
+    (void)compiled_net.evaluate(x, true);
+    grad_compiled_s[static_cast<std::size_t>(r)] = t.elapsed_seconds();
+    t.reset();
+    (void)autograd_net.evaluate(x, true);
+    grad_autograd_s[static_cast<std::size_t>(r)] = t.elapsed_seconds();
+  }
+  runtime::set_thread_count(0);
+  const double grad_ms = best_ms(grad_compiled_s);
+  const double grad_auto_ms = best_ms(grad_autograd_s);
+
   const double auto_ms = best_ms(auto_s);
   const double infer_ms = best_ms(infer_s);
   const double speedup = auto_ms / infer_ms;
@@ -133,13 +175,21 @@ int main(int argc, char** argv) {
     std::printf("batched run B=%-2d:     %8.3f ms/sample\n", kBatches[bi],
                 batch_ms[bi]);
 
-  char json[512];
+  std::printf("gradient, autograd:   %8.3f ms  (32x32 windows, 3 layers)\n",
+              grad_auto_ms);
+  std::printf("gradient, compiled:   %8.3f ms  (%.2fx)\n", grad_ms,
+              grad_auto_ms / grad_ms);
+
+  char json[640];
   std::snprintf(json, sizeof(json),
                 "{\"bench\":\"inference\",\"unet_autograd_ms_1t\":%.3f,"
                 "\"unet_infer_ms_1t\":%.3f,"
                 "\"infer_vs_autograd_speedup\":%.3f,"
-                "\"unet_infer_b8_ms_per_sample\":%.3f}",
-                auto_ms, infer_ms, speedup, b8_ms);
+                "\"unet_infer_b8_ms_per_sample\":%.3f,"
+                "\"grad_autograd_ms_1t\":%.3f,\"grad_compiled_ms_1t\":%.3f,"
+                "\"grad_vs_autograd_speedup\":%.3f}",
+                auto_ms, infer_ms, speedup, b8_ms, grad_auto_ms, grad_ms,
+                grad_auto_ms / grad_ms);
   std::printf("\nJSON: %s\n", json);
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");

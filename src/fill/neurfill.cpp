@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <utility>
 
 #include "common/log.hpp"
 #include "fill/snapshot.hpp"
 #include "obs/trace.hpp"
+#include "runtime/parallel.hpp"
 
 namespace neurfill {
 
@@ -145,80 +147,105 @@ bool load_resume_snapshot(const NeurFillOptions& options,
             std::to_string(loaded->dims) + " variables, the problem has " +
             std::to_string(dims)));
   *snap = std::move(*loaded);
-  LOG_INFO("resuming from '%s': %zu/%zu starts done%s",
-           options.snapshot_path.c_str(), snap->completed.size(),
-           snap->starts.size(),
-           snap->has_sqp_state ? ", one mid-flight" : "");
+  std::size_t done = 0, running = 0;
+  for (const FillSnapshot::StartRecord& r : snap->records) {
+    done += r.state == FillSnapshot::StartRecord::State::kDone ? 1 : 0;
+    running += r.state == FillSnapshot::StartRecord::State::kRunning ? 1 : 0;
+  }
+  LOG_INFO("resuming from '%s': %zu/%zu starts done, %zu mid-flight",
+           options.snapshot_path.c_str(), done, snap->starts.size(), running);
   return true;
 }
 
 struct MspDrive {
   std::vector<SqpResult> results;  ///< sorted best (lowest f) first
+  long evaluations = 0;            ///< objective evaluations of all starts
   bool timed_out = false;
 };
 
-/// Runs SQP over the MSP start list with per-iteration snapshotting and a
-/// shared deadline; continues from `resumed` when non-null.  Deterministic:
-/// an interrupted + resumed drive visits the exact same iterates as an
-/// uninterrupted one.
-MspDrive drive_msp(const ObjectiveFn& obj, const std::string& method,
-                   const std::vector<VecD>& starts, const Box& box,
-                   const NeurFillOptions& options, long* evals,
+/// Runs SQP from every MSP start with per-iteration snapshotting and a
+/// shared deadline; continues from `resumed` when non-null.  The starts run
+/// concurrently on the runtime pool (one start per block; the kernels
+/// inside a start nest serially), each with its own objective, evaluation
+/// counter and snapshot record, and the results are reduced in start order
+/// — so the outcome, and every snapshot a resume can start from, is
+/// independent of the thread count and of how the starts interleave.
+MspDrive drive_msp(const FillProblem& problem, const CmpNetwork& network,
+                   const std::string& method, const std::vector<VecD>& starts,
+                   long base_evaluations, const NeurFillOptions& options,
                    const FillSnapshot* resumed) {
-  MspDrive out;
-  SqpState resume_state;
-  bool use_resume = false;
-  if (resumed) {
-    out.results = resumed->completed;
-    if (resumed->has_sqp_state) {
-      resume_state = resumed->sqp;
-      use_resume = true;
-    }
-  }
-  const auto make_snapshot = [&](bool mid_flight, const SqpState* st) {
+  using State = FillSnapshot::StartRecord::State;
+  const Box box = problem.bounds();
+  const std::size_t n = starts.size();
+  std::vector<FillSnapshot::StartRecord> records(n);
+  if (resumed && !resumed->records.empty()) records = resumed->records;
+  std::vector<SqpResult> results(n);
+  std::mutex mu;  // guards `records` and serializes snapshot commits
+  const bool snapshots = !options.snapshot_path.empty();
+  const auto persist_locked = [&] {
     FillSnapshot snap;
     snap.method = method;
     snap.dims = box.size();
-    snap.evaluations = *evals;
+    snap.evaluations = base_evaluations;
     snap.starts = starts;
-    snap.completed = out.results;
-    snap.has_sqp_state = mid_flight;
-    if (mid_flight) snap.sqp = *st;
-    return snap;
+    snap.records = records;
+    persist_snapshot(snap, options.snapshot_path);
   };
-  for (std::size_t i = out.results.size(); i < starts.size(); ++i) {
+
+  const auto run_start = [&](std::size_t i) {
+    FillSnapshot::StartRecord rec;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      rec = records[i];
+    }
+    if (rec.state == State::kDone) {
+      results[i] = rec.result;
+      return;
+    }
+    long count = rec.evaluations;
+    const ObjectiveFn obj = make_network_objective(problem, network, &count);
     SqpOptions so = options.sqp;
     so.deadline = options.deadline;
-    if (use_resume) {
-      so.resume = &resume_state;
-      use_resume = false;
-    }
-    if (!options.snapshot_path.empty() || options.interrupt) {
-      so.checkpoint_hook = [&](const SqpState& st) {
+    if (rec.state == State::kRunning) so.resume = &rec.sqp;
+    if (snapshots || options.interrupt) {
+      so.checkpoint_hook = [&, i](const SqpState& st) {
         const bool interrupted =
             options.interrupt &&
             options.interrupt->load(std::memory_order_relaxed);
-        if (!options.snapshot_path.empty() &&
-            (interrupted || options.snapshot_every <= 1 ||
-             st.iteration % options.snapshot_every == 0))
-          persist_snapshot(make_snapshot(true, &st), options.snapshot_path);
+        if (snapshots) {
+          std::lock_guard<std::mutex> lock(mu);
+          records[i].state = State::kRunning;
+          records[i].evaluations = count;
+          records[i].sqp = st;
+          if (interrupted || options.snapshot_every <= 1 ||
+              st.iteration % options.snapshot_every == 0)
+            persist_locked();
+        }
         if (interrupted)
           throw ErrorException(Error(
               ErrorCode::kInterrupted, "fill",
-              options.snapshot_path.empty()
-                  ? std::string("interrupt acknowledged")
-                  : "interrupt acknowledged; snapshot saved to '" +
-                        options.snapshot_path + "'"));
+              snapshots ? "interrupt acknowledged; snapshot saved to '" +
+                              options.snapshot_path + "'"
+                        : std::string("interrupt acknowledged")));
       };
     }
-    out.results.push_back(sqp_minimize(obj, starts[i], box, so));
-    if (!options.snapshot_path.empty())
-      persist_snapshot(make_snapshot(false, nullptr), options.snapshot_path);
-    if (out.results.back().timed_out) {
-      out.timed_out = true;
-      break;
-    }
-  }
+    results[i] = sqp_minimize(obj, starts[i], box, so);
+    std::lock_guard<std::mutex> lock(mu);
+    records[i].state = State::kDone;
+    records[i].evaluations = count;
+    records[i].result = results[i];
+    if (snapshots) persist_locked();
+  };
+  runtime::parallel_for(1, n, [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) run_start(i);
+  });
+
+  MspDrive out;
+  out.results = std::move(results);
+  for (const FillSnapshot::StartRecord& r : records)
+    out.evaluations += r.evaluations;
+  for (const SqpResult& r : out.results)
+    out.timed_out = out.timed_out || r.timed_out;
   std::sort(out.results.begin(), out.results.end(),
             [](const SqpResult& a, const SqpResult& b) { return a.f < b.f; });
   return out;
@@ -271,14 +298,13 @@ FillRunResult neurfill_pkb(const FillProblem& problem,
     starts.push_back(problem.flatten(start));
   }
 
-  const ObjectiveFn obj = make_network_objective(problem, network, &evals);
-  const MspDrive drive = drive_msp(obj, "pkb", starts, problem.bounds(),
-                                   options, &evals, have_resume ? &resumed
-                                                                : nullptr);
+  const MspDrive drive = drive_msp(problem, network, "pkb", starts, evals,
+                                   options, have_resume ? &resumed : nullptr);
 
   FillRunResult res;
   res.method = "NeurFill (PKB)";
   fold_drive(problem, drive, &res);
+  evals += drive.evaluations;
   res.objective_evaluations = evals;
   NF_COUNTER_ADD("fill.objective_evaluations", evals);
   res.runtime_s = timer.stop_seconds();
@@ -289,7 +315,6 @@ FillRunResult neurfill_mm(const FillProblem& problem, const CmpNetwork& network,
                           const NeurFillOptions& options) {
   obs::SpanTimer timer("fill.neurfill_mm");
   long evals = 0;
-  const ObjectiveFn obj = make_network_objective(problem, network, &evals);
   FillSnapshot resumed;
   const bool have_resume = load_resume_snapshot(
       options, "mm", problem.bounds().size(), &resumed);
@@ -379,14 +404,14 @@ FillRunResult neurfill_mm(const FillProblem& problem, const CmpNetwork& network,
     }
   }
 
-  const MspDrive drive = drive_msp(obj, "mm", starts, problem.bounds(),
-                                   options, &evals, have_resume ? &resumed
-                                                                : nullptr);
+  const MspDrive drive = drive_msp(problem, network, "mm", starts, evals,
+                                   options, have_resume ? &resumed : nullptr);
 
   FillRunResult res;
   res.method = "NeurFill (MM)";
   res.timed_out = explore_timed_out;
   fold_drive(problem, drive, &res);
+  evals += drive.evaluations;
   res.objective_evaluations = evals;
   NF_COUNTER_ADD("fill.objective_evaluations", evals);
   res.runtime_s = timer.stop_seconds();

@@ -8,16 +8,79 @@ namespace neurfill {
 
 namespace {
 
-constexpr std::uint32_t kVersion = 1;
+// Version 2: one record per start (concurrent MSP starts).  Version 1 held
+// a single mid-flight SqpState and cannot describe several starts in
+// flight, so it is refused rather than guessed at.
+constexpr std::uint32_t kVersion = 2;
 
-// SqpResult flag bits in the "completed" section.
+// SqpResult flag bits in a finished start's record.
 constexpr std::uint32_t kFlagConverged = 1u << 0;
 constexpr std::uint32_t kFlagTimedOut = 1u << 1;
 constexpr std::uint32_t kFlagPoisoned = 1u << 2;
 
+// L-BFGS histories hold a handful of pairs (SqpOptions::lbfgs_memory).
+constexpr std::uint32_t kMaxLbfgsPairs = 1024;
+
 Error corrupt(const std::string& path, const std::string& what) {
   return Error(ErrorCode::kCorrupt, "fill.snapshot",
                "'" + path + "': " + what);
+}
+
+void put_state(ByteWriter& s, const SqpState& st) {
+  s.f64_vec(st.x);
+  s.f64_vec(st.g);
+  s.f64(st.f);
+  s.u32(static_cast<std::uint32_t>(st.iteration));
+  s.u32(static_cast<std::uint32_t>(st.function_evaluations));
+  s.f64(st.lbfgs_sigma);
+  s.u32(static_cast<std::uint32_t>(st.lbfgs_pairs.size()));
+  for (const auto& [sv, yv] : st.lbfgs_pairs) {
+    s.f64_vec(sv);
+    s.f64_vec(yv);
+  }
+}
+
+/// False on an L-BFGS history longer than any run keeps (damage).
+bool get_state(ByteReader& s, SqpState* st) {
+  st->x = s.f64_vec();
+  st->g = s.f64_vec();
+  st->f = s.f64();
+  st->iteration = static_cast<int>(s.u32());
+  st->function_evaluations = static_cast<int>(s.u32());
+  st->lbfgs_sigma = s.f64();
+  const std::uint32_t n_pairs = s.u32();
+  if (n_pairs > kMaxLbfgsPairs) return false;
+  st->lbfgs_pairs.resize(n_pairs);
+  for (auto& [sv, yv] : st->lbfgs_pairs) {
+    sv = s.f64_vec();
+    yv = s.f64_vec();
+  }
+  return true;
+}
+
+void put_result(ByteWriter& w, const SqpResult& r) {
+  w.f64_vec(r.x);
+  w.f64(r.f);
+  w.u32(static_cast<std::uint32_t>(r.iterations));
+  w.u32(static_cast<std::uint32_t>(r.function_evaluations));
+  std::uint32_t flags = 0;
+  if (r.converged) flags |= kFlagConverged;
+  if (r.timed_out) flags |= kFlagTimedOut;
+  if (r.poisoned) flags |= kFlagPoisoned;
+  w.u32(flags);
+  w.u32(static_cast<std::uint32_t>(r.numeric_recoveries));
+}
+
+void get_result(ByteReader& d, SqpResult* r) {
+  r->x = d.f64_vec();
+  r->f = d.f64();
+  r->iterations = static_cast<int>(d.u32());
+  r->function_evaluations = static_cast<int>(d.u32());
+  const std::uint32_t flags = d.u32();
+  r->converged = (flags & kFlagConverged) != 0;
+  r->timed_out = (flags & kFlagTimedOut) != 0;
+  r->poisoned = (flags & kFlagPoisoned) != 0;
+  r->numeric_recoveries = static_cast<int>(d.u32());
 }
 
 }  // namespace
@@ -31,112 +94,85 @@ Error corrupt(const std::string& path, const std::string& what) {
   meta.u64(snap.dims);
   meta.i64(snap.evaluations);
   meta.u32(static_cast<std::uint32_t>(snap.starts.size()));
-  meta.u32(static_cast<std::uint32_t>(snap.completed.size()));
-  meta.u32(snap.has_sqp_state ? 1u : 0u);
+  meta.u32(static_cast<std::uint32_t>(snap.records.size()));
   w.add_section("meta", meta.take());
 
   ByteWriter starts;
   for (const VecD& s : snap.starts) starts.f64_vec(s);
   w.add_section("starts", starts.take());
 
-  ByteWriter done;
-  for (const SqpResult& r : snap.completed) {
-    done.f64_vec(r.x);
-    done.f64(r.f);
-    done.u32(static_cast<std::uint32_t>(r.iterations));
-    done.u32(static_cast<std::uint32_t>(r.function_evaluations));
-    std::uint32_t flags = 0;
-    if (r.converged) flags |= kFlagConverged;
-    if (r.timed_out) flags |= kFlagTimedOut;
-    if (r.poisoned) flags |= kFlagPoisoned;
-    done.u32(flags);
-    done.u32(static_cast<std::uint32_t>(r.numeric_recoveries));
+  ByteWriter records;
+  for (const FillSnapshot::StartRecord& r : snap.records) {
+    records.u32(static_cast<std::uint32_t>(r.state));
+    records.i64(r.evaluations);
+    if (r.state == FillSnapshot::StartRecord::State::kRunning)
+      put_state(records, r.sqp);
+    else if (r.state == FillSnapshot::StartRecord::State::kDone)
+      put_result(records, r.result);
   }
-  w.add_section("completed", done.take());
-
-  if (snap.has_sqp_state) {
-    ByteWriter s;
-    s.f64_vec(snap.sqp.x);
-    s.f64_vec(snap.sqp.g);
-    s.f64(snap.sqp.f);
-    s.u32(static_cast<std::uint32_t>(snap.sqp.iteration));
-    s.u32(static_cast<std::uint32_t>(snap.sqp.function_evaluations));
-    s.f64(snap.sqp.lbfgs_sigma);
-    s.u32(static_cast<std::uint32_t>(snap.sqp.lbfgs_pairs.size()));
-    for (const auto& [sv, yv] : snap.sqp.lbfgs_pairs) {
-      s.f64_vec(sv);
-      s.f64_vec(yv);
-    }
-    w.add_section("sqp", s.take());
-  }
+  w.add_section("records", records.take());
   return w.commit(path);
 }
 
 [[nodiscard]] Expected<FillSnapshot> load_fill_snapshot(const std::string& path) {
   Expected<CheckpointReader> reader = CheckpointReader::open(path);
   if (!reader.ok()) return reader.error();
-  for (const char* name : {"meta", "starts", "completed"})
-    if (!reader->has_section(name))
-      return corrupt(path, std::string("missing section '") + name + "'");
+  if (!reader->has_section("meta"))
+    return corrupt(path, "missing section 'meta'");
 
   FillSnapshot snap;
   ByteReader meta(**reader->section("meta"));
   const std::uint32_t version = meta.u32();
+  if (meta.ok() && version != kVersion)
+    return corrupt(path, "snapshot version " + std::to_string(version) +
+                             " (supported: " + std::to_string(kVersion) +
+                             "); rerun without --resume");
   snap.method = meta.str();
   snap.dims = static_cast<std::size_t>(meta.u64());
   snap.evaluations = static_cast<long>(meta.i64());
   const std::uint32_t n_starts = meta.u32();
-  const std::uint32_t n_completed = meta.u32();
-  snap.has_sqp_state = meta.u32() != 0;
+  const std::uint32_t n_records = meta.u32();
   if (!meta.ok() || !meta.at_end())
     return corrupt(path, "malformed 'meta' section");
-  if (version != kVersion)
-    return corrupt(path, "snapshot version " + std::to_string(version) +
-                             " (supported: " + std::to_string(kVersion) + ")");
-  if (n_completed > n_starts)
-    return corrupt(path, "more completed results than starts");
+  if (n_records != 0 && n_records != n_starts)
+    return corrupt(path, "start records do not match the start list");
+  for (const char* name : {"starts", "records"})
+    if (!reader->has_section(name))
+      return corrupt(path, std::string("missing section '") + name + "'");
 
-  ByteReader starts(**reader->section("starts"));
+  // Every start costs at least its 8-byte length and every record its
+  // 12-byte header, so a count the sections cannot hold is damage, caught
+  // before it sizes an allocation.
+  const std::vector<char>& start_bytes = **reader->section("starts");
+  const std::vector<char>& record_bytes = **reader->section("records");
+  if (start_bytes.size() / 8 < n_starts || record_bytes.size() / 12 < n_records)
+    return corrupt(path, "start count exceeds the stored sections");
+
+  ByteReader starts(start_bytes);
   snap.starts.resize(n_starts);
   for (auto& s : snap.starts) s = starts.f64_vec();
   if (!starts.ok() || !starts.at_end())
     return corrupt(path, "malformed 'starts' section");
 
-  ByteReader done(**reader->section("completed"));
-  snap.completed.resize(n_completed);
-  for (auto& r : snap.completed) {
-    r.x = done.f64_vec();
-    r.f = done.f64();
-    r.iterations = static_cast<int>(done.u32());
-    r.function_evaluations = static_cast<int>(done.u32());
-    const std::uint32_t flags = done.u32();
-    r.converged = (flags & kFlagConverged) != 0;
-    r.timed_out = (flags & kFlagTimedOut) != 0;
-    r.poisoned = (flags & kFlagPoisoned) != 0;
-    r.numeric_recoveries = static_cast<int>(done.u32());
-  }
-  if (!done.ok() || !done.at_end())
-    return corrupt(path, "malformed 'completed' section");
-
-  if (snap.has_sqp_state) {
-    if (!reader->has_section("sqp"))
-      return corrupt(path, "missing section 'sqp'");
-    ByteReader s(**reader->section("sqp"));
-    snap.sqp.x = s.f64_vec();
-    snap.sqp.g = s.f64_vec();
-    snap.sqp.f = s.f64();
-    snap.sqp.iteration = static_cast<int>(s.u32());
-    snap.sqp.function_evaluations = static_cast<int>(s.u32());
-    snap.sqp.lbfgs_sigma = s.f64();
-    const std::uint32_t n_pairs = s.u32();
-    snap.sqp.lbfgs_pairs.resize(n_pairs);
-    for (auto& [sv, yv] : snap.sqp.lbfgs_pairs) {
-      sv = s.f64_vec();
-      yv = s.f64_vec();
+  ByteReader records(record_bytes);
+  snap.records.resize(n_records);
+  for (FillSnapshot::StartRecord& r : snap.records) {
+    const std::uint32_t state = records.u32();
+    if (state > static_cast<std::uint32_t>(
+                    FillSnapshot::StartRecord::State::kDone))
+      return corrupt(path, "bad start record state " + std::to_string(state));
+    r.state = static_cast<FillSnapshot::StartRecord::State>(state);
+    r.evaluations = static_cast<long>(records.i64());
+    if (r.state == FillSnapshot::StartRecord::State::kRunning) {
+      if (!get_state(records, &r.sqp))
+        return corrupt(path, "implausible L-BFGS history");
+    } else if (r.state == FillSnapshot::StartRecord::State::kDone) {
+      get_result(records, &r.result);
     }
-    if (!s.ok() || !s.at_end())
-      return corrupt(path, "malformed 'sqp' section");
+    if (!records.ok()) break;
   }
+  if (!records.ok() || !records.at_end())
+    return corrupt(path, "malformed 'records' section");
   return snap;
 }
 

@@ -43,6 +43,9 @@ struct PassContext {
   const TileGrid& grid;
   const FullChipOptions& options;
   const TileStore& store;
+  /// The run's one surrogate (pkb/mm), shared by every concurrent tile
+  /// solve: evaluation is tape-free and stateless, so sharing is safe.
+  std::shared_ptr<const CmpSurrogate> surrogate;
   /// Committed fill from the previous pass; fringe windows pin to it when
   /// `pass` >= 1.
   const std::vector<GridD>* committed_prev = nullptr;
@@ -136,12 +139,7 @@ TileRecord solve_tile(const PassContext& ctx, const TileRegion& tile,
   if (opt.method == "lin") {
     run = lin_rule_fill(problem);
   } else {
-    std::shared_ptr<const CmpSurrogate> surrogate = opt.surrogate_factory();
-    if (!surrogate)
-      throw ErrorException(driver_error(
-          ErrorCode::kInvalidArgument,
-          "surrogate factory returned null for tile solve"));
-    CmpNetwork network(surrogate, ext, coeffs);
+    CmpNetwork network(ctx.surrogate, ext, coeffs);
     calibrate_network(network, problem);
     NeurFillOptions nopt = opt.fill;
     nopt.deadline = opt.deadline;
@@ -287,8 +285,14 @@ FullChipResult fullchip_fill(const GlfRegionIndex& index,
   result.tiles_total = grid.num_tiles();
   result.x.assign(index.num_layers(), GridD(rows, cols, 0.0));
 
-  PassContext ctx{index, grid, options, store, nullptr, 0,
+  PassContext ctx{index, grid, options, store, nullptr, nullptr, 0,
                   index.num_layers()};
+  if (options.method == "pkb" || options.method == "mm") {
+    ctx.surrogate = options.surrogate_factory();
+    if (!ctx.surrogate)
+      throw ErrorException(driver_error(ErrorCode::kInvalidArgument,
+                                        "surrogate factory returned null"));
+  }
   std::vector<GridD> committed_prev;
   for (int pass = 0;; ++pass) {
     NF_TRACE_SPAN("fullchip.stitch");

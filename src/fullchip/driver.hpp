@@ -60,10 +60,10 @@ struct FullChipOptions {
   /// Per-tile solve budgets (deadline/snapshot/interrupt fields are managed
   /// by the driver; set sqp/nmmso/pkb knobs here).
   NeurFillOptions fill;
-  /// Called once per pkb/mm tile solve, concurrently: each tile needs its
-  /// own surrogate instance because a forward/backward pass accumulates
-  /// gradients in the network it runs through.  Typical implementation:
-  /// load_surrogate(prefix).
+  /// Called once per pkb/mm fullchip_fill; the instance it returns serves
+  /// every tile solve, concurrently (surrogate evaluation, gradients
+  /// included, is tape-free and leaves the network untouched).  Typical
+  /// implementation: load_surrogate(prefix).
   std::function<std::shared_ptr<const CmpSurrogate>()> surrogate_factory;
   const std::atomic<bool>* interrupt = nullptr;
 };

@@ -105,7 +105,9 @@ class Backend {
 
   /// Backward of conv2d_fwd: accumulates (never overwrites) the gradients
   /// of any non-null output.  `gx` needs `w`; `gw` needs `x`; pass null for
-  /// gradients not required.
+  /// gradients not required.  `x` may be null when `gw` is: the input
+  /// gradient depends on the filters and `gy` only, so a frozen-weight
+  /// reverse pass needs no saved input.
   virtual void conv2d_bwd(const Conv2dGeom& g, const float* x, const float* w,
                           const float* gy, float* gx, float* gw,
                           float* gb) = 0;
@@ -133,6 +135,17 @@ class Backend {
   virtual void group_norm_fwd(const GroupNormGeom& g, const float* x,
                               const float* gamma, const float* beta, float* y,
                               double* mean_out, double* istd_out) = 0;
+
+  /// Backward of group_norm_fwd from its input `x`, the per-(n,group)
+  /// `mean`/`istd` it reported, `gamma`, and the output gradient `gy`:
+  /// accumulates (never overwrites) into each non-null output — `gx`
+  /// [N,C,H,W], `ggamma`/`gbeta` [C].  The group-wide sums run in double
+  /// in flat index order; the autograd op and the compiled reverse pass
+  /// (nn/infer) both call this, so their input gradients agree bitwise.
+  virtual void group_norm_bwd(const GroupNormGeom& g, const float* x,
+                              const double* mean, const double* istd,
+                              const float* gamma, const float* gy, float* gx,
+                              float* ggamma, float* gbeta) = 0;
 
   /// 2x2/stride-2 max pool over `planes` independent HxW planes (H, W
   /// even).  When `argmax` is non-null it receives, per output element, the

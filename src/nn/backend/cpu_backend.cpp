@@ -30,6 +30,12 @@ namespace {
 /// forcing serial execution changes scheduling only, never results.
 constexpr std::size_t kSerialConvUnfoldElems = 1u << 20;
 
+/// Scratch bound (floats) of conv2d_bwd's input-gradient unfold: channels
+/// are processed in groups whose kh*kw*Hout*Wout unfold fits, at least one
+/// channel per group.  128 KiB per thread instead of the whole layer's
+/// unfold, which matters when several fill starts run concurrently.
+constexpr std::size_t kDcolFloats = 1u << 15;
+
 /// Grain for flat elementwise loops: ~2 ns per element (load, a few ALU
 /// ops, store), converted by runtime::grain_for_cost into ~25 us blocks;
 /// loops under ~50 us run inline as a single block instead of forking.
@@ -117,13 +123,24 @@ void col2im(const float* col, int C, int H, int W, int kh, int kw, int stride,
     for (int ki = 0; ki < kh; ++ki) {
       for (int kj = 0; kj < kw; ++kj) {
         const float* src = col + ((c * kh + ki) * kw + kj) * cols;
+        // Unit stride: the in-range columns of a tap row are one contiguous
+        // shifted run, so the scatter is a branch-free vector add.  Each
+        // element still receives one add per tap in the same tap order.
+        const int oj_lo = stride == 1 ? std::max(0, pad - kj) : 0;
+        const int oj_hi = stride == 1 ? std::min(Wout, W + pad - kj) : 0;
         for (int oi = 0; oi < Hout; ++oi) {
           const int ii = oi * stride + ki - pad;
           if (ii < 0 || ii >= H) continue;
           float* dst = x + (c * H + ii) * W;
+          const float* srow = src + oi * Wout;
+          if (stride == 1) {
+            const int shift = kj - pad;
+            for (int oj = oj_lo; oj < oj_hi; ++oj) dst[oj + shift] += srow[oj];
+            continue;
+          }
           for (int oj = 0; oj < Wout; ++oj) {
             const int jj = oj * stride + kj - pad;
-            if (jj >= 0 && jj < W) dst[jj] += src[oi * Wout + oj];
+            if (jj >= 0 && jj < W) dst[jj] += srow[oj];
           }
         }
       }
@@ -1038,20 +1055,30 @@ void CpuBackend::conv2d_bwd(const Conv2dGeom& g, const float* x,
   const int cols = Hout * Wout;
   check_unfold_geometry("conv2d_bwd", H, W, kh, kw, g.stride, g.padding, Hout,
                         Wout);
-  NF_CHECK(!(gw || gx) || x != nullptr, "conv2d_bwd: null x");
+  NF_CHECK(!gw || x != nullptr, "conv2d_bwd: null x with gw");
   NF_CHECK(!gx || w != nullptr, "conv2d_bwd: null w with gx");
   const bool identity = identity_unfold(g);
   // Same persistent-scratch scheme as the forward pass; separate buffers
   // because dcol is consumed (col2im) while colbuf is still live for the
-  // weight gradient.  The identity unfold needs neither: the weight
-  // gradient streams the input directly and the input gradient accumulates
-  // straight out of the GEMM (col2im is elementwise += there).
+  // weight gradient.  Only the weight gradient reads the unfolded input, so
+  // an input-gradient-only call skips the im2col pass entirely.  The
+  // identity unfold needs neither: the weight gradient streams the input
+  // directly and the input gradient accumulates straight out of the GEMM
+  // (col2im is elementwise += there).
   static thread_local AlignedBuffer<float> tls_colbuf;
   static thread_local AlignedBuffer<float> tls_dcol;
   const std::size_t unfold_elems = static_cast<std::size_t>(K) * cols;
-  float* colbuf =
-      (!identity && (gw || gx)) ? tls_colbuf.ensure(unfold_elems) : nullptr;
-  float* dcol = (!identity && gx) ? tls_dcol.ensure(unfold_elems) : nullptr;
+  float* colbuf = (!identity && gw) ? tls_colbuf.ensure(unfold_elems) : nullptr;
+  // The input gradient's unfold runs a few channels at a time, bounding
+  // dcol to kDcolFloats however wide the layer (see the gx branch below).
+  const int taps = kh * kw;
+  const int dcol_channels = std::max(
+      1, std::min(C, static_cast<int>(kDcolFloats /
+                                      (static_cast<std::size_t>(taps) * cols))));
+  float* dcol = (!identity && gx)
+                    ? tls_dcol.ensure(static_cast<std::size_t>(dcol_channels) *
+                                      taps * cols)
+                    : nullptr;
   // Same serial threshold as the forward pass: the backward unfolds and
   // GEMMs are the same shapes, plus one col2im scatter.
   std::optional<runtime::ThreadPool::SerialRegion> serial;
@@ -1064,18 +1091,28 @@ void CpuBackend::conv2d_bwd(const Conv2dGeom& g, const float* x,
         x ? x + static_cast<std::int64_t>(n) * C * H * W : nullptr;
     // The unfolded input is recomputed rather than cached: it is the
     // largest intermediate and recomputation is one im2col pass.
-    if (!identity && (gw || gx))
-      im2col(xn, C, H, W, kh, kw, g.stride, g.padding, Hout, Wout, colbuf);
-    const float* rhs = identity ? xn : colbuf;
-    if (gw)  // dW += dOut (O,cols) * col^T (cols,K)
-      gemm_nt(O, K, cols, gout, rhs, gw, true);
+    if (gw) {  // dW += dOut (O,cols) * col^T (cols,K)
+      if (!identity)
+        im2col(xn, C, H, W, kh, kw, g.stride, g.padding, Hout, Wout, colbuf);
+      gemm_nt(O, K, cols, gout, identity ? xn : colbuf, gw, true);
+    }
     if (gx) {
       float* gxn = gx + static_cast<std::int64_t>(n) * C * H * W;
       if (identity) {  // dX += W^T (K,O) * dOut (O,cols), no scatter needed
         gemm_tn(K, cols, O, w, gout, gxn, true);
-      } else {  // dcol = W^T (K,O) * dOut (O,cols)
-        gemm_tn(K, cols, O, w, gout, dcol, false);
-        col2im(dcol, C, H, W, kh, kw, g.stride, g.padding, Hout, Wout, gxn);
+      } else {
+        // dcol = W^T (K,O) * dOut (O,cols), one channel group at a time: a
+        // group's dcol rows are a column block of W (gemm_tn_block — bitwise
+        // those rows of the full product), and col2im scatters a channel's
+        // taps into that channel only, so grouping changes no accumulation
+        // order; it only bounds the scratch.
+        for (int c0 = 0; c0 < C; c0 += dcol_channels) {
+          const int gc = std::min(dcol_channels, C - c0);
+          gemm_tn_block(gc * taps, cols, O, w + c0 * taps, K, gout, dcol,
+                        false);
+          col2im(dcol, gc, H, W, kh, kw, g.stride, g.padding, Hout, Wout,
+                 gxn + static_cast<std::int64_t>(c0) * H * W);
+        }
       }
     }
     if (gb) {
@@ -1219,6 +1256,63 @@ void CpuBackend::group_norm_fwd(const GroupNormGeom& g, const float* x,
               static_cast<float>((static_cast<double>(sb[i]) - m) * istd) *
                   gm +
               bt;
+      }
+    }
+  }
+}
+
+// Contraction is off for this function only: the kernel TUs build with
+// -march=native, and fusing the double multiply-adds below into FMAs would
+// move the input gradient's low bits away from the portable build's (and
+// from every fill produced before this kernel moved into the backend).
+__attribute__((optimize("fp-contract=off"))) void CpuBackend::group_norm_bwd(
+    const GroupNormGeom& g, const float* x, const double* mean,
+    const double* istd, const float* gamma, const float* gy, float* gx,
+    float* ggamma, float* gbeta) {
+  const int N = g.batch, C = g.channels, H = g.height, W = g.width;
+  const int groups = g.groups;
+  NF_CHECK(groups > 0 && C % groups == 0,
+           "group_norm_bwd: C=%d not divisible by groups=%d", C, groups);
+  const int cpg = C / groups;
+  const std::int64_t gsize = static_cast<std::int64_t>(cpg) * H * W;
+  for (int n = 0; n < N; ++n) {
+    for (int gi = 0; gi < groups; ++gi) {
+      const double m = mean[n * groups + gi];
+      const double is = istd[n * groups + gi];
+      const std::int64_t off = (static_cast<std::int64_t>(n) * C + gi * cpg) * H * W;
+      const float* xb = x + off;
+      const float* gb = gy + off;
+      // dgamma/dbeta, plus the two group-wide sums needed for dx.
+      double sum_dxhat = 0.0, sum_dxhat_xhat = 0.0;
+      for (int c = 0; c < cpg; ++c) {
+        const double gm = gamma[gi * cpg + c];
+        const float* xc = xb + static_cast<std::int64_t>(c) * H * W;
+        const float* gc = gb + static_cast<std::int64_t>(c) * H * W;
+        double dg = 0.0, db = 0.0;
+        for (int i = 0; i < H * W; ++i) {
+          const double xhat = (static_cast<double>(xc[i]) - m) * is;
+          const double dxhat = static_cast<double>(gc[i]) * gm;
+          sum_dxhat += dxhat;
+          sum_dxhat_xhat += dxhat * xhat;
+          dg += static_cast<double>(gc[i]) * xhat;
+          db += static_cast<double>(gc[i]);
+        }
+        if (ggamma) ggamma[gi * cpg + c] += static_cast<float>(dg);
+        if (gbeta) gbeta[gi * cpg + c] += static_cast<float>(db);
+      }
+      if (!gx) continue;
+      const double inv_n = 1.0 / static_cast<double>(gsize);
+      for (int c = 0; c < cpg; ++c) {
+        const double gm = gamma[gi * cpg + c];
+        const float* xc = xb + static_cast<std::int64_t>(c) * H * W;
+        const float* gc = gb + static_cast<std::int64_t>(c) * H * W;
+        float* gxc = gx + off + static_cast<std::int64_t>(c) * H * W;
+        for (int i = 0; i < H * W; ++i) {
+          const double xhat = (static_cast<double>(xc[i]) - m) * is;
+          const double dxhat = static_cast<double>(gc[i]) * gm;
+          gxc[i] += static_cast<float>(
+              is * (dxhat - inv_n * sum_dxhat - xhat * inv_n * sum_dxhat_xhat));
+        }
       }
     }
   }

@@ -34,6 +34,10 @@ class CpuBackend final : public Backend {
   void group_norm_fwd(const GroupNormGeom& g, const float* x,
                       const float* gamma, const float* beta, float* y,
                       double* mean_out, double* istd_out) override;
+  void group_norm_bwd(const GroupNormGeom& g, const float* x,
+                      const double* mean, const double* istd,
+                      const float* gamma, const float* gy, float* gx,
+                      float* ggamma, float* gbeta) override;
   void maxpool2x2_fwd(std::int64_t planes, int height, int width,
                       const float* x, float* y, std::int64_t* argmax) override;
   void upsample2x_fwd(std::int64_t planes, int height, int width,

@@ -119,25 +119,26 @@ void pack_b_sliver(Op op, const float* b, int K, int N, int s, float* dst) {
 
 /// Packs `mr` rows of the (logical M x K) operand A, rows [i0, i0+mr),
 /// K-slab [k0, k0+kc), into an Mr-interleaved panel: kc groups of kMr
-/// floats, zero-padded past row mr.
-void pack_a_sliver(Op op, const float* a, int M, int K, int i0, int mr,
-                   int k0, int kc, float* dst) {
+/// floats, zero-padded past row mr.  `lda` is A's storage row stride: K
+/// for a (M x K) row-major A, M for a (K x M) one — or wider when A is a
+/// block of a larger matrix.
+void pack_a_sliver(Op op, const float* a, int lda, int i0, int mr, int k0,
+                   int kc, float* dst) {
   if (op == Op::kNone) {  // A is (M x K) row-major
     for (int k = 0; k < kc; ++k) {
       float* group = dst + static_cast<std::size_t>(k) * kMr;
       for (int ii = 0; ii < mr; ++ii)
-        group[ii] = a[static_cast<std::size_t>(i0 + ii) * K + (k0 + k)];
+        group[ii] = a[static_cast<std::size_t>(i0 + ii) * lda + (k0 + k)];
       for (int ii = mr; ii < kMr; ++ii) group[ii] = 0.0f;
     }
   } else {  // A is (K x M): each k group is a contiguous run of M-storage
     for (int k = 0; k < kc; ++k) {
-      const float* src = a + static_cast<std::size_t>(k0 + k) * M + i0;
+      const float* src = a + static_cast<std::size_t>(k0 + k) * lda + i0;
       float* group = dst + static_cast<std::size_t>(k) * kMr;
       for (int ii = 0; ii < mr; ++ii) group[ii] = src[ii];
       for (int ii = mr; ii < kMr; ++ii) group[ii] = 0.0f;
     }
   }
-  (void)K;
 }
 
 /// Register-tile kernel: acc(kMr x kNr) = sum over kc of a-group outer
@@ -220,11 +221,14 @@ std::size_t packed_a_tile_offset(int t, int K) {
 /// forwards a caller gather.  Everything after packing is identical, so all
 /// entries share one decomposition and one bitwise-determinism argument.
 /// When `prepacked_a` is non-null it holds the gemm_pack_a panel for A and
-/// the in-loop A packing is skipped (A itself may then be null).
+/// the in-loop A packing is skipped (A itself may then be null).  `lda`
+/// overrides A's storage stride (default: the natural one for `aop`).
 template <typename PackB>
 void gemm_driver_impl(int M, int N, int K, const float* A,
                       const PackB& pack_b_fn, float* C, bool accumulate,
-                      Op aop, const float* prepacked_a = nullptr) {
+                      Op aop, const float* prepacked_a = nullptr,
+                      int lda = -1) {
+  if (lda < 0) lda = aop == Op::kNone ? K : M;
   NF_TRACE_SPAN("nn.gemm");
   NF_COUNTER_ADD("nn.gemm_flops", gemm_flops(M, N, K));
   if (M <= 0 || N <= 0) return;
@@ -305,7 +309,7 @@ void gemm_driver_impl(int M, int N, int K, const float* A,
                    static_cast<std::size_t>(t_slivers) * k0 * kMr;
             } else {
               for (int is = 0; is < t_slivers; ++is)
-                pack_a_sliver(aop, A, M, K, i0 + is * kMr,
+                pack_a_sliver(aop, A, lda, i0 + is * kMr,
                               std::min(kMr, tile_rows - is * kMr), k0, kc,
                               scratch_ap + static_cast<std::size_t>(is) * kc *
                                                kMr);
@@ -378,7 +382,7 @@ void gemm_pack_a(const float* A, int M, int K, float* dst) {
       const int kc = std::min(kKc, K - k0);
       float* slab_dst = tile_dst + static_cast<std::size_t>(t_slivers) * k0 * kMr;
       for (int is = 0; is < t_slivers; ++is)
-        pack_a_sliver(Op::kNone, A, M, K, i0 + is * kMr,
+        pack_a_sliver(Op::kNone, A, K, i0 + is * kMr,
                       std::min(kMr, tile_rows - is * kMr), k0, kc,
                       slab_dst + static_cast<std::size_t>(is) * kc * kMr);
     }
@@ -412,6 +416,16 @@ void gemm_nt(int M, int N, int K, const float* A, const float* B, float* C,
 void gemm_tn(int M, int N, int K, const float* A, const float* B, float* C,
              bool accumulate) {
   gemm_driver("gemm_tn", Op::kTrans, Op::kNone, M, N, K, A, B, C, accumulate);
+}
+
+void gemm_tn_block(int M, int N, int K, const float* A, int lda,
+                   const float* B, float* C, bool accumulate) {
+  check_gemm_args("gemm_tn_block", M, N, K, A, B, C);
+  NF_CHECK(lda >= M, "gemm_tn_block: lda %d < M %d", lda, M);
+  gemm_driver_impl(
+      M, N, K, A,
+      [&](int s, float* dst) { pack_b_sliver(Op::kNone, B, K, N, s, dst); },
+      C, accumulate, Op::kTrans, nullptr, lda);
 }
 
 }  // namespace neurfill::nn

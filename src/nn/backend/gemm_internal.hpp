@@ -55,4 +55,13 @@ void gemm_pack_a(const float* A, int M, int K, float* dst);
 void gemm_prepacked_a(int M, int N, int K, const float* packed_a,
                       const GemmPackBFn& pack_b, float* C, bool accumulate);
 
+/// gemm_tn on a column block of a wider operand: C (M x N) = A^T B with A
+/// the (K x M) block starting at `A` inside a (K x lda) row-major matrix.
+/// Every C element's accumulation chain is the one it has in the full
+/// gemm_tn over all lda columns (chains depend on the K-slab split only,
+/// never on the row tiling), so computing a product block by block is
+/// bitwise identical to computing it at once.
+void gemm_tn_block(int M, int N, int K, const float* A, int lda,
+                   const float* B, float* C, bool accumulate);
+
 }  // namespace neurfill::nn

@@ -1,5 +1,6 @@
 #include "nn/infer/session.hpp"
 
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <string>
@@ -35,7 +36,68 @@ std::size_t aligned_floats(int channels, int height, int width) {
   return (raw + 15u) & ~static_cast<std::size_t>(15u);
 }
 
+/// Best-fit arena planner: smallest adequate free block, ties to the lowest
+/// offset; the remainder is split off and stays free.  Blocks are not
+/// coalesced — the graph is compiled once and the UNet's release pattern
+/// (same sizes recur every stage) reuses split blocks exactly, so coalescing
+/// would buy nothing for permanent planning cost.  With reuse off every
+/// allocation is fresh (the aliasing-free reference).
+class BestFit {
+ public:
+  explicit BestFit(bool reuse) : reuse_(reuse) {}
+
+  std::size_t alloc(std::size_t need) {
+    std::size_t best = free_.size();
+    for (std::size_t i = 0; reuse_ && i < free_.size(); ++i) {
+      if (free_[i].size < need) continue;
+      if (best == free_.size() || free_[i].size < free_[best].size ||
+          (free_[i].size == free_[best].size &&
+           free_[i].offset < free_[best].offset))
+        best = i;
+    }
+    if (best == free_.size()) {
+      const std::size_t offset = top_;
+      top_ += need;
+      return offset;
+    }
+    const std::size_t offset = free_[best].offset;
+    if (free_[best].size > need) {
+      free_[best].offset += need;
+      free_[best].size -= need;
+    } else {
+      free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(best));
+    }
+    return offset;
+  }
+
+  void release(std::size_t offset, std::size_t size) {
+    if (reuse_) free_.push_back({offset, size});
+  }
+
+  std::size_t top() const { return top_; }
+
+ private:
+  struct Block {
+    std::size_t offset;
+    std::size_t size;
+  };
+  std::vector<Block> free_;
+  std::size_t top_ = 0;
+  bool reuse_;
+};
+
+/// The per-thread forward arena run() and run_saving() share (they never
+/// nest on one thread): grow-only, so steady state allocates nothing.
+float* thread_arena(std::size_t floats) {
+  static thread_local AlignedBuffer<float> tls_arena;
+  return tls_arena.ensure(floats);
+}
+
 }  // namespace
+
+std::size_t InferenceSession::value_floats(const ValueSpec& v) {
+  return aligned_floats(v.channels, v.height, v.width);
+}
 
 int InferenceSession::add_value(int channels, int height, int width) {
   NF_CHECK(channels > 0 && height > 0 && width > 0,
@@ -199,6 +261,7 @@ InferenceSession::InferenceSession(const UNet& net, int height, int width,
            values_[out_value_].channels, cfg.out_channels);
 
   plan_arena(options.reuse_buffers);
+  plan_reverse();
   if (options.prepack_weights) prepack_weights();
 }
 
@@ -240,69 +303,90 @@ void InferenceSession::plan_arena(bool reuse) {
   }
   last_use[out_value_] = n_nodes;
 
-  struct Block {
-    std::size_t offset;
-    std::size_t size;
-  };
-  std::vector<Block> free_list;
-  std::size_t top = 0;
-
-  // Best fit over the free list: smallest adequate block, ties to the
-  // lowest offset; the remainder is split off and stays free.  Blocks are
-  // not coalesced — the graph is compiled once and the UNet's release
-  // pattern (same sizes recur every stage) reuses split blocks exactly, so
-  // coalescing would buy nothing for permanent planning cost.
-  auto alloc = [&](std::size_t need) -> std::size_t {
-    if (reuse) {
-      std::size_t best = free_list.size();
-      for (std::size_t i = 0; i < free_list.size(); ++i) {
-        if (free_list[i].size < need) continue;
-        if (best == free_list.size() ||
-            free_list[i].size < free_list[best].size ||
-            (free_list[i].size == free_list[best].size &&
-             free_list[i].offset < free_list[best].offset)) {
-          best = i;
-        }
-      }
-      if (best != free_list.size()) {
-        const std::size_t offset = free_list[best].offset;
-        if (free_list[best].size > need) {
-          free_list[best].offset += need;
-          free_list[best].size -= need;
-        } else {
-          free_list.erase(free_list.begin() + static_cast<std::ptrdiff_t>(best));
-        }
-        return offset;
-      }
-    }
-    const std::size_t offset = top;
-    top += need;
-    return offset;
-  };
-
+  BestFit arena(reuse);
   for (std::size_t i = 0; i < n_nodes; ++i) {
     const Node& node = nodes_[i];
     ValueSpec& out = values_[node.out];
     // Allocate the output BEFORE releasing dying inputs: kernels never run
     // in place across a node, so the output block must not alias an input
     // even when that input dies at this node.
-    out.offset =
-        alloc(aligned_floats(out.channels, out.height, out.width));
-    if (!reuse) continue;
+    out.offset = arena.alloc(value_floats(out));
     const int ins[2] = {node.in0, node.in1};
     for (int k = 0; k < 2; ++k) {
       const int vid = ins[k];
       if (vid < 0 || values_[vid].external) continue;
       if (k == 1 && node.in1 == node.in0) continue;  // consumed twice
-      if (last_use[vid] == i) {
-        const ValueSpec& spec = values_[vid];
-        free_list.push_back(
-            {spec.offset,
-             aligned_floats(spec.channels, spec.height, spec.width)});
-      }
+      if (last_use[vid] == i)
+        arena.release(values_[vid].offset, value_floats(values_[vid]));
     }
   }
-  arena_floats_ = top;
+  arena_floats_ = arena.top();
+}
+
+void InferenceSession::plan_reverse() {
+  // Saved record, one 16-float-aligned slot per item the adjoints read:
+  // GroupNorm blocks' pre-norm conv outputs and statistics, ReLU masks (a
+  // bit per element — the mask is all relu' needs, and several fill starts
+  // hold their records at once), and max-pool argmaxes.
+  std::size_t top = 0;
+  const auto slot = [&top](std::size_t floats) {
+    const std::size_t at = top;
+    top += (floats + 15u) & ~static_cast<std::size_t>(15u);
+    return at;
+  };
+  for (Node& node : nodes_) {
+    const ValueSpec& out = values_[node.out];
+    const std::size_t numel =
+        static_cast<std::size_t>(out.channels) * out.height * out.width;
+    if (node.kind == Node::Kind::kMaxPool) {
+      node.argmax_offset = slot(2 * numel);  // one int64 per output
+      continue;
+    }
+    if (node.kind != Node::Kind::kConvBlock) continue;
+    NF_CHECK(node.conv.act == ActKind::kNone || node.conv.act == ActKind::kRelu,
+             "InferenceSession: reverse pass supports ReLU blocks only");
+    if (node.conv.groups > 0) {
+      node.conv.prenorm_offset = slot(numel);
+      node.conv.stats_offset = slot(4 * static_cast<std::size_t>(node.conv.groups));
+    }
+    if (node.conv.act == ActKind::kRelu)
+      node.conv.mask_offset = slot((numel + 31) / 32);
+  }
+  saved_floats_ = top;
+
+  // Cotangent arena, planned over the reverse node order: a value's
+  // cotangent is born at its first consumer in reverse order (which zeroes
+  // it) and dies once its producer has propagated it.  The session output's
+  // cotangent is the caller's d_output and the input's is the caller's
+  // d_input, so neither occupies the arena.
+  std::vector<bool> born(values_.size(), false);
+  BestFit cot(true);
+  for (std::size_t r = nodes_.size(); r-- > 0;) {
+    Node& node = nodes_[r];
+    const int ins[2] = {node.in0, node.in1};
+    bool* zero[2] = {&node.zero_in0, &node.zero_in1};
+    for (int k = 0; k < 2; ++k) {
+      const int vid = ins[k];
+      if (vid < 0 || values_[vid].external || born[vid]) continue;
+      NF_CHECK(!(k == 1 && node.in1 == node.in0),
+               "InferenceSession: a node consuming one value twice has no "
+               "reverse plan");
+      born[vid] = true;
+      *zero[k] = true;
+      values_[vid].cot_offset = cot.alloc(value_floats(values_[vid]));
+    }
+    const ValueSpec& out = values_[node.out];
+    if (node.kind == Node::Kind::kConvBlock) {  // [d_act][d_norm] as needed
+      const std::size_t tmp =
+          value_floats(out) *
+          ((node.conv.act == ActKind::kRelu ? 1u : 0u) +
+           (node.conv.groups > 0 ? 1u : 0u));
+      node.tmp_offset = cot.alloc(tmp);
+      cot.release(node.tmp_offset, tmp);
+    }
+    if (node.out != out_value_) cot.release(out.cot_offset, value_floats(out));
+  }
+  cot_floats_ = cot.top();
 }
 
 float* InferenceSession::value_ptr(int vid, float* arena, int batch) const {
@@ -326,7 +410,6 @@ void InferenceSession::run(const float* input, float* output,
   // a batch ceiling never reallocates when the batch varies below it; the
   // high-water tracker feeds the gauge and the grow-event counter that the
   // zero-steady-state-allocation test pins.
-  static thread_local AlignedBuffer<float> tls_arena;
   static thread_local std::size_t tls_arena_high_water = 0;
   const int plan_batch = batch > max_batch_ ? batch : max_batch_;
   const std::size_t need =
@@ -337,7 +420,7 @@ void InferenceSession::run(const float* input, float* output,
     NF_GAUGE_SET("infer.arena_high_water_bytes",
                  static_cast<double>(need * sizeof(float)));
   }
-  float* arena = tls_arena.ensure(need);
+  float* arena = thread_arena(need);
 
   Backend& be = backend();
   // Panels belong to the backend that packed them; after a backend swap the
@@ -416,6 +499,197 @@ void InferenceSession::run(const float* input, float* output,
                                  out_spec.height * out_spec.width;
   std::memcpy(output, value_ptr(out_value_, arena, batch),
               out_floats * sizeof(float));
+}
+
+void InferenceSession::run_saving(const float* input, float* output,
+                                  float* saved) const {
+  NF_CHECK(input != nullptr && output != nullptr && saved != nullptr,
+           "InferenceSession::run_saving: null buffer");
+  NF_TRACE_SPAN("nn.infer_run_saving");
+  float* arena = thread_arena(arena_floats_);
+  const auto in_at = [&](int vid) -> const float* {
+    return values_[vid].external ? input : value_ptr(vid, arena, 1);
+  };
+
+  Backend& be = backend();
+  const float* packs =
+      (&be == pack_backend_) ? packed_weights_.data() : nullptr;
+  for (const Node& node : nodes_) {
+    const ValueSpec& in_spec = values_[node.in0];
+    const float* in0 = in_at(node.in0);
+    float* out = value_ptr(node.out, arena, 1);
+    switch (node.kind) {
+      case Node::Kind::kConvBlock: {
+        const ConvBlockSpec& c = node.conv;
+        const float* pw = (packs != nullptr && c.packed_offset >= 0)
+                              ? packs + c.packed_offset
+                              : nullptr;
+        const ValueSpec& out_spec = values_[node.out];
+        const std::int64_t numel = static_cast<std::int64_t>(
+            out_spec.channels) * out_spec.height * out_spec.width;
+        if (c.groups == 0) {  // conv + bias + act: the fused block as is
+          be.conv2d_gn_act_fwd_packed(c.geom, 0, c.eps, c.act, c.slope, in0,
+                                      c.weight, pw, c.bias, nullptr, nullptr,
+                                      out);
+        } else {
+          // Unfused around the normalization so the pre-norm output and the
+          // group statistics land in the record; the same kernel chain the
+          // fused block is pinned bitwise against.
+          float* prenorm = saved + c.prenorm_offset;
+          double* stats = reinterpret_cast<double*>(saved + c.stats_offset);
+          be.conv2d_gn_act_fwd_packed(c.geom, 0, c.eps, ActKind::kNone, 0.0f,
+                                      in0, c.weight, pw, c.bias, nullptr,
+                                      nullptr, prenorm);
+          GroupNormGeom ng;
+          ng.batch = 1;
+          ng.channels = out_spec.channels;
+          ng.height = out_spec.height;
+          ng.width = out_spec.width;
+          ng.groups = c.groups;
+          ng.eps = c.eps;
+          be.group_norm_fwd(ng, prenorm, c.gamma, c.beta, out, stats,
+                            stats + c.groups);
+          if (c.act == ActKind::kRelu)
+            be.unary_map(UnaryKind::kRelu, 0.0f, out, out, numel);
+        }
+        if (c.act == ActKind::kRelu) {
+          auto* mask = reinterpret_cast<std::uint8_t*>(saved + c.mask_offset);
+          std::memset(mask, 0, static_cast<std::size_t>(numel + 7) / 8);
+          for (std::int64_t i = 0; i < numel; ++i)
+            mask[i >> 3] = static_cast<std::uint8_t>(
+                mask[i >> 3] | ((out[i] > 0.0f ? 1u : 0u) << (i & 7)));
+        }
+        break;
+      }
+      case Node::Kind::kMaxPool:
+        be.maxpool2x2_fwd(in_spec.channels, in_spec.height, in_spec.width, in0,
+                          out,
+                          reinterpret_cast<std::int64_t*>(
+                              saved + node.argmax_offset));
+        break;
+      case Node::Kind::kUpsample:
+        be.upsample2x_fwd(in_spec.channels, in_spec.height, in_spec.width, in0,
+                          out);
+        break;
+      case Node::Kind::kConcat: {
+        const ValueSpec& b_spec = values_[node.in1];
+        be.concat_channels_fwd(
+            1, in_spec.channels, b_spec.channels,
+            static_cast<std::int64_t>(in_spec.height) * in_spec.width, in0,
+            in_at(node.in1), out);
+        break;
+      }
+    }
+  }
+  const ValueSpec& out_spec = values_[out_value_];
+  std::memcpy(output, value_ptr(out_value_, arena, 1),
+              static_cast<std::size_t>(out_spec.channels) * out_spec.height *
+                  out_spec.width * sizeof(float));
+}
+
+void InferenceSession::run_vjp(const float* saved, const float* d_output,
+                               float* d_input) const {
+  NF_CHECK(saved != nullptr && d_output != nullptr && d_input != nullptr,
+           "InferenceSession::run_vjp: null buffer");
+  NF_TRACE_SPAN("nn.infer_vjp");
+  static thread_local AlignedBuffer<float> tls_cot;
+  float* arena = tls_cot.ensure(cot_floats_);
+  const auto numel = [](const ValueSpec& v) {
+    return static_cast<std::size_t>(v.channels) * v.height * v.width;
+  };
+  // Every contribution accumulates (+=) into a cotangent that starts at
+  // zero, exactly as the autograd sweep's lazily zeroed gradient buffers.
+  const auto cot_of = [&](int vid, bool zero) -> float* {
+    const ValueSpec& v = values_[vid];
+    float* p = v.external ? d_input : arena + v.cot_offset;
+    if (zero) std::memset(p, 0, numel(v) * sizeof(float));
+    return p;
+  };
+  std::memset(d_input, 0, numel(values_[0]) * sizeof(float));  // the input
+
+  Backend& be = backend();
+  for (std::size_t r = nodes_.size(); r-- > 0;) {
+    const Node& node = nodes_[r];
+    const ValueSpec& out = values_[node.out];
+    const float* d_out =
+        node.out == out_value_ ? d_output : arena + out.cot_offset;
+    const ValueSpec& in_spec = values_[node.in0];
+    float* d_in0 = cot_of(node.in0, node.zero_in0);
+    switch (node.kind) {
+      case Node::Kind::kConvBlock: {
+        const ConvBlockSpec& c = node.conv;
+        const std::size_t n = numel(out);
+        const float* d_pre = d_out;  // cotangent of the conv output
+        if (c.act == ActKind::kRelu) {
+          // relu'(a) = [a > 0]; the output is positive exactly where its
+          // input was, so the mask recorded from the output is exact.
+          const auto* mask =
+              reinterpret_cast<const std::uint8_t*>(saved + c.mask_offset);
+          float* d_act = arena + node.tmp_offset;
+          for (std::size_t i = 0; i < n; ++i) {
+            d_act[i] = 0.0f;
+            d_act[i] += d_out[i] * (((mask[i >> 3] >> (i & 7)) & 1u) != 0
+                                        ? 1.0f
+                                        : 0.0f);
+          }
+          d_pre = d_act;
+        }
+        if (c.groups > 0) {
+          float* d_norm = arena + node.tmp_offset +
+                          (c.act == ActKind::kRelu ? value_floats(out) : 0);
+          std::memset(d_norm, 0, n * sizeof(float));
+          GroupNormGeom ng;
+          ng.batch = 1;
+          ng.channels = c.geom.out_channels;
+          ng.height = c.geom.out_height;
+          ng.width = c.geom.out_width;
+          ng.groups = c.groups;
+          ng.eps = c.eps;
+          const double* stats =
+              reinterpret_cast<const double*>(saved + c.stats_offset);
+          be.group_norm_bwd(ng, saved + c.prenorm_offset, stats,
+                            stats + c.groups, c.gamma, d_pre, d_norm, nullptr,
+                            nullptr);
+          d_pre = d_norm;
+        }
+        be.conv2d_bwd(c.geom, nullptr, c.weight, d_pre, d_in0, nullptr,
+                      nullptr);
+        break;
+      }
+      case Node::Kind::kMaxPool: {
+        // The recorded argmax is the forward kernel's (earliest index wins
+        // ties); each output's cotangent lands there.
+        const auto* argmax = reinterpret_cast<const std::int64_t*>(
+            saved + node.argmax_offset);
+        const std::size_t n = numel(out);
+        for (std::size_t o = 0; o < n; ++o) d_in0[argmax[o]] += d_out[o];
+        break;
+      }
+      case Node::Kind::kUpsample: {
+        const int H = in_spec.height, W = in_spec.width;
+        for (int c = 0; c < in_spec.channels; ++c) {
+          const float* gp = d_out + static_cast<std::size_t>(c) * 4 * H * W;
+          float* sp = d_in0 + static_cast<std::size_t>(c) * H * W;
+          for (int i = 0; i < H; ++i)
+            for (int j = 0; j < W; ++j) {
+              const std::int64_t b =
+                  static_cast<std::int64_t>(2 * i) * 2 * W + 2 * j;
+              sp[i * W + j] +=
+                  gp[b] + gp[b + 1] + gp[b + 2 * W] + gp[b + 2 * W + 1];
+            }
+        }
+        break;
+      }
+      case Node::Kind::kConcat: {
+        const std::size_t na = numel(in_spec);
+        for (std::size_t i = 0; i < na; ++i) d_in0[i] += d_out[i];
+        float* d_in1 = cot_of(node.in1, node.zero_in1);
+        const std::size_t nb = numel(values_[node.in1]);
+        for (std::size_t i = 0; i < nb; ++i) d_in1[i] += d_out[na + i];
+        break;
+      }
+    }
+  }
 }
 
 }  // namespace neurfill::nn

@@ -13,10 +13,12 @@
 // compiles a UNet into a static, topologically ordered op graph once —
 // fused conv+groupnorm+activation blocks, pool/upsample/concat nodes, and
 // a liveness-planned arena of reused activation buffers — then executes
-// forward passes with zero steady-state allocation.  Results are bitwise
-// identical to the autograd module evaluation at any thread count (pinned
-// by tests/test_inference.cpp), because every kernel reproduces the same
-// accumulation orders through the same compute backend.
+// forward passes with zero steady-state allocation.  The same graph also
+// runs in reverse (run_saving + run_vjp): input cotangents for frozen
+// weights, planned at compile time.  Results are bitwise identical to the
+// autograd module evaluation and input gradient at any thread count
+// (pinned by tests/test_inference.cpp), because every kernel reproduces
+// the same accumulation orders through the same compute backend.
 //
 // This directory is lint-enforced tape-free: nf_lint's infer-no-autograd
 // rule forbids the tape API surface here, so the engine can never silently
@@ -66,6 +68,28 @@ class InferenceSession {
   /// no allocation: the arena is a grow-only thread_local buffer.
   void run(const float* input, float* output, int batch = 1) const;
 
+  /// Floats of the record run_saving() fills for one run_vjp() call.
+  std::size_t saved_floats() const { return saved_floats_; }
+
+  /// Batch-1 forward pass that also records, into `saved` (saved_floats()
+  /// caller-owned floats, 8-byte aligned), what the reverse pass reads:
+  /// each GroupNorm block's pre-norm conv output with its per-group mean and
+  /// inverse standard deviation, each ReLU block's activation mask (one
+  /// bit per element), and each max pool's argmax.  Activations themselves
+  /// stay in the forward arena.  `output` is bitwise identical to
+  /// run(input, output, 1).  Thread-safe like run().
+  void run_saving(const float* input, float* output, float* saved) const;
+
+  /// Vector-Jacobian product of the compiled graph with frozen weights:
+  /// d_input = (d output / d input)^T d_output for the record of one
+  /// run_saving() call.  Input cotangents only (no weight adjoints), through
+  /// the same backend kernels in the same accumulation order as the autograd
+  /// reverse sweep, so d_input is bitwise the autograd input gradient.
+  /// Cotangents live in a liveness-planned per-thread arena: thread-safe,
+  /// no steady-state allocation.
+  void run_vjp(const float* saved, const float* d_output,
+               float* d_input) const;
+
   int in_channels() const { return in_channels_; }
   int out_channels() const { return out_channels_; }
   int height() const { return height_; }
@@ -81,6 +105,7 @@ class InferenceSession {
     int width = 0;
     bool external = false;    ///< the session input, not arena-backed
     std::size_t offset = 0;   ///< per-sample float offset into the arena
+    std::size_t cot_offset = 0;  ///< run_vjp(): cotangent arena offset
   };
 
   struct ConvBlockSpec {
@@ -96,6 +121,12 @@ class InferenceSession {
     /// Offset of this block's pre-packed weight panel in packed_weights_,
     /// or -1 when the layer has no packed form (or prepacking is off).
     std::ptrdiff_t packed_offset = -1;
+    /// run_saving() record offsets: the pre-norm conv output and the
+    /// per-group (mean, istd) doubles (GroupNorm blocks), and the ReLU
+    /// mask, one bit per output element (ReLU blocks).
+    std::size_t prenorm_offset = 0;
+    std::size_t stats_offset = 0;
+    std::size_t mask_offset = 0;
   };
 
   struct Node {
@@ -105,12 +136,23 @@ class InferenceSession {
     int in1 = -1;  ///< kConcat only (second operand)
     int out = -1;
     ConvBlockSpec conv;  ///< kConvBlock only
+    /// run_saving() record offset of a max pool's int64 argmax per output.
+    std::size_t argmax_offset = 0;
+    /// run_vjp(): whether this node is the first (in reverse order) to
+    /// touch in0's / in1's cotangent, which it then zeroes before it
+    /// accumulates; and the arena offset of the conv block's activation /
+    /// normalization cotangent temporaries.
+    bool zero_in0 = false;
+    bool zero_in1 = false;
+    std::size_t tmp_offset = 0;
   };
 
   int add_value(int channels, int height, int width);
   int add_conv_block(const void* conv_module, const void* norm_module,
                      ActKind act, int in_id);
+  static std::size_t value_floats(const ValueSpec& v);
   void plan_arena(bool reuse);
+  void plan_reverse();
   void prepack_weights();
   float* value_ptr(int vid, float* arena, int batch) const;
 
@@ -124,6 +166,8 @@ class InferenceSession {
   AlignedBuffer<float> packed_weights_;
   Backend* pack_backend_ = nullptr;  ///< backend the panels were packed on
   std::size_t arena_floats_ = 0;
+  std::size_t saved_floats_ = 0;  ///< run_saving() record
+  std::size_t cot_floats_ = 0;    ///< run_vjp() cotangent arena
   int out_value_ = -1;
   int in_channels_ = 0;
   int out_channels_ = 0;

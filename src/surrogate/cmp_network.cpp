@@ -1,14 +1,11 @@
 #include "surrogate/cmp_network.hpp"
 
-#include <cmath>
-#include <cstring>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
-#include "common/aligned.hpp"
 #include "common/rng.hpp"
-#include "nn/backend/backend.hpp"
 #include "nn/ops.hpp"
 #include "nn/serialize.hpp"
 #include "runtime/parallel.hpp"
@@ -142,10 +139,11 @@ CmpNetwork::CmpNetwork(std::shared_ptr<const CmpSurrogate> surrogate,
   const int divisor = 1 << surrogate_->config().unet.depth;
   static_ = build_static_features(ext, surrogate_->config().features, divisor);
   // Graph-compile the UNet once for this extraction's padded plane; every
-  // no-gradient evaluate()/predict_heights() then runs tape-free.  Acquired
-  // through the process-wide session cache, so repeated constructions over
-  // the same frozen surrogate and plane size (the fullchip tile loop) share
-  // one compiled session and its pre-packed weight panels.
+  // evaluate() — gradients included — and predict_heights() then runs
+  // tape-free.  Acquired through the process-wide session cache, so
+  // repeated constructions over the same frozen surrogate and plane size
+  // (the fullchip tile loop) share one compiled session and its pre-packed
+  // weight panels.
   if (surrogate_->fast_inference_enabled())
     fast_ = acquire_surrogate_inference(*surrogate_, static_[0].padded_rows,
                                         static_[0].padded_cols);
@@ -169,11 +167,17 @@ CmpNetwork::Eval CmpNetwork::evaluate(const std::vector<GridD>& x,
   using nn::Tensor;
   if (x.size() != static_.size())
     throw std::invalid_argument("CmpNetwork::evaluate: layer count mismatch");
-  // Value-only evaluations (the SQP line search, quality probes) take the
-  // tape-free fast path; its result is bitwise identical to this autograd
-  // pipeline, so mixing the two inside one optimization is safe.
-  if (!with_grad && fast_) return evaluate_fast(x);
+  // The compiled path serves values and gradients tape-free; the autograd
+  // pipeline below is the reference it is pinned against bitwise
+  // (tests/test_inference.cpp), reached only with fast inference disabled.
+  if (fast_) return evaluate_fast(x, with_grad);
 
+  // A gradient sweep accumulates into the shared UNet's parameter
+  // gradients, so reference evaluations with gradients run one at a time
+  // (concurrent MSP starts would otherwise race on them).
+  static std::mutex reference_mutex;
+  std::unique_lock<std::mutex> lock(reference_mutex, std::defer_lock);
+  if (with_grad) lock.lock();
   std::vector<Tensor> fills;
   fills.reserve(x.size());
   for (const GridD& g : x) fills.push_back(make_fill_tensor(g, with_grad));
@@ -297,12 +301,25 @@ GridD crop_plane(const std::vector<float>& plane, std::size_t rows,
 
 }  // namespace
 
-CmpNetwork::Eval CmpNetwork::evaluate_fast(const std::vector<GridD>& x) const {
-  // Flat-plane mirror of the autograd objective pipeline above.  Every
-  // chained multiply-add is either a backend kernel call or split into
-  // single-operation statements, so no re-association or fused
-  // multiply-add can change the rounding relative to the op-by-op autograd
-  // evaluation (tests/test_inference.cpp pins the bitwise equality).
+ObjectiveHead CmpNetwork::objective_head() const {
+  ObjectiveHead head;
+  head.rows = rows_;
+  head.cols = cols_;
+  head.eta = static_cast<float>(surrogate_->config().outlier_eta);
+  head.cal[0] = cal_sigma_;
+  head.cal[1] = cal_sigma_star_;
+  head.cal[2] = cal_ol_;
+  head.alpha[0] = coeffs_.alpha_sigma;
+  head.alpha[1] = coeffs_.alpha_sigma_star;
+  head.alpha[2] = coeffs_.alpha_ol;
+  head.beta[0] = coeffs_.beta_sigma;
+  head.beta[1] = coeffs_.beta_sigma_star;
+  head.beta[2] = coeffs_.beta_ol;
+  return head;
+}
+
+CmpNetwork::Eval CmpNetwork::evaluate_fast(const std::vector<GridD>& x,
+                                           bool with_grad) const {
   const int pr = static_[0].padded_rows, pc = static_[0].padded_cols;
   const std::size_t n = static_cast<std::size_t>(pr) * pc;
 
@@ -315,110 +332,31 @@ CmpNetwork::Eval CmpNetwork::evaluate_fast(const std::vector<GridD>& x) const {
     fill_ptrs.push_back(fills[l].data());
   }
   std::vector<std::vector<float>> heights;
-  fast_->predict_heights(static_, fill_ptrs, heights);
-  return score_height_planes(heights);
+  if (!with_grad) {
+    fast_->predict_heights(static_, fill_ptrs, heights);
+    return make_eval(heights, nullptr);
+  }
+  std::vector<std::vector<float>> d_fills;
+  const ObjectiveValue v = fast_->evaluate_with_vjp(
+      static_, fill_ptrs, objective_head(), heights, d_fills);
+  Eval out = make_eval(heights, &v);
+  out.grad.reserve(d_fills.size());
+  for (const std::vector<float>& d : d_fills)
+    out.grad.push_back(crop_plane(d, rows_, cols_, pc));
+  return out;
 }
 
-CmpNetwork::Eval CmpNetwork::score_height_planes(
-    const std::vector<std::vector<float>>& heights) const {
+CmpNetwork::Eval CmpNetwork::make_eval(
+    const std::vector<std::vector<float>>& heights,
+    const ObjectiveValue* value) const {
   const int pr = static_[0].padded_rows, pc = static_[0].padded_cols;
-  const std::size_t n = static_cast<std::size_t>(pr) * pc;
-  const std::int64_t n64 = static_cast<std::int64_t>(n);
-  nn::Backend& be = nn::backend();
-
-  // Per-thread scratch: evaluate_batch scores candidates concurrently, and
-  // repeated calls must not allocate in steady state.  The mask is rebuilt
-  // each call (cheap, and rows_/cols_ differ between network instances).
-  static thread_local AlignedBuffer<float> tls_score;
-  float* scratch = tls_score.ensure(3 * n + static_cast<std::size_t>(pc));
-  float* mask = scratch;
-  float* hm = scratch + n;
-  float* work = scratch + 2 * n;
-  float* col = scratch + 3 * n;
-  std::memset(mask, 0, n * sizeof(float));
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j)
-      mask[i * static_cast<std::size_t>(pc) + j] = 1.0f;
-  const float count = static_cast<float>(rows_ * cols_);
-  const float inv_count = 1.0f / count;
-  const float inv_rows = 1.0f / static_cast<float>(rows_);
-  const float eta = static_cast<float>(surrogate_->config().outlier_eta);
-
-  float sigma_total = 0.0f, sigma_star_total = 0.0f, ol_total = 0.0f;
-  for (const std::vector<float>& height : heights) {
-    const float* h = height.data();
-    be.binary_map(nn::BinaryKind::kMul, h, mask, hm, n64);
-    const float mean_h =
-        static_cast<float>(be.reduce_sum(hm, n64)) * inv_count;
-    // var = sum(((h - mean) * mask)^2) / count
-    for (std::size_t i = 0; i < n; ++i) work[i] = h[i] - mean_h;
-    be.binary_map(nn::BinaryKind::kMul, work, mask, work, n64);
-    be.unary_map(nn::UnaryKind::kSquare, 0.0f, work, work, n64);
-    const float var =
-        static_cast<float>(be.reduce_sum(work, n64)) * inv_count;
-    sigma_total = sigma_total + var;
-    // Line deviation: per-column mean over the valid rows (sum_axis is a
-    // serial double accumulation per column, in row order).
-    for (int j = 0; j < pc; ++j) {
-      double acc = 0.0;
-      for (int i = 0; i < pr; ++i)
-        acc += static_cast<double>(
-            hm[static_cast<std::size_t>(i) * pc + static_cast<std::size_t>(j)]);
-      col[static_cast<std::size_t>(j)] = static_cast<float>(acc) * inv_rows;
-    }
-    for (int i = 0; i < pr; ++i)
-      for (int j = 0; j < pc; ++j) {
-        const std::size_t k =
-            static_cast<std::size_t>(i) * pc + static_cast<std::size_t>(j);
-        work[k] = h[k] - col[static_cast<std::size_t>(j)];
-      }
-    be.binary_map(nn::BinaryKind::kMul, work, mask, work, n64);
-    be.unary_map(nn::UnaryKind::kAbs, 0.0f, work, work, n64);
-    sigma_star_total =
-        sigma_star_total + static_cast<float>(be.reduce_sum(work, n64));
-    // Outliers: smooth max(0, H - (mean + 3*sigma_l)).
-    const float var_eps = var + 1e-6f;
-    const float sig_l = std::sqrt(var_eps);
-    const float three_sig = sig_l * 3.0f;
-    const float threshold = mean_h + three_sig;
-    for (std::size_t i = 0; i < n; ++i) work[i] = h[i] - threshold;
-    be.unary_map(nn::UnaryKind::kSoftplus, eta, work, work, n64);
-    be.binary_map(nn::BinaryKind::kMul, work, mask, work, n64);
-    ol_total = ol_total + static_cast<float>(be.reduce_sum(work, n64));
-  }
-
-  const auto apply_cal = [](float t, const MetricCalibration& c) {
-    if (c.a == 0.0 && c.b == 1.0) return t;
-    const float shifted = t + 1e-6f;
-    const float log_t = std::log(shifted);
-    const float scaled = log_t * static_cast<float>(c.b);
-    const float biased = scaled + static_cast<float>(c.a);
-    return std::exp(biased);
-  };
-  sigma_total = apply_cal(sigma_total, cal_sigma_);
-  sigma_star_total = apply_cal(sigma_star_total, cal_sigma_star_);
-  ol_total = apply_cal(ol_total, cal_ol_);
-
-  const auto score_term = [](float t, double alpha, double beta) {
-    const float scale = -1.0f / static_cast<float>(beta);
-    const float scaled = t * scale;
-    const float shifted = scaled + 1.0f;
-    const float clipped = shifted > 0.0f ? shifted : 0.0f;
-    return clipped * static_cast<float>(alpha);
-  };
-  const float term_sigma =
-      score_term(sigma_total, coeffs_.alpha_sigma, coeffs_.beta_sigma);
-  const float term_star = score_term(sigma_star_total, coeffs_.alpha_sigma_star,
-                                     coeffs_.beta_sigma_star);
-  const float term_ol = score_term(ol_total, coeffs_.alpha_ol, coeffs_.beta_ol);
-  const float tail = term_star + term_ol;  // add(term_star, term_ol)
-  const float s_plan = term_sigma + tail;
-
+  const ObjectiveValue v =
+      value ? *value : score_height_planes(objective_head(), pr, pc, heights);
   Eval out;
-  out.s_plan = s_plan;
-  out.sigma = sigma_total;
-  out.sigma_star = sigma_star_total;
-  out.outliers = ol_total;
+  out.s_plan = v.s_plan;
+  out.sigma = v.sigma;
+  out.sigma_star = v.sigma_star;
+  out.outliers = v.outliers;
   out.heights.reserve(heights.size());
   for (const std::vector<float>& height : heights)
     out.heights.push_back(crop_plane(height, rows_, cols_, pc));
@@ -434,8 +372,8 @@ std::vector<CmpNetwork::Eval> CmpNetwork::evaluate_batch(
       throw std::invalid_argument(
           "CmpNetwork::evaluate_batch: layer count mismatch");
   if (!fast_) {
-    // Fast path disabled (--no-fast-inference): same values, one candidate
-    // at a time through the autograd pipeline.
+    // Autograd reference (fast inference disabled): same values, one
+    // candidate at a time through the tape.
     for (std::size_t b = 0; b < xs.size(); ++b) out[b] = evaluate(xs[b], false);
     return out;
   }
@@ -469,32 +407,16 @@ std::vector<CmpNetwork::Eval> CmpNetwork::evaluate_batch(
       20.0 * static_cast<double>(L) * static_cast<double>(n), B);
   runtime::parallel_for(grain, B, [&](std::size_t b0, std::size_t b1) {
     for (std::size_t b = b0; b < b1; ++b)
-      out[b] = score_height_planes(heights[b]);
+      out[b] = make_eval(heights[b], nullptr);
   });
   return out;
 }
 
 std::vector<GridD> CmpNetwork::predict_heights(
     const std::vector<GridD>& x) const {
-  if (fast_) {
-    const int pc = static_[0].padded_cols;
-    const std::size_t n = static_cast<std::size_t>(static_[0].padded_rows) * pc;
-    std::vector<std::vector<float>> fills(x.size());
-    std::vector<const float*> fill_ptrs;
-    fill_ptrs.reserve(x.size());
-    for (std::size_t l = 0; l < x.size(); ++l) {
-      fills[l].assign(n, 0.0f);
-      fill_to_plane(x[l], rows_, cols_, pc, fills[l]);
-      fill_ptrs.push_back(fills[l].data());
-    }
-    std::vector<std::vector<float>> heights;
-    fast_->predict_heights(static_, fill_ptrs, heights);
-    std::vector<GridD> out;
-    out.reserve(heights.size());
-    for (const std::vector<float>& h : heights)
-      out.push_back(crop_plane(h, rows_, cols_, pc));
-    return out;
-  }
+  // One value evaluation's heights; scoring them costs a few plane passes
+  // next to the UNet forward.
+  if (fast_) return evaluate_fast(x, false).heights;
   std::vector<nn::Tensor> fills;
   fills.reserve(x.size());
   for (const GridD& g : x) fills.push_back(make_fill_tensor(g, false));

@@ -13,6 +13,8 @@
 namespace neurfill {
 
 class SurrogateInference;  // surrogate/infer.hpp (tape-free fast path)
+struct ObjectiveHead;
+struct ObjectiveValue;
 
 /// Configuration of the trained surrogate artifact.
 struct SurrogateConfig {
@@ -65,12 +67,13 @@ class CmpSurrogate {
   /// planes from simulator labels.
   nn::Tensor incoming_from_height(const nn::Tensor& height_ang) const;
 
-  /// Whether no-gradient consumers (CmpNetwork's evaluate/predict paths,
-  /// surrogate accuracy eval, the tools) should run through the
-  /// graph-compiled InferenceSession fast path (docs/inference.md) instead
-  /// of the autograd tape.  On by default; the tools' --no-fast-inference
-  /// flag clears it.  Both paths produce bitwise-identical results — this
-  /// switch exists for diagnosis and benchmarking, not accuracy.
+  /// Whether CmpNetwork's evaluations (values and gradients), predictions
+  /// and the surrogate accuracy eval run through the graph-compiled
+  /// InferenceSession and its reverse pass (docs/inference.md) — the
+  /// default and the only production path — or through the autograd tape.
+  /// The tape path is the reference the differential tests and
+  /// bench_inference compare the compiled path against, bitwise; nothing
+  /// else clears this switch.
   void set_fast_inference(bool enabled) { fast_inference_ = enabled; }
   bool fast_inference_enabled() const { return fast_inference_; }
 
@@ -153,15 +156,19 @@ class CmpNetwork {
 
  private:
   nn::Tensor make_fill_tensor(const GridD& x, bool requires_grad) const;
-  /// Tape-free evaluate: SurrogateInference heights + flat-plane objective
-  /// arithmetic replicating the autograd metric pipeline float-op-by-
-  /// float-op; bitwise equal to the autograd value (the SQP line search
-  /// mixes the two paths, so "within tolerance" would not be enough).
-  Eval evaluate_fast(const std::vector<GridD>& x) const;
-  /// Objective terms + merge from one candidate's predicted height planes
-  /// (the post-inference half of evaluate_fast); thread-safe (per-thread
-  /// scratch) so evaluate_batch can score candidates concurrently.
-  Eval score_height_planes(const std::vector<std::vector<float>>& heights) const;
+  /// Tape-free evaluate: SurrogateInference heights, the flat-plane
+  /// objective layers and, with gradients, their compiled vector-Jacobian
+  /// product; bitwise equal to the autograd pipeline in value and gradient
+  /// (the SQP line search mixes evaluations, so "within tolerance" would
+  /// not be enough).
+  Eval evaluate_fast(const std::vector<GridD>& x, bool with_grad) const;
+  /// This network's objective layers (coefficients, calibration, region).
+  ObjectiveHead objective_head() const;
+  /// Eval from one candidate's predicted height planes, scoring them unless
+  /// `value` already holds the objective; thread-safe (per-thread scratch)
+  /// so evaluate_batch can score candidates concurrently.
+  Eval make_eval(const std::vector<std::vector<float>>& heights,
+                 const ObjectiveValue* value) const;
 
   std::shared_ptr<const CmpSurrogate> surrogate_;
   std::vector<StaticLayerFeatures> static_;

@@ -12,9 +12,8 @@ namespace neurfill {
 namespace {
 
 /// Predicted padded height planes for one sample, through the tape-free
-/// InferenceSession when the surrogate allows it (the default) or the
-/// autograd module path otherwise (--no-fast-inference diagnosis).  Both
-/// produce bitwise-identical planes.
+/// InferenceSession (the default) or, with fast inference disabled, the
+/// autograd reference path.  Both produce bitwise-identical planes.
 std::vector<std::vector<float>> predict_sample_heights(
     const CmpSurrogate& surrogate, SurrogateInference* fast,
     const std::vector<StaticLayerFeatures>& feats,

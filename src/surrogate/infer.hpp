@@ -8,6 +8,33 @@
 
 namespace neurfill {
 
+/// The objective layers of one CmpNetwork in flat-plane form (Fig. 4):
+/// Eqs. 10a-c over the valid rows x cols region of the padded height
+/// planes, the log-space metric calibration, and the Eq. 5b merge.
+struct ObjectiveHead {
+  std::size_t rows = 0, cols = 0;  ///< valid (un-padded) region
+  float eta = 0.05f;               ///< outlier softplus sharpness
+  /// sigma, sigma*, outliers — in that order in every array below.
+  CmpNetwork::MetricCalibration cal[3];
+  double alpha[3] = {0.0, 0.0, 0.0};
+  double beta[3] = {1.0, 1.0, 1.0};
+};
+
+struct ObjectiveValue {
+  float s_plan = 0.0f;
+  float sigma = 0.0f;       ///< calibrated relaxed Eq. 1
+  float sigma_star = 0.0f;  ///< calibrated relaxed Eq. 2
+  float outliers = 0.0f;    ///< calibrated relaxed Eq. 3
+};
+
+/// Objective layers applied to per-layer height planes (padded_rows x
+/// padded_cols, row-major).  Every float operation mirrors the autograd
+/// metric pipeline op by op, so the value is bitwise the autograd one.
+/// Thread-safe (per-thread scratch).
+ObjectiveValue score_height_planes(const ObjectiveHead& head, int padded_rows,
+                                   int padded_cols,
+                                   const std::vector<std::vector<float>>& heights);
+
 /// Tape-free surrogate evaluation: CmpSurrogate::forward_heights without
 /// the autograd tensors.  The extraction-layer arithmetic (density /
 /// perimeter / width / global-mean planes) runs as backend elementwise
@@ -59,6 +86,23 @@ class SurrogateInference {
       const std::vector<StaticLayerFeatures>& layers,
       const std::vector<std::vector<const float*>>& fills,
       std::vector<std::vector<std::vector<float>>>& heights) const;
+
+  /// S_plan through `head` and its vector-Jacobian product with respect to
+  /// every fill plane in one call: a saving forward (predict_heights'
+  /// arithmetic, plus the compiled session's reverse-pass record per layer),
+  /// then hand-derived adjoints of the merge, calibration, objective,
+  /// post-processing and extraction layers around InferenceSession::run_vjp,
+  /// layer by layer from the top.  `d_fills[l]` receives dS_plan/dfill_l
+  /// over the padded plane.  Wherever a value feeds several consumers, the
+  /// adjoint contributions accumulate in the autograd sweep's order
+  /// (docs/inference.md), so value, heights and cotangents are bitwise the
+  /// autograd ones.  Thread-safe; no steady-state allocation beyond the
+  /// outputs.
+  ObjectiveValue evaluate_with_vjp(
+      const std::vector<StaticLayerFeatures>& layers,
+      const std::vector<const float*>& fills, const ObjectiveHead& head,
+      std::vector<std::vector<float>>& heights,
+      std::vector<std::vector<float>>& d_fills) const;
 
   /// The compiled UNet (batched NCHW entry point for tools and tests).
   const nn::InferenceSession& session() const { return session_; }

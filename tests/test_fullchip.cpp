@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -321,6 +322,33 @@ TEST_F(FullChipDriver, BitwiseDeterministicAcrossThreadCounts) {
   const FullChipResult r8 = fullchip_fill(index_, options("fc_t8"));
   expect_bitwise_equal(r1, r2);
   expect_bitwise_equal(r1, r8);
+}
+
+TEST_F(FullChipDriver, PkbTilesShareOneSurrogateAcrossThreadCounts) {
+  // pkb tile solves evaluate the surrogate tape-free, so one instance serves
+  // every concurrent tile: the factory runs once per fullchip_fill, and the
+  // shared instance keeps the chip bitwise identical across thread counts.
+  SurrogateConfig cfg;
+  cfg.unet.base_channels = 4;
+  cfg.unet.depth = 1;
+  const auto surrogate = std::make_shared<CmpSurrogate>(cfg, 3);
+  int calls = 0;
+  std::vector<FullChipResult> runs;
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    FullChipOptions opt = options("fc_pkb_t" + std::to_string(threads));
+    opt.method = "pkb";
+    opt.fill.sqp.max_iterations = 3;
+    opt.fill.pkb_steps = 3;
+    opt.surrogate_factory = [&]() -> std::shared_ptr<const CmpSurrogate> {
+      ++calls;
+      return surrogate;
+    };
+    runs.push_back(fullchip_fill(index_, opt));
+    EXPECT_EQ(calls, static_cast<int>(runs.size()));
+    EXPECT_GT(runs.back().tiles_solved, 1u);
+  }
+  expect_bitwise_equal(runs[0], runs[1]);
 }
 
 TEST_F(FullChipDriver, ResumeLoadsTilesAndReproducesBitwise) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -296,6 +297,47 @@ TEST(Backend, Conv1x1FastPathMatchesNaive) {
   }
 }
 
+TEST(Backend, InputGradientOnlyConvBackwardMatchesFullCall) {
+  // A frozen-weight reverse pass asks conv2d_bwd for gx alone, with no saved
+  // input: that call skips the im2col unfold (which only the weight
+  // gradient reads) and must reproduce the full call's gx bit for bit, for
+  // the 3x3/pad-1 and 1x1 geometries of the UNet, at 1 and 4 threads.
+  struct Shape {
+    int k, pad, C, O, H, W;
+  };
+  for (const Shape sh : {Shape{3, 1, 6, 5, 12, 10}, Shape{1, 0, 7, 3, 9, 11}}) {
+    nn::Conv2dGeom g;
+    g.batch = 2;
+    g.in_channels = sh.C;
+    g.height = sh.H;
+    g.width = sh.W;
+    g.out_channels = sh.O;
+    g.kernel_h = g.kernel_w = sh.k;
+    g.stride = 1;
+    g.padding = sh.pad;
+    g.out_height = sh.H;
+    g.out_width = sh.W;
+    const std::size_t nx = static_cast<std::size_t>(g.batch) * sh.C * sh.H * sh.W;
+    const std::size_t ny = static_cast<std::size_t>(g.batch) * sh.O * sh.H * sh.W;
+    const auto x = random_input(nx, 201);
+    const auto w =
+        random_input(static_cast<std::size_t>(sh.O) * sh.C * sh.k * sh.k, 202);
+    const auto gy = random_input(ny, 203);
+    for (const int threads : {1, 4}) {
+      runtime::set_thread_count(threads);
+      std::vector<float> gx_full(nx, 0.25f), gx_only(nx, 0.25f);
+      std::vector<float> gw(w.size(), 0.0f), gb(static_cast<std::size_t>(sh.O));
+      nn::backend().conv2d_bwd(g, x.data(), w.data(), gy.data(),
+                               gx_full.data(), gw.data(), gb.data());
+      nn::backend().conv2d_bwd(g, nullptr, w.data(), gy.data(), gx_only.data(),
+                               nullptr, nullptr);
+      EXPECT_TRUE(bitwise_equal(gx_full.data(), gx_only.data(), nx))
+          << "k=" << sh.k << " threads=" << threads;
+    }
+  }
+  runtime::set_thread_count(0);
+}
+
 TEST(CmpNetworkFast, EvaluateMatchesModulePathBitwise) {
   // The surrogate fast path and the autograd path must agree exactly on
   // the no-grad objective: the SQP line search evaluates trials through
@@ -345,7 +387,8 @@ TEST(CmpNetworkFast, EvaluateMatchesModulePathBitwise) {
       for (std::size_t j = 0; j < hf[l].cols(); ++j)
         EXPECT_EQ(hf[l](i, j), hs[l](i, j));
 
-  // With gradients requested both networks take the module path.
+  // With gradients requested the fast network runs the compiled reverse
+  // pass and the reference network the autograd sweep.
   const auto gf = fast_net.evaluate(x, true);
   const auto gs = slow_net.evaluate(x, true);
   EXPECT_EQ(gf.s_plan, gs.s_plan);
@@ -355,6 +398,91 @@ TEST(CmpNetworkFast, EvaluateMatchesModulePathBitwise) {
     for (std::size_t i = 0; i < gf.grad[l].rows(); ++i)
       for (std::size_t j = 0; j < gf.grad[l].cols(); ++j)
         EXPECT_EQ(gf.grad[l](i, j), gs.grad[l](i, j));
+}
+
+TEST(CmpNetworkFast, GradientMatchesAutogradAcrossRandomConfigs) {
+  // Differential contract of the compiled reverse pass: over randomized
+  // architectures (depth 1-3, base 4-8, GroupNorm on/off), square and
+  // non-square padded planes, 1-3 layers, identity and fitted calibrations
+  // and 1/2/4 threads, the compiled value and gradient equal the autograd
+  // reference in every entry — no tolerance, since fills must stay
+  // byte-identical when the optimizer switches paths.
+  Rng rng(20261017);
+  const int kConfigs = 24;
+  int active = 0;
+  for (int k = 0; k < kConfigs; ++k) {
+    SurrogateConfig cfg;
+    cfg.unet.depth = 1 + static_cast<int>(rng.next_u64() % 3);
+    cfg.unet.base_channels = 4 + static_cast<int>(rng.next_u64() % 5);
+    cfg.unet.use_group_norm = rng.uniform(0.0, 1.0) < 0.7;
+    const int wx = 3 + static_cast<int>(rng.next_u64() % 8);
+    const int wy = k % 4 == 0 ? wx : 3 + static_cast<int>(rng.next_u64() % 8);
+    const int layers = 1 + static_cast<int>(rng.next_u64() % 3);
+    const char which = "abc"[k % 3];
+    const Layout layout =
+        which == 'a' ? make_design_a(100.0 * wx, 100.0 * wy, layers, 5 + k)
+        : which == 'b' ? make_design_b(100.0 * wx, 100.0 * wy, layers, 5 + k)
+                       : make_design_c(100.0 * wx, 100.0 * wy, layers, 5 + k);
+    const WindowExtraction ext = extract_windows(layout);
+    const std::uint64_t seed = rng.next_u64();
+    auto fast_s = std::make_shared<CmpSurrogate>(cfg, seed);
+    auto ref_s = std::make_shared<CmpSurrogate>(cfg, seed);  // same weights
+    ref_s->set_fast_inference(false);
+
+    ScoreCoefficients coeffs;
+    coeffs.beta_sigma = rng.uniform(1e2, 1e4);
+    coeffs.beta_sigma_star = rng.uniform(1e3, 1e5);
+    coeffs.beta_ol = rng.uniform(10.0, 1e3);
+    CmpNetwork fast_net(fast_s, ext, coeffs);
+    CmpNetwork ref_net(ref_s, ext, coeffs);
+    if (k % 2 == 1) {  // fitted log-space calibration on every metric
+      CmpNetwork::MetricCalibration cal[3];
+      for (auto& c : cal) {
+        c.a = rng.uniform(-1.0, 1.0);
+        c.b = rng.uniform(0.5, 2.0);
+      }
+      fast_net.set_calibration(cal[0], cal[1], cal[2]);
+      ref_net.set_calibration(cal[0], cal[1], cal[2]);
+    }
+
+    std::vector<GridD> x;
+    for (const auto& l : ext.layers) {
+      GridD g(ext.rows, ext.cols, 0.0);
+      for (std::size_t i = 0; i < g.size(); ++i)
+        g[i] = rng.uniform(0.0, 1.0) * l.slack[i];
+      x.push_back(g);
+    }
+    const int threads = 1 << (k % 3);
+    runtime::set_thread_count(threads);
+    const CmpNetwork::Eval ef = fast_net.evaluate(x, true);
+    const CmpNetwork::Eval er = ref_net.evaluate(x, true);
+    runtime::set_thread_count(0);
+    const std::string where =
+        "config " + std::to_string(k) + " (depth " +
+        std::to_string(cfg.unet.depth) + ", base " +
+        std::to_string(cfg.unet.base_channels) + ", gn " +
+        std::to_string(cfg.unet.use_group_norm) + ", " + std::to_string(wx) +
+        "x" + std::to_string(wy) + ", " + std::to_string(layers) +
+        " layers, " + std::to_string(threads) + " threads)";
+    ASSERT_EQ(ef.s_plan, er.s_plan) << where;
+    ASSERT_EQ(ef.sigma, er.sigma) << where;
+    ASSERT_EQ(ef.sigma_star, er.sigma_star) << where;
+    ASSERT_EQ(ef.outliers, er.outliers) << where;
+    ASSERT_EQ(ef.grad.size(), er.grad.size()) << where;
+    std::size_t nonzero = 0;
+    for (std::size_t l = 0; l < ef.grad.size(); ++l) {
+      for (std::size_t i = 0; i < ef.grad[l].size(); ++i) {
+        ASSERT_EQ(ef.heights[l][i], er.heights[l][i]) << where;
+        ASSERT_EQ(ef.grad[l][i], er.grad[l][i])
+            << where << " layer " << l << " entry " << i;
+        if (ef.grad[l][i] != 0.0) ++nonzero;
+      }
+    }
+    active += nonzero > 0 ? 1 : 0;
+  }
+  // Most draws keep some score term unclipped, so the comparison covers
+  // live gradients rather than all-zero planes.
+  EXPECT_GE(active, kConfigs * 3 / 4);
 }
 
 TEST(CmpNetworkFast, EvaluateBatchMatchesSerialBitwise) {

@@ -2,16 +2,20 @@
 // small synthetic design with a briefly pre-trained surrogate.
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "common/checkpoint.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "fill/neurfill.hpp"
+#include "fill/snapshot.hpp"
 #include "fill/report.hpp"
 #include "geom/designs.hpp"
 #include "runtime/parallel.hpp"
@@ -156,10 +160,11 @@ TEST_F(NeurFillPipeline, MmAtLeastMatchesSurrogateObjectiveOfPkb) {
 }
 
 TEST_F(NeurFillPipeline, BatchedMmMatchesAutogradPathAcrossThreadCounts) {
-  // Full-drive determinism gate for cross-candidate batching: the MM flow
+  // Full-drive determinism gate for the compiled surrogate path: the MM flow
   // (batched NMMSO move evaluations, batched PKB sweep, prepacked session
-  // weights) must produce byte-identical fills to the --no-fast-inference
-  // autograd path, at 1, 2, and 8 threads.
+  // weights, compiled reverse-pass gradients, MSP starts running
+  // concurrently on the pool) must produce byte-identical fills to the
+  // autograd reference path, at 1, 2, 4 and 8 threads.
   NeurFillOptions opt;
   opt.sqp.max_iterations = 4;
   opt.pkb_steps = 4;
@@ -176,7 +181,7 @@ TEST_F(NeurFillPipeline, BatchedMmMatchesAutogradPathAcrossThreadCounts) {
 
   std::vector<VecD> fills;
   long fast_evals = 0, slow_evals = 0;
-  for (const int threads : {1, 2, 8}) {
+  for (const int threads : {1, 2, 4, 8}) {
     runtime::set_thread_count(threads);
     const FillRunResult fast_res = neurfill_mm(*problem_, *network_, opt);
     const FillRunResult slow_res = neurfill_mm(*problem_, slow, opt);
@@ -282,6 +287,100 @@ TEST_F(NeurFillPipeline, InterruptedPkbResumesByteIdentical) {
   std::remove(snap.c_str());
 }
 
+TEST_F(NeurFillPipeline, InterruptedMmWithStartsInFlightResumesByteIdentical) {
+  // Concurrent MSP starts: interrupt an MM drive while several starts are
+  // mid-flight, each with its own snapshot record, then resume.  The fill
+  // and the evaluation count must equal an uninterrupted run's exactly.
+  NeurFillOptions opt;
+  opt.sqp.max_iterations = 12;
+  opt.pkb_steps = 4;
+  opt.nmmso.max_evaluations = 30;
+  opt.mm_starts = 2;
+  runtime::set_thread_count(4);
+  const FillRunResult full = neurfill_mm(*problem_, *network_, opt);
+
+  const std::string snap = ::testing::TempDir() + "neurfill_mm_resume.nfcp";
+  std::remove(snap.c_str());
+  NeurFillOptions iopt = opt;
+  iopt.snapshot_path = snap;
+  std::atomic<bool> stop{false};
+  iopt.interrupt = &stop;
+  // Raise the interrupt once the snapshot shows two starts mid-flight.
+  const auto in_flight = [](const FillSnapshot& s) {
+    int n = 0;
+    for (const FillSnapshot::StartRecord& r : s.records)
+      n += r.state == FillSnapshot::StartRecord::State::kRunning ? 1 : 0;
+    return n;
+  };
+  std::atomic<bool> done{false};
+  std::thread watcher([&] {
+    while (!done.load()) {
+      const Expected<FillSnapshot> s = load_fill_snapshot(snap);
+      if (s.ok() && in_flight(*s) >= 2) {
+        stop.store(true);
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  bool interrupted = false;
+  try {
+    neurfill_mm(*problem_, *network_, iopt);
+  } catch (const ErrorException& e) {
+    interrupted = e.err.code == ErrorCode::kInterrupted;
+  }
+  done.store(true);
+  watcher.join();
+  ASSERT_TRUE(interrupted);
+  const Expected<FillSnapshot> saved = load_fill_snapshot(snap);
+  ASSERT_TRUE(saved.ok());
+  EXPECT_GE(in_flight(*saved), 2);
+
+  NeurFillOptions ropt = opt;
+  ropt.snapshot_path = snap;
+  ropt.resume = true;
+  const FillRunResult resumed = neurfill_mm(*problem_, *network_, ropt);
+  runtime::set_thread_count(0);
+  ASSERT_EQ(resumed.x.size(), full.x.size());
+  for (std::size_t l = 0; l < full.x.size(); ++l)
+    for (std::size_t k = 0; k < full.x[l].size(); ++k)
+      ASSERT_EQ(resumed.x[l][k], full.x[l][k]);
+  EXPECT_EQ(resumed.objective_evaluations, full.objective_evaluations);
+  EXPECT_EQ(resumed.iterations, full.iterations);
+  std::remove(snap.c_str());
+}
+
+TEST_F(NeurFillPipeline, VersionOneSnapshotIsRefusedWithStructuredError) {
+  // Version-1 snapshots held one mid-flight start; they cannot describe
+  // concurrent starts, so resume refuses them instead of guessing.
+  const std::string snap = ::testing::TempDir() + "neurfill_v1.nfcp";
+  CheckpointWriter w;
+  ByteWriter meta;
+  meta.u32(1);
+  meta.str("pkb");
+  meta.u64(problem_->bounds().size());
+  meta.i64(0);
+  meta.u32(0);
+  meta.u32(0);
+  meta.u32(0);
+  w.add_section("meta", meta.take());
+  w.add_section("starts", ByteWriter().take());
+  w.add_section("completed", ByteWriter().take());
+  ASSERT_TRUE(w.commit(snap).ok());
+  NeurFillOptions opt;
+  opt.snapshot_path = snap;
+  opt.resume = true;
+  try {
+    neurfill_pkb(*problem_, *network_, opt);
+    FAIL() << "a version-1 snapshot was accepted";
+  } catch (const ErrorException& e) {
+    EXPECT_EQ(e.err.code, ErrorCode::kCorrupt);
+    EXPECT_NE(e.err.message.find("version 1"), std::string::npos)
+        << e.err.message;
+  }
+  std::remove(snap.c_str());
+}
+
 TEST_F(NeurFillPipeline, SnapshotRenameFaultsStillResumeFromLastGood) {
   // Random snapshot commits fail mid-write (rename fault): the run itself
   // must be unaffected, the snapshot on disk stays the last *good* image,
@@ -328,6 +427,24 @@ TEST_F(NeurFillPipeline, CorruptSnapshotResumeIsStructuredError) {
     corrupt = e.err.code == ErrorCode::kCorrupt;
   }
   EXPECT_TRUE(corrupt);
+
+  // A well-formed container whose start count its sections cannot hold is
+  // damage too, refused before the count sizes any allocation.
+  CheckpointWriter w;
+  ByteWriter meta;
+  meta.u32(2);
+  meta.str("pkb");
+  meta.u64(problem_->bounds().size());
+  meta.i64(0);
+  meta.u32(1u << 30);  // starts
+  meta.u32(1u << 30);  // records
+  w.add_section("meta", meta.take());
+  w.add_section("starts", ByteWriter().take());
+  w.add_section("records", ByteWriter().take());
+  ASSERT_TRUE(w.commit(snap).ok());
+  const Expected<FillSnapshot> loaded = load_fill_snapshot(snap);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code, ErrorCode::kCorrupt);
   std::remove(snap.c_str());
 }
 

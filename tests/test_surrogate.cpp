@@ -1,6 +1,7 @@
 // Tests for the surrogate package: feature extraction layer, CMP network
 // forward/backward, training-data generation, trainer and checkpointing.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -124,6 +125,40 @@ TEST(CmpNetworkTest, EvaluateShapesAndDeterminism) {
   EXPECT_EQ(e3.grad[0].rows(), 8u);
 }
 
+/// Directional finite-difference check of net.evaluate(x, true): the
+/// gradient projected on random directions against central differences of
+/// S_plan.  A ReLU UNet is piecewise linear, so per-coordinate differences
+/// land on kinks; directional derivatives average the kink noise out.
+/// Returns the mean relative error over `trials` directions and requires
+/// the sign to agree on every one (a wrong-sign gradient would break SQP).
+double directional_fd_error(const CmpNetwork& net, const std::vector<GridD>& x,
+                            double eps, int trials, std::uint64_t seed) {
+  const auto base = net.evaluate(x, true);
+  Rng rng(seed);
+  double rel_err_sum = 0.0;
+  for (int trial = 0; trial < trials; ++trial) {
+    std::vector<GridD> dir = x, xp = x, xm = x;
+    double analytic_dd = 0.0;
+    for (std::size_t l = 0; l < x.size(); ++l)
+      for (std::size_t k = 0; k < x[l].size(); ++k) {
+        dir[l][k] = rng.uniform(-1.0, 1.0);
+        analytic_dd += base.grad[l][k] * dir[l][k];
+        xp[l][k] += eps * dir[l][k];
+        xm[l][k] -= eps * dir[l][k];
+      }
+    const double numeric_dd =
+        (net.evaluate(xp, false).s_plan - net.evaluate(xm, false).s_plan) /
+        (2.0 * eps);
+    // Individual directions can straddle kinks; the aggregate relative error
+    // over several random directions is the trustworthy statistic.
+    rel_err_sum += std::fabs(analytic_dd - numeric_dd) /
+                   std::max({std::fabs(numeric_dd), std::fabs(analytic_dd),
+                             1e-2});
+    EXPECT_GT(analytic_dd * numeric_dd, 0.0) << "direction trial " << trial;
+  }
+  return rel_err_sum / trials;
+}
+
 TEST(CmpNetworkTest, GradientMatchesFiniteDifference) {
   // The headline property: backward propagation through extraction layer +
   // UNet + objective layers equals the numerical gradient of S_plan.
@@ -140,45 +175,38 @@ TEST(CmpNetworkTest, GradientMatchesFiniteDifference) {
   for (std::size_t l = 0; l < 2; ++l)
     for (std::size_t k = 0; k < 64; ++k)
       x[l][k] = 0.3 * ext.layers[l].slack[k];
-  const auto base = net.evaluate(x, true);
-
-  // A randomly initialized ReLU UNet is piecewise linear, so per-coordinate
-  // finite differences land on kinks; the robust property is the
-  // *directional* derivative along random directions, which averages the
-  // kink noise out.
   // eps trades kink error (shrinks with eps) against float32 cancellation
   // (grows as eps -> 0); 5e-4 sits in the convergence window (verified by an
   // eps sweep: numeric crosses the analytic value there).
-  Rng rng(99);
-  const double eps = 5e-4;
-  double rel_err_sum = 0.0;
-  const int trials = 6;
-  for (int trial = 0; trial < trials; ++trial) {
-    std::vector<GridD> dir(2, GridD(8, 8, 0.0));
-    double analytic_dd = 0.0;
-    for (std::size_t l = 0; l < 2; ++l)
-      for (std::size_t k = 0; k < 64; ++k) {
-        dir[l][k] = rng.uniform(-1.0, 1.0);
-        analytic_dd += base.grad[l][k] * dir[l][k];
-      }
-    std::vector<GridD> xp = x, xm = x;
-    for (std::size_t l = 0; l < 2; ++l)
-      for (std::size_t k = 0; k < 64; ++k) {
-        xp[l][k] += eps * dir[l][k];
-        xm[l][k] -= eps * dir[l][k];
-      }
-    const double numeric_dd =
-        (net.evaluate(xp, false).s_plan - net.evaluate(xm, false).s_plan) /
-        (2.0 * eps);
-    // Individual directions can straddle kinks; the aggregate relative error
-    // over several random directions is the trustworthy statistic.
-    rel_err_sum += std::fabs(analytic_dd - numeric_dd) /
-                   std::max({std::fabs(numeric_dd), std::fabs(analytic_dd),
-                             1e-2});
-    // Sign must always agree (a wrong-sign gradient would break SQP).
-    EXPECT_GT(analytic_dd * numeric_dd, 0.0) << "direction trial " << trial;
+  EXPECT_LT(directional_fd_error(net, x, 5e-4, 6, 99), 0.3);
+}
+
+TEST(CmpNetworkTest, GradientMatchesFiniteDifferenceOnShippedWeights) {
+  // The same directional check on the pre-trained data/unet_cmp artifact
+  // (base 8, depth 3, GroupNorm) on a 16x16-window, 3-layer design with a
+  // calibrated objective: the compiled reverse pass of the production
+  // surrogate, not just of a tiny random net.
+  auto loaded = load_surrogate(NF_REPO_ROOT "/data/unet_cmp");
+  ASSERT_TRUE(loaded.ok()) << "missing data/unet_cmp.{meta,weights}";
+  const Layout layout = make_design('b', 16);
+  const WindowExtraction ext = extract_windows(layout);
+  ScoreCoefficients coeffs;
+  coeffs.beta_sigma = 1e4;
+  coeffs.beta_sigma_star = 1e5;
+  coeffs.beta_ol = 1e3;
+  CmpNetwork net(std::move(*loaded), ext, coeffs);
+  CmpNetwork::MetricCalibration cal;
+  cal.a = 0.3;
+  cal.b = 1.4;
+  net.set_calibration(cal, cal, cal);
+
+  std::vector<GridD> x;
+  for (const auto& l : ext.layers) {
+    GridD g = l.slack;
+    for (double& v : g) v *= 0.4;
+    x.push_back(g);
   }
-  EXPECT_LT(rel_err_sum / trials, 0.3);
+  EXPECT_LT(directional_fd_error(net, x, 5e-4, 6, 7), 0.3);
 }
 
 TEST(Datagen, SampleShapesAndFeasibility) {

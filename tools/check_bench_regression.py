@@ -17,6 +17,10 @@ Gated keys, higher is better:
   infer_vs_autograd_speedup -- InferenceSession UNet forward vs the autograd
                             module path, single thread (the redesign's
                             acceptance floor is 2x; the gate keeps it there)
+  grad_vs_autograd_speedup -- one CmpNetwork gradient evaluation through the
+                            compiled reverse pass vs the autograd sweep,
+                            single thread (bench_inference; a same-host
+                            ratio like the forward one)
   fill_evals_per_s        -- fill-loop objective evaluations per second
                             through the batched candidate pipeline
                             (bench_fill_throughput; one session run per
@@ -53,7 +57,8 @@ import sys
 
 GATED_KEYS_HIGHER = ("gemm_gflops_1t", "gemm_speedup_4t",
                      "conv2d_fwd_speedup_4t", "infer_vs_autograd_speedup",
-                     "fill_evals_per_s", "serve_jobs_per_s")
+                     "grad_vs_autograd_speedup", "fill_evals_per_s",
+                     "serve_jobs_per_s")
 GATED_KEYS_LOWER = ("fullchip_tile_ms", "fullchip_stitch_passes",
                     "unet_infer_ms_1t", "unet_infer_b8_ms_per_sample",
                     "serve_p99_ms")

@@ -12,8 +12,6 @@
 // success, 1 runtime/input failure (structured one-line error, no stack
 // trace), 2 usage error.
 
-#include <sys/stat.h>
-
 #include <atomic>
 #include <cmath>
 #include <csignal>
@@ -76,11 +74,6 @@ struct RunFlags {
   std::string snapshot_path;
   int snapshot_every = 1;
   bool resume = false;
-  /// Diagnosis switch: route no-gradient surrogate evaluations through the
-  /// autograd module path instead of the compiled InferenceSession.  Both
-  /// paths are bitwise identical (docs/inference.md), so this only changes
-  /// speed, never the fill.
-  bool no_fast_inference = false;
 };
 
 struct TiledFlags {
@@ -120,7 +113,6 @@ int run(const std::string& in_path, const std::string& out_path,
     result = cai_model_fill(problem, copt);
   } else {  // pkb or mm: the parser only admits the five known methods
     auto surrogate = obtain_surrogate(surrogate_prefix, ext, sim);
-    surrogate->set_fast_inference(!flags.no_fast_inference);
     CmpNetwork network(surrogate, ext, coeffs);
     calibrate_network(network, problem);
     NeurFillOptions nopt;
@@ -159,15 +151,13 @@ int run(const std::string& in_path, const std::string& out_path,
   return 0;
 }
 
-/// Resolves the surrogate the tile solves will load: the given prefix when
-/// it exists, else a reduced surrogate quick-trained on tile (0,0)'s halo
-/// region and saved inside the tile store, so every concurrent tile solve
-/// can load its own instance from disk.
-std::string prepare_tiled_surrogate(const std::string& prefix,
-                                    const fullchip::FullChipOptions& fopt,
-                                    const GlfRegionIndex& index) {
+/// The surrogate every tile solve shares: the given prefix when it exists,
+/// else a reduced surrogate quick-trained on tile (0,0)'s halo region.
+std::shared_ptr<const CmpSurrogate> prepare_tiled_surrogate(
+    const std::string& prefix, const fullchip::FullChipOptions& fopt,
+    const GlfRegionIndex& index) {
   Expected<std::shared_ptr<CmpSurrogate>> loaded = load_surrogate(prefix);
-  if (loaded.ok()) return prefix;
+  if (loaded.ok()) return std::move(*loaded);
   if (loaded.error().code != ErrorCode::kNotFound)
     throw ErrorException(loaded.error());
 
@@ -187,13 +177,7 @@ std::string prepare_tiled_surrogate(const std::string& prefix,
   CmpProcessParams params = fopt.process;
   params.window_um = w;
   const CmpSimulator sim(params);
-  auto surrogate = obtain_surrogate(prefix, ext, sim);
-
-  ::mkdir(fopt.store_dir.c_str(), 0755);  // store.open would create it later
-  const std::string trained = fopt.store_dir + "/surrogate";
-  Expected<void> saved = save_surrogate(*surrogate, trained);
-  if (!saved.ok()) throw ErrorException(saved.error());
-  return trained;
+  return obtain_surrogate(prefix, ext, sim);
 }
 
 int run_tiled(const std::string& in_path, const std::string& out_path,
@@ -221,15 +205,8 @@ int run_tiled(const std::string& in_path, const std::string& out_path,
                       : Deadline();
   fopt.interrupt = &g_interrupt;
   if (method == "pkb" || method == "mm") {
-    const std::string prefix =
-        prepare_tiled_surrogate(surrogate_prefix, fopt, index);
-    const bool fast = !flags.no_fast_inference;
-    fopt.surrogate_factory =
-        [prefix, fast]() -> std::shared_ptr<const CmpSurrogate> {
-      Expected<std::shared_ptr<CmpSurrogate>> s = load_surrogate(prefix);
-      if (!s.ok()) throw ErrorException(s.error());
-      (*s)->set_fast_inference(fast);
-      return std::move(*s);
+    fopt.surrogate_factory = [&surrogate_prefix, &fopt, &index] {
+      return prepare_tiled_surrogate(surrogate_prefix, fopt, index);
     };
   }
 
@@ -291,11 +268,6 @@ int main(int argc, char** argv) {
                   "continue from --snapshot PATH; the resumed run's fill is "
                   "bitwise identical to an uninterrupted one",
                   &flags.resume);
-  parser.add_flag("--no-fast-inference",
-                  "evaluate the surrogate through the autograd module path "
-                  "instead of the compiled inference session (slower, "
-                  "bitwise-identical results; for diagnosis)",
-                  &flags.no_fast_inference);
   parser.add_flag("--tiled",
                   "out-of-core full-chip mode: solve halo tiles through the "
                   "pool and stitch them (docs/fullchip.md)",

@@ -141,12 +141,15 @@ void rule_determinism(const Project& proj, std::vector<Finding>& out) {
 //
 // src/nn/infer is the tape-free inference fast path: a compiled graph that
 // re-derives everything it needs from Module weights at build time and then
-// runs pure Backend primitives.  Any autograd API appearing there — the
-// tape-building Module::forward, TensorImpl, or the grad accessors —
-// reintroduces per-op allocation and tape state behind the session's back,
-// which is exactly the cost the subsystem exists to remove.  The rule bans
-// the identifiers outright (comments are not tokenized, so prose may still
-// explain the relationship to the autograd path).
+// runs pure Backend primitives.  src/surrogate/infer.* wraps it with the
+// extraction, objective and merge layers — values and their hand-derived
+// vector-Jacobian products — and is the surrogate's production path.  Any
+// autograd API appearing in either — the tape-building Module::forward,
+// TensorImpl, or the grad accessors — reintroduces per-op allocation and
+// tape state behind the session's back, which is exactly the cost the
+// subsystem exists to remove.  The rule bans the identifiers outright
+// (comments are not tokenized, so prose may still explain the relationship
+// to the autograd path).
 
 void rule_infer_no_autograd(const Project& proj, std::vector<Finding>& out) {
   static const char* kBanned[] = {
@@ -154,7 +157,9 @@ void rule_infer_no_autograd(const Project& proj, std::vector<Finding>& out) {
       "set_requires_grad", "grad",   "grad_vector", "has_grad",
       "ensure_grad",    "zero_grad", "TensorImpl"};
   for (const SourceFile& f : proj.files) {
-    if (!starts_with(f.rel_path, "src/nn/infer/")) continue;
+    if (!starts_with(f.rel_path, "src/nn/infer/") &&
+        !starts_with(f.rel_path, "src/surrogate/infer."))
+      continue;
     const auto& t = f.tokens;
     for (std::size_t i = 0; i < t.size(); ++i) {
       if (!any_id(t[i])) continue;
@@ -162,8 +167,9 @@ void rule_infer_no_autograd(const Project& proj, std::vector<Finding>& out) {
         if (t[i].text == name) {
           add(out, "infer-no-autograd", f, t[i].line,
               "'" + t[i].text +
-                  "' is autograd tape API; src/nn/infer is the tape-free "
-                  "fast path — go through the Backend primitives instead");
+                  "' is autograd tape API; src/nn/infer and "
+                  "src/surrogate/infer.* are the tape-free fast path — go "
+                  "through the Backend primitives instead");
         }
       }
     }
@@ -627,8 +633,8 @@ const std::vector<RuleEntry>& rule_table() {
        "results must not be silently dropped",
        &rule_expected_discard},
       {"infer-no-autograd",
-       "src/nn/infer must stay free of autograd tape APIs "
-       "(Module::forward, TensorImpl, grad accessors)",
+       "src/nn/infer and src/surrogate/infer.* must stay free of autograd "
+       "tape APIs (Module::forward, TensorImpl, grad accessors)",
        &rule_infer_no_autograd},
       {"fault-catalog",
        "NF_FAULT(\"site\") literals and the docs/robustness.md catalog must "
