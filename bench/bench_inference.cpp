@@ -7,6 +7,12 @@
 // GEMM panel packing, and epilogue setup amortize across the batch.  The
 // gated key is per-sample latency at the fill loop's batch size.
 //
+// Also times the same network on the 24x24 plane a default full-chip tile
+// compiles (16 core + 2x2 halo windows): its 12/6/3-wide stages exercise
+// the direct conv's flush tails and narrow-plane lanes, which the 64x64
+// plane (all stage widths multiples of 8) never reaches.  The gated key is
+// the per-pixel latency at 24x24 over the per-pixel latency at 64x64.
+//
 // Then times one CmpNetwork gradient evaluation (S_plan and dS_plan/dx on
 // a 32x32-window, 3-layer design, the production surrogate architecture)
 // through the compiled reverse pass and through the autograd reference.
@@ -14,8 +20,9 @@
 // Emits a one-line JSON summary; --json FILE writes the same object for CI
 // (tools/check_bench_regression.py gates unet_infer_ms_1t,
 // infer_vs_autograd_speedup — the redesign's acceptance is >= 2x —
-// unet_infer_b8_ms_per_sample, which must stay below batch-1 latency, and
-// grad_vs_autograd_speedup, a same-host ratio like the forward one).
+// unet_infer_b8_ms_per_sample, which must stay below batch-1 latency,
+// grad_vs_autograd_speedup, a same-host ratio like the forward one, and
+// unet_infer_w24_pixel_ratio, another same-host ratio).
 
 #include <algorithm>
 #include <cstdio>
@@ -39,6 +46,7 @@ namespace {
 using namespace neurfill;
 
 constexpr int kHeight = 64, kWidth = 64;
+constexpr int kTileSide = 24;
 constexpr int kReps = 31;
 
 // Best-of-reps: the minimum is the classic noise-robust statistic for a
@@ -94,6 +102,21 @@ int main(int argc, char** argv) {
     Timer t;
     run_infer();
     infer_s[static_cast<std::size_t>(r)] = t.elapsed_seconds();
+  }
+
+  // The tile plane, same network and input distribution.
+  const nn::InferenceSession tile_session(net, kTileSide, kTileSide);
+  std::vector<float> tile_input(static_cast<std::size_t>(cfg.in_channels) *
+                                kTileSide * kTileSide);
+  for (auto& v : tile_input) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  std::vector<float> tile_output(static_cast<std::size_t>(kTileSide) *
+                                 kTileSide);
+  tile_session.run(tile_input.data(), tile_output.data());  // warm-up
+  std::vector<double> tile_s(kReps);
+  for (int r = 0; r < kReps; ++r) {
+    Timer t;
+    tile_session.run(tile_input.data(), tile_output.data());
+    tile_s[static_cast<std::size_t>(r)] = t.elapsed_seconds();
   }
   runtime::set_thread_count(0);
 
@@ -163,6 +186,9 @@ int main(int argc, char** argv) {
   const double infer_ms = best_ms(infer_s);
   const double speedup = auto_ms / infer_ms;
   const double b8_ms = batch_ms[2];
+  const double tile_ms = best_ms(tile_s);
+  const double w24_pixel_ratio =
+      (tile_ms / (kTileSide * kTileSide)) / (infer_ms / (kHeight * kWidth));
   std::printf("=== UNet forward %dch base%d depth%d %dx%d, 1 thread ===\n",
               cfg.in_channels, cfg.base_channels, cfg.depth, kHeight, kWidth);
   std::printf("autograd module path: %8.3f ms\n", auto_ms);
@@ -171,6 +197,9 @@ int main(int argc, char** argv) {
               "arena %zu KiB)\n",
               speedup, session.node_count(),
               session.arena_floats_per_sample() * sizeof(float) / 1024);
+  std::printf("session %dx%d:        %8.3f ms  (per-pixel %.2fx the "
+              "%dx%d plane's)\n",
+              kTileSide, kTileSide, tile_ms, w24_pixel_ratio, kHeight, kWidth);
   for (std::size_t bi = 0; bi < std::size(kBatches); ++bi)
     std::printf("batched run B=%-2d:     %8.3f ms/sample\n", kBatches[bi],
                 batch_ms[bi]);
@@ -180,16 +209,18 @@ int main(int argc, char** argv) {
   std::printf("gradient, compiled:   %8.3f ms  (%.2fx)\n", grad_ms,
               grad_auto_ms / grad_ms);
 
-  char json[640];
+  char json[768];
   std::snprintf(json, sizeof(json),
                 "{\"bench\":\"inference\",\"unet_autograd_ms_1t\":%.3f,"
                 "\"unet_infer_ms_1t\":%.3f,"
                 "\"infer_vs_autograd_speedup\":%.3f,"
                 "\"unet_infer_b8_ms_per_sample\":%.3f,"
                 "\"grad_autograd_ms_1t\":%.3f,\"grad_compiled_ms_1t\":%.3f,"
-                "\"grad_vs_autograd_speedup\":%.3f}",
+                "\"grad_vs_autograd_speedup\":%.3f,"
+                "\"unet_infer_w24_ms_1t\":%.3f,"
+                "\"unet_infer_w24_pixel_ratio\":%.3f}",
                 auto_ms, infer_ms, speedup, b8_ms, grad_auto_ms, grad_ms,
-                grad_auto_ms / grad_ms);
+                grad_auto_ms / grad_ms, tile_ms, w24_pixel_ratio);
   std::printf("\nJSON: %s\n", json);
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -149,45 +150,15 @@ void col2im(const float* col, int C, int H, int W, int kh, int kw, int stride,
   });
 }
 
-/// Packs one kGemmNr-wide column sliver of the im2col matrix directly from
-/// the input sample — element (k, j) of the unfold gathered on the fly.
-/// Produces exactly the bytes pack_b_sliver would read from a materialized
-/// im2col buffer, so the GEMM result is bitwise unchanged; the unfold's
-/// write pass and the packer's read pass simply disappear.
-void pack_conv_sliver(const float* x, int C, int H, int W, int kh, int kw,
-                      int stride, int pad, int Hout, int Wout, int s,
-                      float* dst) {
-  const int cols = Hout * Wout;
-  const int j0 = s * kGemmNr;
-  const int nr = std::min(kGemmNr, cols - j0);
-  int oi[kGemmNr], oj[kGemmNr];
-  for (int jj = 0; jj < nr; ++jj) {
-    oi[jj] = (j0 + jj) / Wout;
-    oj[jj] = (j0 + jj) % Wout;
-  }
-  const int K = C * kh * kw;
-  for (int k = 0; k < K; ++k) {
-    const int c = k / (kh * kw);
-    const int ki = (k / kw) % kh;
-    const int kj = k % kw;
-    const float* plane = x + static_cast<std::size_t>(c) * H * W;
-    float* row = dst + static_cast<std::size_t>(k) * kGemmNr;
-    for (int jj = 0; jj < nr; ++jj) {
-      const int ii = oi[jj] * stride + ki - pad;
-      const int jw = oj[jj] * stride + kj - pad;
-      row[jj] =
-          (ii >= 0 && ii < H && jw >= 0 && jw < W) ? plane[ii * W + jw] : 0.0f;
-    }
-    for (int jj = nr; jj < kGemmNr; ++jj) row[jj] = 0.0f;
-  }
-}
-
-/// Batched variant of pack_conv_sliver: the logical B operand is the
+/// Packs one kGemmNr-wide column sliver of the im2col matrix of a whole
+/// batch directly from the input — element (k, j) of the unfold gathered on
+/// the fly, zero-padded past the last column.  The logical B operand is the
 /// horizontal concatenation of every sample's im2col matrix, (K x
-/// batch*cols), so sliver `s` may straddle sample boundaries.  Column
-/// n*cols + j holds sample n's unfold column j — exactly the bytes sample
-/// n's own pack_conv_sliver would produce for that column, so each sample's
-/// slice of the fused GEMM is bitwise the per-sample product.
+/// batch*cols), so sliver `s` may straddle sample boundaries: column n*cols
+/// + j holds sample n's unfold column j.  Produces exactly the bytes
+/// pack_b_sliver would read from a materialized unfold, so each sample's
+/// slice of the GEMM is bitwise the per-sample im2col product; the unfold's
+/// write pass and the packer's read pass simply disappear.
 void pack_conv_sliver_batched(const float* x, int C, int H, int W, int kh,
                               int kw, int stride, int pad, int Hout, int Wout,
                               int batch, int s, float* dst) {
@@ -644,9 +615,30 @@ void conv_direct_block_quad(const float* const* prows0,
 }
 #endif
 
+/// Whether 16-lane blocks are single registers (AVX-512).  Such hosts run
+/// the wide-row 16-lane blocks, pair adjacent output rows on narrow outputs
+/// (conv_direct_block_pair; on AVX2 the paired accumulators alone would
+/// overflow the 16-register file and spill), and give the narrow-plane
+/// driver 16 lanes instead of 8.
+#if NEURFILL_CONV_VECTOR_EXT && defined(__AVX512F__)
+constexpr bool kConvPairRows = true;
+#else
+constexpr bool kConvPairRows = false;
+#endif
+
+/// Lanes of one narrow-plane vector (conv_direct_rows_narrow).  Outputs
+/// narrower than this run that driver, except the 8-wide rows (row pairing
+/// or one 8-lane block per row) and quad-packed 4-wide planes: on 16-lane
+/// hosts a 9..15-wide row then costs one 16-lane vector instead of two
+/// 8-lane blocks.
+constexpr int kConvNarrowLanes = kConvPairRows ? 16 : 8;
+
 /// One full output row (all O channels) from padded input row pointers.
 /// `prows[c*kh + ki]` holds the input row oi+ki-pad shifted by the padding:
 /// index j+kj reads input column j+kj-pad, zero outside the sample.
+/// Vector builds need Wout >= 8: a row end that is not a multiple of 8 gets
+/// one more 8-lane block placed flush with it, whose columns shared with
+/// the previous block are recomputed by the same chains (identical bits).
 ///
 /// All row drivers take the raw filters in `wgt` plus the optional
 /// conv_weight_pack transposed panel in `wp` (WP = true; full kConvOr
@@ -657,11 +649,7 @@ void conv_direct_row(const float* const* prows, const float* wgt,
                      int Wout, std::int64_t cols, float* yrow) {
   int o0 = 0;
 #if NEURFILL_CONV_VECTOR_EXT
-#if defined(__AVX512F__)
-  constexpr bool kWide = true;  // 16-lane blocks are single zmm registers
-#else
-  constexpr bool kWide = false;
-#endif
+  constexpr bool kWide = kConvPairRows;
   for (; o0 + kConvOr <= O; o0 += kConvOr) {
     const float* wo = wgt + static_cast<std::size_t>(o0) * K;
     const float* wob = WP ? wp + static_cast<std::size_t>(o0) * K : wo;
@@ -681,10 +669,9 @@ void conv_direct_row(const float* const* prows, const float* wgt,
     }
     for (; j + 8 <= Wout; j += 8)
       conv_direct_block<VOut8, WP>(prows, wob, K, C, kh, kw, j, cols, out + j);
-    for (; j < Wout; ++j)
-      for (int i = 0; i < kConvOr; ++i)
-        out[static_cast<std::int64_t>(i) * cols + j] = conv_direct_one(
-            prows, wo + static_cast<std::size_t>(i) * K, C, kh, kw, j);
+    if (j < Wout)
+      conv_direct_block<VOut8, WP>(prows, wob, K, C, kh, kw, Wout - 8, cols,
+                                   out + Wout - 8);
   }
   for (; o0 < O; ++o0) {
     const float* wo = wgt + static_cast<std::size_t>(o0) * K;
@@ -695,8 +682,8 @@ void conv_direct_row(const float* const* prows, const float* wgt,
         conv_direct_block1<VOut16>(prows, wo, C, kh, kw, j, out);
     for (; j + 8 <= Wout; j += 8)
       conv_direct_block1<VOut8>(prows, wo, C, kh, kw, j, out);
-    for (; j < Wout; ++j)
-      out[j] = conv_direct_one(prows, wo, C, kh, kw, j);
+    if (j < Wout)
+      conv_direct_block1<VOut8>(prows, wo, C, kh, kw, Wout - 8, out);
   }
 #else
   for (; o0 < O; ++o0) {
@@ -708,15 +695,54 @@ void conv_direct_row(const float* const* prows, const float* wgt,
 #endif
 }
 
-/// Whether the driver pairs adjacent output rows on narrow outputs (see
-/// conv_direct_block_pair).  Worth it only where a 16-lane vector is one
-/// register; on AVX2 the paired accumulators alone would overflow the
-/// 16-register file and spill.
-#if NEURFILL_CONV_VECTOR_EXT && defined(__AVX512F__)
-constexpr bool kConvPairRows = true;
+/// Outputs narrower than one vector (see kConvNarrowLanes), `rows`
+/// consecutive output rows oi.. at once from the materialized zero-padded
+/// plane (row length `prow_len`, also when P == 0).
+/// One vector runs over consecutive plane positions starting at padded row
+/// oi, so its lanes continue from one padded row into the next: lane l is
+/// output (oi + l / prow_len, l % prow_len), and lanes whose column is >=
+/// Wout are junk.  A vector holds (lanes - Wout) / prow_len + 1 output rows
+/// (the caller's row group); only their valid lanes are copied out.  A
+/// valid lane reads only its own channel plane, with the padding zeros in
+/// their im2col places, so it keeps the GEMM-ordered chain; junk lanes may
+/// read up to one vector past the last plane, which the caller zero-pads.
+template <bool WP>
+void conv_direct_rows_narrow(const float* const* prows, const float* wgt,
+                             const float* wp, int O, int K, int C, int kh,
+                             int kw, int Wout, int rows, int prow_len,
+                             std::int64_t cols, float* yrow) {
+#if NEURFILL_CONV_VECTOR_EXT
+  using V = std::conditional_t<kConvPairRows, VOut16, VOut8>;
+  constexpr int lanes = static_cast<int>(sizeof(V) / sizeof(float));
+  static_assert(lanes == kConvNarrowLanes, "narrow vector width");
+  alignas(sizeof(V)) float lane_out[kConvOr * lanes];
+  const auto copy_rows = [=](const float* src, float* dst) {
+    for (int r = 0; r < rows; ++r)
+      std::memcpy(dst + static_cast<std::int64_t>(r) * Wout,
+                  src + static_cast<std::int64_t>(r) * prow_len,
+                  sizeof(float) * static_cast<std::size_t>(Wout));
+  };
+  int o0 = 0;
+  for (; o0 + kConvOr <= O; o0 += kConvOr) {
+    const float* wob = (WP ? wp : wgt) + static_cast<std::size_t>(o0) * K;
+    conv_direct_block<V, WP>(prows, wob, K, C, kh, kw, 0, lanes, lane_out);
+    for (int i = 0; i < kConvOr; ++i)
+      copy_rows(lane_out + i * lanes, yrow + (o0 + i) * cols);
+  }
+  for (; o0 < O; ++o0) {
+    conv_direct_block1<V>(prows, wgt + static_cast<std::size_t>(o0) * K, C,
+                          kh, kw, 0, lane_out);
+    copy_rows(lane_out, yrow + static_cast<std::int64_t>(o0) * cols);
+  }
 #else
-constexpr bool kConvPairRows = false;
+  for (int o = 0; o < O; ++o)
+    for (int r = 0; r < rows; ++r)
+      for (int oj = 0; oj < Wout; ++oj)
+        yrow[static_cast<std::int64_t>(o) * cols + r * Wout + oj] =
+            conv_direct_one(prows, wgt + static_cast<std::size_t>(o) * K, C,
+                            kh, kw, r * prow_len + oj);
 #endif
+}
 
 /// Two adjacent output rows oi (prows0) and oi+1 (prows1) at once, for
 /// narrow outputs.  `yrow` addresses row oi of channel 0; row oi+1 of every
@@ -732,17 +758,9 @@ void conv_direct_row_pair(const float* const* prows0,
     const float* wo = wgt + static_cast<std::size_t>(o0) * K;
     const float* wob = WP ? wp + static_cast<std::size_t>(o0) * K : wo;
     float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    int j = 0;
-    for (; j + 8 <= Wout; j += 8)
+    for (int j = 0; j + 8 <= Wout; j += 8)
       conv_direct_block_pair<WP>(prows0, prows1, wob, K, C, kh, kw, j,
                                  Wout, cols, out + j);
-    for (; j < Wout; ++j)
-      for (int i = 0; i < kConvOr; ++i) {
-        float* dst = out + static_cast<std::int64_t>(i) * cols + j;
-        const float* wi = wo + static_cast<std::size_t>(i) * K;
-        dst[0] = conv_direct_one(prows0, wi, C, kh, kw, j);
-        dst[Wout] = conv_direct_one(prows1, wi, C, kh, kw, j);
-      }
   }
   for (; o0 < O; ++o0) {
     const float* wo = wgt + static_cast<std::size_t>(o0) * K;
@@ -775,19 +793,9 @@ void conv_direct_row_quad(const float* const* prows0,
     const float* wo = wgt + static_cast<std::size_t>(o0) * K;
     const float* wob = WP ? wp + static_cast<std::size_t>(o0) * K : wo;
     float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    int j = 0;
-    for (; j + 4 <= Wout; j += 4)
+    for (int j = 0; j + 4 <= Wout; j += 4)
       conv_direct_block_quad<WP>(prows0, prows1, prows2, prows3, wob, K, C,
                                  kh, kw, j, Wout, cols, out + j);
-    for (; j < Wout; ++j)
-      for (int i = 0; i < kConvOr; ++i) {
-        float* dst = out + static_cast<std::int64_t>(i) * cols + j;
-        const float* wi = wo + static_cast<std::size_t>(i) * K;
-        dst[0] = conv_direct_one(prows0, wi, C, kh, kw, j);
-        dst[Wout] = conv_direct_one(prows1, wi, C, kh, kw, j);
-        dst[2 * Wout] = conv_direct_one(prows2, wi, C, kh, kw, j);
-        dst[3 * Wout] = conv_direct_one(prows3, wi, C, kh, kw, j);
-      }
   }
   for (; o0 < O; ++o0) {
     const float* wo = wgt + static_cast<std::size_t>(o0) * K;
@@ -824,29 +832,16 @@ void conv_direct_row2_wide(const float* const* prows0,
     const float* wo = wgt + static_cast<std::size_t>(o0) * K;
     const float* wob = WP ? wp + static_cast<std::size_t>(o0) * K : wo;
     float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    int j = 0;
-    for (; j + 16 <= Wout; j += 16)
+    for (int j = 0; j + 16 <= Wout; j += 16)
       conv_direct_block2_rows<VOut16, WP>(prows0, prows1, wob, K, C, kh, kw,
                                           j, Wout, cols, out + j);
-    for (; j < Wout; ++j)
-      for (int i = 0; i < kConvOr; ++i) {
-        float* dst = out + static_cast<std::int64_t>(i) * cols + j;
-        const float* wi = wo + static_cast<std::size_t>(i) * K;
-        dst[0] = conv_direct_one(prows0, wi, C, kh, kw, j);
-        dst[Wout] = conv_direct_one(prows1, wi, C, kh, kw, j);
-      }
   }
   for (; o0 < O; ++o0) {
     const float* wo = wgt + static_cast<std::size_t>(o0) * K;
     float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    int j = 0;
-    for (; j + 16 <= Wout; j += 16) {
+    for (int j = 0; j + 16 <= Wout; j += 16) {
       conv_direct_block1<VOut16>(prows0, wo, C, kh, kw, j, out);
       conv_direct_block1<VOut16>(prows1, wo, C, kh, kw, j, out + Wout);
-    }
-    for (; j < Wout; ++j) {
-      out[j] = conv_direct_one(prows0, wo, C, kh, kw, j);
-      out[Wout + j] = conv_direct_one(prows1, wo, C, kh, kw, j);
     }
   }
 #else
@@ -871,19 +866,9 @@ void conv_direct_row_quad8(const float* const* prows0,
     const float* wo = wgt + static_cast<std::size_t>(o0) * K;
     const float* wob = WP ? wp + static_cast<std::size_t>(o0) * K : wo;
     float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    int j = 0;
-    for (; j + 8 <= Wout; j += 8)
+    for (int j = 0; j + 8 <= Wout; j += 8)
       conv_direct_block_pair2<WP>(prows0, prows1, prows2, prows3, wob, K, C,
                                   kh, kw, j, Wout, cols, out + j);
-    for (; j < Wout; ++j)
-      for (int i = 0; i < kConvOr; ++i) {
-        float* dst = out + static_cast<std::int64_t>(i) * cols + j;
-        const float* wi = wo + static_cast<std::size_t>(i) * K;
-        dst[0] = conv_direct_one(prows0, wi, C, kh, kw, j);
-        dst[Wout] = conv_direct_one(prows1, wi, C, kh, kw, j);
-        dst[2 * Wout] = conv_direct_one(prows2, wi, C, kh, kw, j);
-        dst[3 * Wout] = conv_direct_one(prows3, wi, C, kh, kw, j);
-      }
   }
   for (; o0 < O; ++o0) {
     const float* wo = wgt + static_cast<std::size_t>(o0) * K;
@@ -905,13 +890,18 @@ void conv_direct_row_quad8(const float* const* prows0,
 
 /// Routes one row-group job to the row driver matching its geometry (see
 /// the rpj selection in conv2d_gn_act_fwd_packed).  `ptrs` holds rpj
-/// consecutive pointer tables of n_rows entries each.
+/// consecutive pointer tables of n_rows entries each, except for `narrow`
+/// jobs, whose single table addresses the first of their `rows` rows.
 template <bool WP>
-void conv_direct_rows_dispatch(int rpj, int Wout, const float* const* ptrs,
+void conv_direct_rows_dispatch(bool narrow, int rpj, int rows, int prow_len,
+                               int Wout, const float* const* ptrs,
                                std::size_t n_rows, const float* w,
                                const float* wp, int O, int K, int C, int kh,
                                int kw, std::int64_t cols, float* yrow) {
-  if (rpj == 4 && Wout == 4)
+  if (narrow)
+    conv_direct_rows_narrow<WP>(ptrs, w, wp, O, K, C, kh, kw, Wout, rows,
+                                prow_len, cols, yrow);
+  else if (rpj == 4 && Wout == 4)
     conv_direct_row_quad<WP>(ptrs, ptrs + n_rows, ptrs + 2 * n_rows,
                              ptrs + 3 * n_rows, w, wp, O, K, C, kh, kw, Wout,
                              cols, yrow);
@@ -1377,22 +1367,27 @@ void CpuBackend::concat_channels_fwd(int batch, int channels_a, int channels_b,
   }
 }
 
-/// Does the fused block take the packed-GEMM fallback for a single sample
-/// (stride or an output too narrow for the direct kernel's vector blocks)?
-/// 4-wide outputs with a multiple-of-4 height stay direct on 16-lane hosts
-/// via quad row packing (conv_direct_block_quad).  The branch in
-/// conv2d_gn_act_fwd_packed below consumes this predicate directly;
-/// batch-independent by construction.
+/// Stride-1 outputs at most this wide run a batch of samples as one
+/// whole-batch GEMM.  Measured per sample at batch 8 (3x3, 64 -> 64
+/// channels, one AVX-512 thread): a 2x2 plane takes 0.009 ms through the
+/// fused GEMM against 0.015 ms through per-sample direct kernels, a 3x3
+/// plane 0.019 ms against 0.015 ms, a 6x6 plane 0.079 ms against 0.041 ms.
+constexpr int kConvBatchGemmMaxWidth = 2;
+
+/// Does the fused block take the packed GEMM for a batch of samples?
+/// Strided convs always do (at batch 1 too: the direct kernel is stride-1
+/// only), stride-1 convs only at batch > 1 and only on the narrowest
+/// outputs; a single stride-1 sample always runs direct.  Geometry-only —
+/// batch-independent — so it also selects the conv's one packed weight
+/// form (conv_weight_pack); conv2d_gn_act_fwd_packed consumes it directly.
 static bool fused_conv_uses_gemm(const Conv2dGeom& g) {
-  if (g.stride != 1) return true;
-  if (g.out_width >= 8) return false;
-  return !(kConvPairRows && g.out_width == 4 && g.out_height % 4 == 0);
+  return g.stride != 1 || g.out_width <= kConvBatchGemmMaxWidth;
 }
 
 std::size_t CpuBackend::conv_weight_pack_floats(const Conv2dGeom& g) {
-  // GEMM-fallback convs consume a gemm_pack_a A panel — per sample at
-  // batch 1, as one whole-batch product at batch > 1.  Direct-kernel convs
-  // consume the filters transposed to [k][o] in kConvOr-channel blocks:
+  // GEMM convs consume a gemm_pack_a A panel (a single stride-1 sample of
+  // such a conv runs direct on the raw filters instead).  Direct-kernel
+  // convs consume the filters transposed to [k][o] in kConvOr-channel blocks:
   // the raw [o][k] layout makes every k-step touch kConvOr distinct cache
   // lines (one per output channel), which falls out of L1 as soon as
   // O * K * 4 bytes does — exactly the deep narrow stages; the transposed
@@ -1454,18 +1449,21 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
     serial.emplace();
 
   bool epilogue_in_kernel = false;
-  if (g.batch > 1 && fused_conv_uses_gemm(g)) {
-    // Whole-batch fused GEMM: every sample's unfold columns concatenate
-    // into one (K x batch*cols) right-hand side and the filters multiply
-    // it in a single product.  The per-sample fallback at these narrow
-    // outputs runs the micro-kernel on mostly-padding slivers (a 2x2 plane
-    // fills 4 of 16 lanes) and pays the per-call GEMM setup per sample;
-    // fusing the batch restores full-width slivers and amortizes every
-    // per-call cost across B samples.  Bitwise: each output element's
-    // accumulation chain in the wide GEMM is identical to its chain in the
-    // per-sample product — the K-slab decomposition depends only on K, and
-    // columns are independent accumulator lanes — so batch-B stays byte-
-    // identical to B batch-1 runs (asserted by tests/test_inference.cpp).
+  if (fused_conv_uses_gemm(g) && (g.batch > 1 || g.stride != 1)) {
+    // Whole-batch fused GEMM (a strided conv's single sample included):
+    // every sample's unfold columns concatenate into one (K x batch*cols)
+    // right-hand side gathered straight from the input
+    // (pack_conv_sliver_batched, no im2col buffer) and the filters multiply
+    // it in a single product.  On the narrowest outputs this beats
+    // per-sample direct kernels, which fill few lanes per vector; the
+    // batch restores full-width slivers and amortizes every per-call cost
+    // across B samples.  Bitwise: each output element's accumulation chain
+    // in the wide GEMM is identical to its chain in a per-sample product
+    // and in the direct kernel — the K-slab decomposition depends only on
+    // K, and columns are independent accumulator lanes — so batch-B stays
+    // byte-identical to B batch-1 runs (asserted by tests/test_inference.cpp).
+    // A pre-packed panel removes the per-call A packing with the identical
+    // decomposition.
     const int NB = g.batch * cols;
     // GEMM output is (O x batch*cols) — sample-minor — while y is
     // (batch x O x cols), so the product lands in scratch and a pure copy
@@ -1492,35 +1490,51 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
                         sizeof(float) * static_cast<std::size_t>(cols));
           }
         });
-  } else if (!fused_conv_uses_gemm(g)) {
-    // The direct kernel's vector blocks need at least 8 output columns per
-    // row (or 4 with quad row packing); below that every element falls to
-    // the scalar path, whose serial FMA chain runs ~4x slower per product
-    // than the GEMM (which flattens all Hout*Wout pixels into one
-    // vectorizable axis).  Outputs narrower still — the deepest stages of
-    // a small-window UNet — take the GEMM branch instead; the shared chain
-    // contract keeps the two bitwise identical.
-    // Direct convolution (see the block comment above conv_direct_one).
-    // The zero-padded input plane is materialized ONCE per call (disjoint
-    // row writes, any order — the pads are constants), then every output
-    // row just indexes into it: the per-output-row jobs touch no scratch
-    // beyond a small pointer table, and no input row is copied kh times
-    // the way a per-row padding buffer would.  A padding-0 layer needs no
-    // plane at all: the pointers alias the input rows directly (the fused
-    // analogue of the identity-unfold im2col skip).  The job partition
-    // never changes any element's chain, so the result is bitwise stable
-    // at any thread count.
+  } else {
+    // Direct convolution (see the block comment above conv_direct_one), at
+    // every stride-1 output width.  The zero-padded input plane is
+    // materialized ONCE per call (disjoint row writes, any order — the pads
+    // are constants), then every output row just indexes into it: the
+    // per-output-row jobs touch no scratch beyond a small pointer table, and
+    // no input row is copied kh times the way a per-row padding buffer
+    // would.  A padding-0 layer needs no plane at all unless it is narrow:
+    // the pointers alias the input rows directly (the fused analogue of the
+    // identity-unfold im2col skip).  The job partition never changes any
+    // element's chain, so the result is bitwise stable at any thread count.
     const int P = g.padding;
     const int plane_h = H + 2 * P;
     const int prow_len = W + 2 * P;
     const std::size_t n_rows = static_cast<std::size_t>(C) * kh;
+    // Group adjacent rows per job so the block kernels can fill wide
+    // vectors (narrow, 4- and 8-wide outputs) and share weight broadcasts
+    // across rows (8- and 16-wide); the grouping depends only on the
+    // geometry, never the thread count.  A narrow job's rows share one
+    // vector (conv_direct_rows_narrow); the last job of a sample may hold
+    // fewer.
+    const bool quad = kConvPairRows && Wout == 4 && Hout % 4 == 0;
+    const bool narrow = Wout < kConvNarrowLanes && Wout != 8 && !quad;
+    const bool quad8 = kConvPairRows && Wout == 8 && Hout % 4 == 0;
+    const bool pair = kConvPairRows && Wout == 8 && Hout % 2 == 0;
+    const bool pair16 = kConvPairRows && Wout == 16 && Hout % 2 == 0;
+    const int rpj = narrow ? (kConvNarrowLanes - Wout) / prow_len + 1
+                    : quad || quad8 ? 4
+                    : pair || pair16 ? 2
+                                     : 1;
+    const int tables = narrow ? 1 : rpj;
+    const int jobs_per_sample = (Hout + rpj - 1) / rpj;
+    const std::size_t jobs =
+        static_cast<std::size_t>(g.batch) * jobs_per_sample;
     const float* padded = nullptr;
-    if (P > 0) {
-      // Caller-thread grow-only scratch; pool jobs only ever read it.
+    if (P > 0 || narrow) {
+      // Caller-thread grow-only scratch; pool jobs only ever read it.  The
+      // zeroed vector of slack past the last plane bounds the narrow
+      // kernel's junk-lane reads.
       static thread_local AlignedBuffer<float> tls_padded;
       const std::size_t pad_rows =
           static_cast<std::size_t>(g.batch) * C * plane_h;
-      float* pad = tls_padded.ensure(pad_rows * prow_len);
+      float* pad = tls_padded.ensure(pad_rows * prow_len + kConvNarrowLanes);
+      std::memset(pad + pad_rows * prow_len, 0,
+                  sizeof(float) * kConvNarrowLanes);
       runtime::parallel_for(
           runtime::grain_for_cost(0.5 * prow_len, pad_rows), pad_rows,
           [=](std::size_t r0, std::size_t r1) {
@@ -1540,21 +1554,12 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
           });
       padded = pad;
     }
-    // Group adjacent rows per job so the block kernels can fill wide
-    // vectors (4- and 8-wide outputs) and share weight broadcasts across
-    // rows (8- and 16-wide); the grouping depends only on the geometry,
-    // never the thread count.
-    const bool quad = kConvPairRows && Wout == 4;  // gated by Hout % 4 above
-    const bool quad8 = kConvPairRows && Wout == 8 && Hout % 4 == 0;
-    const bool pair = kConvPairRows && Wout == 8 && Hout % 2 == 0;
-    const bool pair16 = kConvPairRows && Wout == 16 && Hout % 2 == 0;
-    const int rpj = quad || quad8 ? 4 : pair || pair16 ? 2 : 1;
-    const int jobs_per_sample = Hout / rpj;
-    const std::size_t jobs =
-        static_cast<std::size_t>(g.batch) * jobs_per_sample;
     // ~10 sustained FLOP/ns for the register-blocked kernel.
     const double row_ns = 2.0 * static_cast<double>(O) * K *
                           static_cast<double>(Wout) * rpj / 10.0;
+    // A GEMM conv's packed form is the GEMM panel, which the direct kernel
+    // cannot read; its single samples take the raw filters.
+    const float* wpack = fused_conv_uses_gemm(g) ? nullptr : packed_w;
     // The in-kernel epilogue below folds bias+activation into the job that
     // produced the rows (L1-hot) — groups > 0 still needs the full-tensor
     // statistics pass, so normalized layers keep the standalone epilogue.
@@ -1564,7 +1569,7 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
         runtime::grain_for_cost(row_ns, jobs), jobs,
         [=](std::size_t r0, std::size_t r1) {
           static thread_local std::vector<const float*> tls_ptrs;
-          tls_ptrs.resize(n_rows * static_cast<std::size_t>(rpj));
+          tls_ptrs.resize(n_rows * static_cast<std::size_t>(tables));
           const float** ptrs = tls_ptrs.data();
           for (std::size_t r = r0; r < r1; ++r) {
             const int n =
@@ -1572,13 +1577,15 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
             const int oi =
                 static_cast<int>(r % static_cast<std::size_t>(jobs_per_sample)) *
                 rpj;
+            const int rows = std::min(rpj, Hout - oi);
             // Padded row oi+ki holds input row oi+ki-P (zeros outside); with
-            // P == 0 the base aliases the sample and the formula is the same.
+            // no plane the base aliases the sample and the formula is the
+            // same.
             const float* base =
-                P > 0 ? padded + (static_cast<std::size_t>(n) * C * plane_h) *
-                                     prow_len
-                      : x + static_cast<std::int64_t>(n) * C * H * W;
-            for (int set = 0; set < rpj; ++set)
+                padded ? padded + (static_cast<std::size_t>(n) * C * plane_h) *
+                                      prow_len
+                       : x + static_cast<std::int64_t>(n) * C * H * W;
+            for (int set = 0; set < tables; ++set)
               for (int c = 0; c < C; ++c)
                 for (int ki = 0; ki < kh; ++ki)
                   ptrs[static_cast<std::size_t>(set) * n_rows +
@@ -1588,14 +1595,14 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
                                  prow_len;
             float* yrow = y + static_cast<std::int64_t>(n) * O * cols +
                           static_cast<std::int64_t>(oi) * Wout;
-            if (packed_w)
-              conv_direct_rows_dispatch<true>(rpj, Wout, ptrs, n_rows, w,
-                                              packed_w, O, K, C, kh, kw,
-                                              cols, yrow);
+            if (wpack)
+              conv_direct_rows_dispatch<true>(narrow, rpj, rows, prow_len,
+                                              Wout, ptrs, n_rows, w, wpack, O,
+                                              K, C, kh, kw, cols, yrow);
             else
-              conv_direct_rows_dispatch<false>(rpj, Wout, ptrs, n_rows, w,
-                                               nullptr, O, K, C, kh, kw,
-                                               cols, yrow);
+              conv_direct_rows_dispatch<false>(narrow, rpj, rows, prow_len,
+                                               Wout, ptrs, n_rows, w, nullptr,
+                                               O, K, C, kh, kw, cols, yrow);
             if (!fold) continue;
             // Bias + activation on the rows this job just wrote, exactly the
             // arithmetic of the standalone epilogue pass (bias add only when
@@ -1604,55 +1611,12 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
               float* row = yrow + static_cast<std::int64_t>(o) * cols;
               if (bias) {
                 const float bv = bias[o];
-                for (int i = 0; i < Wout * rpj; ++i)
+                for (int i = 0; i < Wout * rows; ++i)
                   row[i] = apply_act(act, slope, row[i] + bv);
               } else {
-                for (int i = 0; i < Wout * rpj; ++i)
+                for (int i = 0; i < Wout * rows; ++i)
                   row[i] = apply_act(act, slope, row[i]);
               }
-            }
-          }
-        });
-  } else {
-    // Strided and narrow-output layers fall back to the packed GEMM with
-    // its right-hand side gathered straight from the input sample
-    // (pack_conv_sliver) — no im2col buffer in this path either, and
-    // bitwise identical to the direct kernel by the shared chain contract.
-    // When the caller pre-packed the (constant) filters, the per-call A
-    // packing disappears too: gemm_prepacked_a consumes the panel with the
-    // identical decomposition, so the product is bitwise unchanged.  The
-    // batch loop parallelizes over samples (disjoint outputs; per-sample
-    // GEMM decomposition is batch-independent, so chains never change).
-    const bool identity = identity_unfold(g);
-    const double sample_ns =
-        2.0 * static_cast<double>(O) * static_cast<double>(cols) *
-        static_cast<double>(K) / 10.0;
-    runtime::parallel_for(
-        runtime::grain_for_cost(sample_ns, static_cast<std::size_t>(g.batch)),
-        static_cast<std::size_t>(g.batch),
-        [=](std::size_t n0, std::size_t n1) {
-          for (std::size_t ns = n0; ns < n1; ++ns) {
-            const int n = static_cast<int>(ns);
-            const float* xn = x + static_cast<std::int64_t>(n) * C * H * W;
-            float* yn = y + static_cast<std::int64_t>(n) * O * cols;
-            if (packed_w) {
-              gemm_prepacked_a(
-                  O, cols, K, packed_w,
-                  [=](int s, float* dst) {
-                    pack_conv_sliver(xn, C, H, W, kh, kw, g.stride, g.padding,
-                                     Hout, Wout, s, dst);
-                  },
-                  yn, false);
-            } else if (identity) {
-              gemm_nn(O, cols, K, w, xn, yn, false);
-            } else {
-              gemm_packed_b(
-                  O, cols, K, w,
-                  [=](int s, float* dst) {
-                    pack_conv_sliver(xn, C, H, W, kh, kw, g.stride, g.padding,
-                                     Hout, Wout, s, dst);
-                  },
-                  yn, false);
             }
           }
         });

@@ -104,27 +104,36 @@ TEST(InferenceSession, RealWeightsMatchModuleWithinTolerance) {
   // Acceptance gate: on the shipped pre-trained artifact the compiled
   // session must match the module path within 1e-4 relative — and in fact
   // matches bitwise, which the optimizer's mixed-path line search needs.
+  // Planes: 32x32 (stage widths 32/16/8/4), the 24x24 a default full-chip
+  // tile compiles (24/12/6/3) and a non-square 40x24 (40/20/10/5 wide).
   auto loaded = load_surrogate(NF_REPO_ROOT "/data/unet_cmp");
   ASSERT_TRUE(loaded.ok()) << "missing data/unet_cmp.{meta,weights}";
   UNet& net = (*loaded)->unet();
   const UNetConfig& cfg = net.config();
-  const int div = 1 << cfg.depth;
-  const int H = 4 * div, W = 4 * div;
-  const InferenceSession session(net, H, W);
+  struct Plane {
+    int h, w;
+  };
+  for (const Plane p : {Plane{32, 32}, Plane{24, 24}, Plane{24, 40}}) {
+    const int H = p.h, W = p.w;
+    ASSERT_EQ(H % (1 << cfg.depth), 0);
+    ASSERT_EQ(W % (1 << cfg.depth), 0);
+    const InferenceSession session(net, H, W);
 
-  const auto input =
-      random_input(static_cast<std::size_t>(cfg.in_channels) * H * W, 103);
-  const auto ref = module_forward(net, input, cfg.in_channels, H, W);
-  std::vector<float> out(ref.size());
-  session.run(input.data(), out.data());
+    const auto input =
+        random_input(static_cast<std::size_t>(cfg.in_channels) * H * W, 103);
+    const auto ref = module_forward(net, input, cfg.in_channels, H, W);
+    std::vector<float> out(ref.size());
+    session.run(input.data(), out.data());
 
-  float max_rel = 0.0f;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    const float denom = std::max(std::fabs(ref[i]), 1e-6f);
-    max_rel = std::max(max_rel, std::fabs(out[i] - ref[i]) / denom);
+    float max_rel = 0.0f;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      const float denom = std::max(std::fabs(ref[i]), 1e-6f);
+      max_rel = std::max(max_rel, std::fabs(out[i] - ref[i]) / denom);
+    }
+    EXPECT_LE(max_rel, 1e-4f) << H << "x" << W;
+    EXPECT_TRUE(bitwise_equal(out.data(), ref.data(), out.size()))
+        << H << "x" << W;
   }
-  EXPECT_LE(max_rel, 1e-4f);
-  EXPECT_TRUE(bitwise_equal(out.data(), ref.data(), out.size()));
 }
 
 TEST(InferenceSession, ArenaReuseMatchesPrivateBuffers) {
@@ -183,12 +192,13 @@ TEST(InferenceSession, BatchMatchesLoopedSingles) {
 
 TEST(InferenceSession, PrepackedWeightsMatchPackPerCall) {
   // Compile-time weight panels must be bitwise neutral against the
-  // pack-per-call reference, on both the direct conv path (wide outputs)
-  // and the GEMM fallback (narrow outputs, where the panel is actually
-  // consumed), serial and batched.
+  // pack-per-call reference, serial and batched: on the direct conv path,
+  // and on the whole-batch GEMM that the 2-wide bottleneck of the W=8
+  // plane takes at batch > 1 (its single samples run direct on the raw
+  // filters next to a GEMM panel).
   Rng rng(18);
   UNet net(small_config(true), rng);
-  for (const int W : {16, 8}) {  // W=8 drives the deeper levels through GEMM
+  for (const int W : {16, 8}) {
     const int H = 16, B = 4;
     const std::size_t in_plane = 3u * H * W;
     const std::size_t out_plane = static_cast<std::size_t>(H) * W;
@@ -334,6 +344,106 @@ TEST(Backend, InputGradientOnlyConvBackwardMatchesFullCall) {
       EXPECT_TRUE(bitwise_equal(gx_full.data(), gx_only.data(), nx))
           << "k=" << sh.k << " threads=" << threads;
     }
+  }
+  runtime::set_thread_count(0);
+}
+
+TEST(Backend, FusedConvMatchesUnfusedChainAtEveryWidth) {
+  // Differential sweep of the fused block's kernel dispatch — wide-row
+  // vector blocks with their flush tail, row pairing, quad packing, the
+  // narrow-plane lanes and the whole-batch GEMM — against the unfused
+  // im2col + GEMM conv2d_fwd, group_norm_fwd and activation chain: every
+  // output width 1..33 over a grid of heights and channel counts (C = 30
+  // crosses a K-slab flush), seeded kernel/bias/activation choices,
+  // GroupNorm on and off, raw and prepacked filters, batch 1 and 3, 1 and
+  // 4 threads.  Every element must match bit for bit.
+  struct Kernel {
+    int k, pad;
+  };
+  constexpr Kernel kKernels[] = {{3, 1}, {1, 0}, {3, 0}};
+  constexpr nn::ActKind kActs[] = {nn::ActKind::kNone, nn::ActKind::kRelu,
+                                   nn::ActKind::kLeakyRelu};
+  constexpr int kBatch = 3;
+  nn::Backend& be = nn::backend();
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    Rng rng(20261018);
+    for (int Wout = 1; Wout <= 33; ++Wout)
+      for (const int Hout : {1, 2, 3, 4, 5, 8, 12})
+        for (const int C : {1, 3, 8, 13, 30})
+          for (const int O : {1, 4, 8, 24}) {
+            const Kernel kn = kKernels[rng.uniform_index(3)];
+            nn::Conv2dGeom g;
+            g.in_channels = C;
+            g.height = Hout - 2 * kn.pad + kn.k - 1;
+            g.width = Wout - 2 * kn.pad + kn.k - 1;
+            g.out_channels = O;
+            g.kernel_h = g.kernel_w = kn.k;
+            g.padding = kn.pad;
+            g.out_height = Hout;
+            g.out_width = Wout;
+            const std::size_t in_plane =
+                static_cast<std::size_t>(C) * g.height * g.width;
+            const std::size_t out_plane =
+                static_cast<std::size_t>(O) * Hout * Wout;
+            const auto x = random_input(kBatch * in_plane, rng.next_u64());
+            const auto w = random_input(
+                static_cast<std::size_t>(O) * C * kn.k * kn.k, rng.next_u64());
+            const auto bias = random_input(static_cast<std::size_t>(O),
+                                           rng.next_u64());
+            const auto gamma = random_input(static_cast<std::size_t>(O),
+                                            rng.next_u64());
+            const auto beta = random_input(static_cast<std::size_t>(O),
+                                           rng.next_u64());
+            g.batch = 1;
+            std::vector<float> packed(be.conv_weight_pack_floats(g));
+            if (!packed.empty())
+              be.conv_weight_pack(g, w.data(), packed.data());
+            for (const bool gn : {false, true}) {
+              const int groups = gn ? (O % 4 == 0 ? 4 : 1) : 0;
+              const nn::ActKind act = kActs[rng.uniform_index(3)];
+              const float slope = 0.1f;
+              const float* b = rng.bernoulli(0.5) ? bias.data() : nullptr;
+              // Unfused reference over the whole batch.
+              g.batch = kBatch;
+              std::vector<float> ref(kBatch * out_plane);
+              be.conv2d_fwd(g, x.data(), w.data(), b, ref.data());
+              if (gn) {
+                nn::GroupNormGeom ng;
+                ng.batch = kBatch;
+                ng.channels = O;
+                ng.height = Hout;
+                ng.width = Wout;
+                ng.groups = groups;
+                const std::vector<float> prenorm = ref;
+                be.group_norm_fwd(ng, prenorm.data(), gamma.data(),
+                                  beta.data(), ref.data(), nullptr, nullptr);
+              }
+              const auto n_ref = static_cast<std::int64_t>(ref.size());
+              if (act == nn::ActKind::kRelu)
+                be.unary_map(nn::UnaryKind::kRelu, 0.0f, ref.data(),
+                             ref.data(), n_ref);
+              else if (act == nn::ActKind::kLeakyRelu)
+                be.unary_map(nn::UnaryKind::kLeakyRelu, slope, ref.data(),
+                             ref.data(), n_ref);
+              for (const int batch : {1, kBatch})
+                for (const bool prepacked : {false, true}) {
+                  if (prepacked && packed.empty()) continue;
+                  g.batch = batch;
+                  std::vector<float> out(batch * out_plane);
+                  be.conv2d_gn_act_fwd_packed(
+                      g, groups, 1e-5f, act, slope, x.data(), w.data(),
+                      prepacked ? packed.data() : nullptr, b, gamma.data(),
+                      beta.data(), out.data());
+                  ASSERT_TRUE(bitwise_equal(out.data(), ref.data(), out.size()))
+                      << Hout << "x" << Wout << " k=" << kn.k
+                      << " pad=" << kn.pad << " C=" << C << " O=" << O
+                      << " gn=" << gn << " act=" << static_cast<int>(act)
+                      << " bias=" << (b != nullptr) << " batch=" << batch
+                      << " prepacked=" << prepacked << " threads=" << threads;
+                }
+            }
+          }
   }
   runtime::set_thread_count(0);
 }

@@ -39,6 +39,12 @@ Gated keys, lower is better:
   unet_infer_b8_ms_per_sample -- per-sample latency of a batch-8 session
                              run; keeps cross-candidate batching from ever
                              costing more per sample than batch-1
+  unet_infer_w24_pixel_ratio -- per-pixel latency of the session on the
+                             24x24 plane a default full-chip tile compiles
+                             over per-pixel latency on the 64x64 bench
+                             plane (bench_inference; a same-host ratio that
+                             catches conv widths falling off the vector
+                             kernels)
   serve_p99_ms            -- p99 ping round-trip latency against a live
                              daemon (bench_serve); what any client pays to
                              talk to the daemon at all
@@ -61,7 +67,7 @@ GATED_KEYS_HIGHER = ("gemm_gflops_1t", "gemm_speedup_4t",
                      "serve_jobs_per_s")
 GATED_KEYS_LOWER = ("fullchip_tile_ms", "fullchip_stitch_passes",
                     "unet_infer_ms_1t", "unet_infer_b8_ms_per_sample",
-                    "serve_p99_ms")
+                    "unet_infer_w24_pixel_ratio", "serve_p99_ms")
 
 
 def main() -> int:
