@@ -57,8 +57,8 @@ int main() {
   std::vector<WindowExtraction> train_sources{extract_windows(da),
                                               extract_windows(db)};
   TrainingDataGenerator test_gen(train_sources, sim, /*seed=*/101);
-  auto surrogate =
-      neurfill::bench::load_or_quick_train(train_sources[0], sim);
+  const auto surrogate =
+      neurfill::bench::acquire_surrogate(train_sources[0], sim);
 
   const AccuracyReport in_dist = evaluate_surrogate_accuracy(
       *surrogate, test_gen, /*num_samples=*/25, grid, grid);

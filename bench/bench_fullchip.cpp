@@ -17,7 +17,6 @@
 #include "geom/designs.hpp"
 #include "geom/glf_io.hpp"
 #include "runtime/parallel.hpp"
-#include "surrogate/trainer.hpp"
 
 #include "bench_util.hpp"
 
@@ -29,30 +28,6 @@ constexpr int kWindowsX = 18;
 constexpr int kWindowsY = 12;
 constexpr int kTileWindows = 6;
 constexpr int kHaloWindows = 2;
-
-/// Quick-trains a reduced surrogate on the first tile's halo region and
-/// saves it so every tile solve can load an independent instance (cached
-/// data/unet_cmp weights are used when present).
-std::string prepare_surrogate(const GlfRegionIndex& index,
-                              const std::string& work_dir) {
-  const std::string cached = bench::surrogate_prefix();
-  if (load_surrogate(cached).ok()) return cached;
-
-  const fullchip::TileGrid grid(kWindowsY, kWindowsX, kTileWindows,
-                                kHaloWindows, 100.0);
-  const Layout local =
-      fullchip::load_tile_layout(index, grid.tile(0, 0), 100.0);
-  const WindowExtraction ext = extract_windows(local);
-  const CmpSimulator sim;
-  auto surrogate = bench::load_or_quick_train(ext, sim);
-  const std::string prefix = work_dir + "/surrogate";
-  Expected<void> saved = save_surrogate(*surrogate, prefix);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "error: %s\n", saved.error().to_string().c_str());
-    std::exit(1);
-  }
-  return prefix;
-}
 
 }  // namespace
 
@@ -86,15 +61,13 @@ int main(int argc, char** argv) {
   opt.tile_windows = kTileWindows;
   opt.halo_windows = kHaloWindows;
   opt.store_dir = work + "/tiles";
-  const std::string prefix = prepare_surrogate(index, work);
-  opt.surrogate_factory = [&prefix]() -> std::shared_ptr<const CmpSurrogate> {
-    Expected<std::shared_ptr<CmpSurrogate>> s = load_surrogate(prefix);
-    if (!s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.error().to_string().c_str());
-      std::exit(1);
-    }
-    return std::move(*s);
-  };
+  // The cached surrogate, or one quick-trained on the first tile's halo
+  // region; every tile solve shares the instance.
+  const Layout first_tile = fullchip::load_tile_layout(
+      index, fullchip::tile_grid(index, opt).tile(0, 0), 100.0);
+  const std::shared_ptr<const CmpSurrogate> surrogate =
+      bench::acquire_surrogate(extract_windows(first_tile), CmpSimulator());
+  opt.surrogate_factory = [&surrogate] { return surrogate; };
 
   fullchip::FullChipResult result;
   try {

@@ -95,7 +95,7 @@ struct ContactProblem {
   }
   void run() const {
     ElasticContactSolver solver(R, C, opt);
-    benchmark::DoNotOptimize(solver.solve(height, 1.5));
+    benchmark::DoNotOptimize(solver.try_solve(height, 1.5));
   }
 };
 

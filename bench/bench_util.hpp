@@ -1,19 +1,21 @@
 #pragma once
 
-// Shared setup for the experiment benches: problem construction and
-// surrogate loading with a quick-train fallback when the cached artifact
-// (data/unet_cmp, produced by examples/train_surrogate) is absent.
+// Shared setup for the experiment benches: the fill problem through the
+// pipeline (fill/pipeline.hpp) and the surrogate through the provider
+// (surrogate/provider.hpp), which quick-trains a reduced one when the
+// cached artifact (data/unet_cmp, produced by examples/train_surrogate) is
+// absent and stops the bench when it is corrupt.
 
 #include <cstdio>
-#include <exception>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
 #include "fill/neurfill.hpp"
-#include "fill/problem.hpp"
+#include "fill/pipeline.hpp"
 #include "geom/designs.hpp"
 #include "surrogate/cmp_network.hpp"
-#include "surrogate/trainer.hpp"
+#include "surrogate/provider.hpp"
 
 namespace neurfill::bench {
 
@@ -25,44 +27,34 @@ inline std::string surrogate_prefix() {
 struct ProblemBundle {
   Layout layout;
   FillProblem problem;
-  std::shared_ptr<CmpSurrogate> surrogate;
+  std::shared_ptr<const CmpSurrogate> surrogate;
   std::unique_ptr<CmpNetwork> network;
 };
 
-inline std::shared_ptr<CmpSurrogate> load_or_quick_train(
+/// The surrogate at surrogate_prefix(), or the provider's quick-trained
+/// fallback on `ext` when none exists; any other load error ends the bench.
+inline std::shared_ptr<const CmpSurrogate> acquire_surrogate(
     const WindowExtraction& ext, const CmpSimulator& sim) {
-  Expected<std::shared_ptr<CmpSurrogate>> loaded =
-      load_surrogate(surrogate_prefix());
-  if (loaded.ok()) return std::move(*loaded);
-  std::printf("note: cached surrogate unavailable (%s); quick-training a "
-              "reduced one (results will be weaker than with "
-              "examples/train_surrogate output)\n",
-              loaded.error().to_string().c_str());
-  SurrogateConfig cfg;
-  cfg.unet.base_channels = 8;
-  cfg.unet.depth = 2;
-  auto s = std::make_shared<CmpSurrogate>(cfg, 5);
-  TrainingDataGenerator gen({ext}, sim, 17, 4);
-  TrainOptions opt;
-  opt.epochs = 6;
-  opt.dataset_size = 60;
-  opt.grid_rows = ext.rows;
-  opt.grid_cols = ext.cols;
-  train_surrogate(*s, gen, opt);
-  return s;
+  SurrogateProvider provider;
+  Expected<std::shared_ptr<const CmpSurrogate>> surrogate =
+      provider.get(surrogate_prefix(), ext, sim);
+  if (!surrogate.ok()) {
+    std::fprintf(stderr, "error: %s\n", surrogate.error().to_string().c_str());
+    std::exit(1);
+  }
+  return std::move(*surrogate);
 }
 
 inline ProblemBundle make_bundle(char design, int windows,
                                  std::uint64_t seed = 1) {
   Layout layout = make_design(design, windows, 100.0, seed);
-  WindowExtraction ext = extract_windows(layout);
-  CmpSimulator sim;
-  ScoreCoefficients coeffs = make_coefficients(layout, ext, sim);
-  ProblemBundle b{std::move(layout), FillProblem(ext, sim, coeffs), nullptr,
-                  nullptr};
-  b.surrogate = load_or_quick_train(b.problem.extraction(), sim);
-  b.network = std::make_unique<CmpNetwork>(b.surrogate, b.problem.extraction(),
-                                           coeffs);
+  FillProblem problem =
+      make_fill_problem(layout, ExtractOptions(), CmpProcessParams());
+  ProblemBundle b{std::move(layout), std::move(problem), nullptr, nullptr};
+  b.surrogate =
+      acquire_surrogate(b.problem.extraction(), b.problem.simulator());
+  b.network = std::make_unique<CmpNetwork>(
+      b.surrogate, b.problem.extraction(), b.problem.coefficients());
   calibrate_network(*b.network, b.problem);  // two-anchor simulator fit
   return b;
 }

@@ -6,6 +6,8 @@
 // Usage: contact_solver_demo
 
 #include <cstdio>
+#include <cstdlib>
+#include <utility>
 
 #include "cmp/contact_solver.hpp"
 #include "cmp/pad_model.hpp"
@@ -15,13 +17,28 @@
 
 using namespace neurfill;
 
+namespace {
+
+/// The converged pressure field; a failed solve ends the demo.
+GridD solve_contact(const ElasticContactSolver& solver, const GridD& height,
+                    double nominal_pressure) {
+  Expected<GridD> p = solver.try_solve(height, nominal_pressure);
+  if (!p.ok()) {
+    std::fprintf(stderr, "error: %s\n", p.error().to_string().c_str());
+    std::exit(1);
+  }
+  return std::move(*p);
+}
+
+}  // namespace
+
 int main() {
   // 1. Flat punch: the elastic solver concentrates pressure at the punch
   // edges (a contact-mechanics signature the asperity model cannot show).
   const std::size_t n = 16;
   ElasticContactSolver solver(n, n);
   GridD flat(n, n, 0.0);
-  const GridD p_flat = solver.solve(flat, 1.0);
+  const GridD p_flat = solve_contact(solver, flat, 1.0);
   std::printf("flat punch, elastic pressure across the mid row:\n  ");
   for (std::size_t j = 0; j < n; ++j) std::printf("%5.2f ", p_flat(n / 2, j));
   std::printf("\n  (edges > centre; solved in %d CG iterations)\n\n",
@@ -30,7 +47,7 @@ int main() {
   // 2. Single bump: load concentrates on the protrusion.
   GridD bump(n, n, 0.0);
   bump(n / 2, n / 2) = 500.0;
-  const GridD p_bump = solver.solve(bump, 1.0);
+  const GridD p_bump = solve_contact(solver, bump, 1.0);
   double total = 0.0, on_bump = p_bump(n / 2, n / 2);
   for (const double v : p_bump) total += v;
   std::printf("500A bump: carries %.1f%% of the total load\n",

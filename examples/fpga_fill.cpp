@@ -9,14 +9,16 @@
 // Usage: fpga_fill [surrogate_prefix] [windows]
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 
-#include "fill/neurfill.hpp"
+#include "fill/pipeline.hpp"
 #include "fill/report.hpp"
 #include "geom/designs.hpp"
-#include "surrogate/trainer.hpp"
+#include "surrogate/provider.hpp"
 
 using namespace neurfill;
 
@@ -25,46 +27,33 @@ int main(int argc, char** argv) {
   const int windows = argc > 2 ? std::atoi(argv[2]) : 24;
 
   const Layout layout = make_design('b', windows, 100.0, /*seed=*/2);
-  const WindowExtraction ext = extract_windows(layout);
-  CmpSimulator simulator;
-  const ScoreCoefficients coeffs = make_coefficients(layout, ext, simulator);
-  FillProblem problem(ext, simulator, coeffs);
+  const FillProblem problem =
+      make_fill_problem(layout, ExtractOptions(), CmpProcessParams());
+  const WindowExtraction& ext = problem.extraction();
 
-  std::shared_ptr<CmpSurrogate> surrogate;
-  if (Expected<std::shared_ptr<CmpSurrogate>> loaded = load_surrogate(prefix)) {
-    surrogate = std::move(*loaded);
-  } else {
-    std::printf("cached surrogate missing; training a small one\n");
-    SurrogateConfig cfg;
-    cfg.unet.base_channels = 8;
-    cfg.unet.depth = 2;
-    surrogate = std::make_shared<CmpSurrogate>(cfg, 3);
-    TrainingDataGenerator gen({ext}, simulator, 9, 4);
-    TrainOptions topt;
-    topt.epochs = 8;
-    topt.dataset_size = 80;
-    topt.grid_rows = ext.rows;
-    topt.grid_cols = ext.cols;
-    train_surrogate(*surrogate, gen, topt);
+  SurrogateProvider provider;
+  Expected<std::shared_ptr<const CmpSurrogate>> surrogate =
+      provider.get(prefix, ext, problem.simulator());
+  if (!surrogate.ok()) {
+    std::fprintf(stderr, "error: %s\n", surrogate.error().to_string().c_str());
+    return 1;
   }
-  CmpNetwork network(surrogate, ext, coeffs);
-  calibrate_network(network, problem);
 
   std::printf("FPGA fabric: %d x %d windows, 3 layers\n", windows, windows);
-  print_coefficients(std::cout, coeffs);
+  print_coefficients(std::cout, problem.coefficients());
   print_table3_header(std::cout);
 
-  const FillRunResult lin = lin_rule_fill(problem);
-  print_table3_row(std::cout, "B", score_fill_result(problem, layout, lin));
-
-  TaoOptions tao_opt;
-  tao_opt.sqp.max_iterations = 30;
-  const FillRunResult tao = tao_rule_sqp(problem, tao_opt);
-  print_table3_row(std::cout, "B", score_fill_result(problem, layout, tao));
-
-  NeurFillOptions nf_opt;
-  const FillRunResult pkb = neurfill_pkb(problem, network, nf_opt);
-  print_table3_row(std::cout, "B", score_fill_result(problem, layout, pkb));
+  // One request, three methods: the rule baselines ignore the surrogate.
+  FillRequest request;
+  request.tao.sqp.max_iterations = 30;
+  request.surrogate = *surrogate;
+  FillRunResult pkb;
+  for (const char* method : {"lin", "tao", "pkb"}) {
+    request.method = method;
+    FillRunResult run = run_fill(problem, request);
+    print_table3_row(std::cout, "B", score_fill_result(problem, layout, run));
+    if (request.method == "pkb") pkb = std::move(run);
+  }
 
   // Where did the fill go?  Report per-layer fill density in tiles vs
   // channels (rows through the middle of the fabric).

@@ -1,55 +1,29 @@
 // Quickstart: the complete NeurFill flow on a small synthetic design.
 //
-//   1. Generate (or load) a layout and divide it into windows.
-//   2. Build the fill problem: CMP simulator + calibrated score
-//      coefficients.
-//   3. Load the pre-trained CMP surrogate (or train a small one on the fly
-//      if the cached artifact is missing).
-//   4. Run NeurFill (PKB) and report the before/after quality.
+//   1. Generate (or load) a layout.
+//   2. Build the fill problem: windows, CMP simulator and score
+//      coefficients (make_fill_problem).
+//   3. Get the pre-trained CMP surrogate from the provider (it trains a
+//      small one on the fly if the cached artifact is missing, and refuses
+//      a corrupt one).
+//   4. Run NeurFill (PKB) through run_fill and report the before/after
+//      quality.
 //   5. Materialize the dummies and write the filled layout as GLF.
 //
 // Usage: quickstart [surrogate_prefix] [windows]
 
 #include <cstdio>
-#include <exception>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
-#include "fill/neurfill.hpp"
-#include "fill/report.hpp"
+#include "fill/pipeline.hpp"
 #include "geom/designs.hpp"
 #include "geom/glf_io.hpp"
-#include "surrogate/trainer.hpp"
+#include "layout/fill_insertion.hpp"
+#include "surrogate/provider.hpp"
 
 using namespace neurfill;
-
-namespace {
-
-std::shared_ptr<CmpSurrogate> load_or_train(const std::string& prefix,
-                                            const WindowExtraction& ext,
-                                            const CmpSimulator& sim) {
-  Expected<std::shared_ptr<CmpSurrogate>> loaded = load_surrogate(prefix);
-  if (loaded.ok()) {
-    std::printf("loaded pre-trained surrogate from %s\n", prefix.c_str());
-    return std::move(*loaded);
-  }
-  std::printf("no usable surrogate at %s (%s); training a small one (~1 min)\n",
-              prefix.c_str(), loaded.error().to_string().c_str());
-  SurrogateConfig cfg;
-  cfg.unet.base_channels = 8;
-  cfg.unet.depth = 2;
-  auto s = std::make_shared<CmpSurrogate>(cfg, 5);
-  TrainingDataGenerator gen({ext}, sim, 17, 4);
-  TrainOptions opt;
-  opt.epochs = 8;
-  opt.dataset_size = 80;
-  opt.grid_rows = ext.rows;
-  opt.grid_cols = ext.cols;
-  train_surrogate(*s, gen, opt);
-  return s;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::string prefix = argc > 1 ? argv[1] : "data/unet_cmp";
@@ -61,24 +35,31 @@ int main(int argc, char** argv) {
               layout.name.c_str(), layout.width_um / 1000.0,
               layout.height_um / 1000.0, layout.num_layers(),
               layout.total_wire_count());
-  const WindowExtraction ext = extract_windows(layout);
+
+  // 2. Problem setup: windows, simulator, contest-style coefficients
+  // (Table II).
+  const FillProblem problem =
+      make_fill_problem(layout, ExtractOptions(), CmpProcessParams());
+  const WindowExtraction& ext = problem.extraction();
   std::printf("windows: %zu x %zu x %zu layers\n", ext.rows, ext.cols,
               ext.num_layers());
 
-  // 2. Problem setup: simulator + contest-style coefficients (Table II).
-  CmpSimulator simulator;
-  const ScoreCoefficients coeffs = make_coefficients(layout, ext, simulator);
-  FillProblem problem(ext, simulator, coeffs);
+  // 3. The pre-trained UNet behind the CMP neural network (Fig. 4).
+  SurrogateProvider provider;
+  Expected<std::shared_ptr<const CmpSurrogate>> surrogate =
+      provider.get(prefix, ext, problem.simulator());
+  if (!surrogate.ok()) {
+    std::fprintf(stderr, "error: %s\n", surrogate.error().to_string().c_str());
+    return 1;
+  }
 
-  // 3. The CMP neural network (Fig. 4).
-  auto surrogate = load_or_train(prefix, ext, simulator);
-  CmpNetwork network(surrogate, ext, coeffs);
-  calibrate_network(network, problem);  // anchor relaxed metrics (2 sims)
-
-  // 4. NeurFill (PKB).
+  // 4. NeurFill (PKB): run_fill builds the network, anchors it on two
+  // simulations (calibrate_network) and runs the PKB start + SQP.
   const QualityBreakdown before = problem.evaluate(problem.zero_fill());
-  NeurFillOptions opt;
-  const FillRunResult run = neurfill_pkb(problem, network, opt);
+  FillRequest request;
+  request.method = "pkb";
+  request.surrogate = *surrogate;
+  const FillRunResult run = run_fill(problem, request);
   const QualityBreakdown after = problem.evaluate(run.x);
   std::printf("\nquality before fill: %.4f  (sigma=%.0fA^2, dH via sim)\n",
               before.s_qual, before.planarity.sigma);

@@ -100,18 +100,6 @@ GridD ElasticContactSolver::deflection(const GridD& pressure) const {
   return green_.apply(pressure);
 }
 
-GridD ElasticContactSolver::solve(const GridD& height,
-                                  double nominal_pressure) const {
-  ContactDiag diag;
-  Expected<GridD> res = try_solve(height, nominal_pressure, &diag);
-  if (res.ok()) return std::move(*res);
-  // Legacy semantics: a non-converged run yields the final iterate (it
-  // passed the physicality postconditions); numeric poison escalates.
-  if (res.error().code == ErrorCode::kNonConverged)
-    return std::move(diag.final_pressure);
-  throw ErrorException(res.error());
-}
-
 [[nodiscard]] Expected<GridD> ElasticContactSolver::try_solve(const GridD& height,
                                                 double nominal_pressure,
                                                 ContactDiag* diag) const {
@@ -147,6 +135,11 @@ GridD ElasticContactSolver::solve(const GridD& height,
     return std::max(hi - lo, 1e-12);
   }();
 
+  // Accept threshold: relative to the height range, floored at the first
+  // deflection field's rounding (set on iteration 0) so a flat surface,
+  // whose range is zero, can still converge.
+  double accept = opt_.tolerance * href;
+
   last_iterations_ = 0;
   bool converged = false;
   double last_rms = std::numeric_limits<double>::quiet_NaN();
@@ -177,6 +170,12 @@ GridD ElasticContactSolver::solve(const GridD& height,
                       u[k], k, last_iterations_);
         return Error(ErrorCode::kNumericPoison, "cmp.contact", msg);
       }
+    }
+    if (it == 0) {
+      double umax = 0.0;
+      for (std::size_t k = 0; k < n; ++k) umax = std::max(umax, std::abs(u[k]));
+      accept = std::max(
+          accept, 64.0 * std::numeric_limits<double>::epsilon() * umax);
     }
     // Gap up to the unknown rigid approach delta: g_i = u_i - h_i.  On the
     // contact set g should be constant (= -delta); use its contact-set mean
@@ -229,7 +228,7 @@ GridD ElasticContactSolver::solve(const GridD& height,
     }
     // contact.stall suppresses the convergence accept (the && short-circuit
     // means the site is hit exactly when the solve would have converged).
-    if (last_rms < opt_.tolerance * href && !NF_FAULT("contact.stall")) {
+    if (last_rms < accept && !NF_FAULT("contact.stall")) {
       converged = true;
       break;
     }
@@ -325,7 +324,7 @@ GridD ElasticContactSolver::solve(const GridD& height,
   std::snprintf(msg, sizeof(msg),
                 "%s: residual rms %.3g (accept threshold %.3g) after %d "
                 "iterations",
-                stall, last_rms, opt_.tolerance * href, last_iterations_);
+                stall, last_rms, accept, last_iterations_);
   return Error(ErrorCode::kNonConverged, "cmp.contact", msg);
 }
 

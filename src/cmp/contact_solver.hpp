@@ -20,8 +20,7 @@ struct ContactDiag {
   /// (empty until the first completed iteration).
   double best_residual_rms = 0.0;
   GridD best_pressure;
-  /// Pressure field at exit (what the legacy solve() returned on a
-  /// non-converged run).
+  /// Pressure field at exit.
   GridD final_pressure;
 };
 
@@ -55,22 +54,20 @@ class ElasticContactSolver {
   ElasticContactSolver(std::size_t rows, std::size_t cols)
       : ElasticContactSolver(rows, cols, Options()) {}
 
-  /// Heights in the same length unit used by `effective_modulus`; returns
-  /// the pressure grid with mean equal to `nominal_pressure`.
+  /// Heights in the same length unit used by `effective_modulus`.  On
+  /// success returns the converged pressure field, with mean equal to
+  /// `nominal_pressure`.  On failure returns a structured error —
+  /// kNonConverged when the iteration budget ran out, kNumericPoison when a
+  /// non-finite deflection appeared — and, when `diag` is non-null, fills
+  /// it with the residual trail plus the best and final iterates so the
+  /// caller can degrade gracefully.  Fault sites: contact.stall (suppresses
+  /// convergence), contact.nan (poisons the deflection field).
   ///
-  /// Legacy strict interface: a non-converged solve returns the final
-  /// iterate (matching the original behavior); a NaN-poisoned solve throws
-  /// ErrorException(kNumericPoison).  Callers that want to retry or degrade
-  /// use try_solve.
-  GridD solve(const GridD& height, double nominal_pressure) const;
-
-  /// Recoverable interface.  On success returns the converged pressure
-  /// field.  On failure returns a structured error — kNonConverged when the
-  /// iteration budget ran out, kNumericPoison when a non-finite deflection
-  /// appeared — and, when `diag` is non-null, fills it with the residual
-  /// trail plus the best and final iterates so the caller can degrade
-  /// gracefully.  Fault sites: contact.stall (suppresses convergence),
-  /// contact.nan (poisons the deflection field).
+  /// A solve converges once the complementarity residual RMS falls under
+  /// max(tolerance * height range, 64 * eps * max|u| of the first
+  /// deflection): the second term is the rounding floor of the deflection
+  /// field, which a flat surface (zero height range) would otherwise have
+  /// to beat.
   [[nodiscard]] Expected<GridD> try_solve(const GridD& height, double nominal_pressure,
                             ContactDiag* diag = nullptr) const;
 

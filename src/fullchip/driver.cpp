@@ -8,7 +8,7 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
-#include "fill/baselines.hpp"
+#include "fill/pipeline.hpp"
 #include "fullchip/tile_store.hpp"
 #include "fullchip/tiling.hpp"
 #include "obs/metrics.hpp"
@@ -124,35 +124,27 @@ TileRecord solve_tile(const PassContext& ctx, const TileRegion& tile,
 
   const Layout local =
       load_tile_layout(ctx.index, tile, ctx.grid.window_um());
-  const WindowExtraction ext = extract_windows(local, opt.extract);
-  NF_CHECK(ext.rows == tile.halo_rows() && ext.cols == tile.halo_cols(),
-           "fullchip: tile extraction %zux%zu != halo %zux%zu", ext.rows,
-           ext.cols, tile.halo_rows(), tile.halo_cols());
-  CmpProcessParams params = opt.process;
-  params.window_um = opt.extract.window_um;
-  const CmpSimulator sim(params);
-  const ScoreCoefficients coeffs = make_coefficients(local, ext, sim);
-  FillProblem problem(ext, sim, coeffs);
+  FillProblem problem = make_fill_problem(local, opt.extract, opt.process);
+  NF_CHECK(problem.extraction().rows == tile.halo_rows() &&
+               problem.extraction().cols == tile.halo_cols(),
+           "fullchip: tile extraction %zux%zu != halo %zux%zu",
+           problem.extraction().rows, problem.extraction().cols,
+           tile.halo_rows(), tile.halo_cols());
   if (ctx.pass >= 1) pin_fringe(problem, tile, *ctx.committed_prev);
 
-  FillRunResult run;
-  if (opt.method == "lin") {
-    run = lin_rule_fill(problem);
-  } else {
-    CmpNetwork network(ctx.surrogate, ext, coeffs);
-    calibrate_network(network, problem);
-    NeurFillOptions nopt = opt.fill;
-    nopt.deadline = opt.deadline;
-    nopt.interrupt = opt.interrupt;
-    nopt.snapshot_path =
-        ctx.store.tile_snapshot_path(ctx.pass, tile.ti, tile.tj);
-    // A leftover snapshot means this exact tile solve was killed mid-way;
-    // a missing one is simply a fresh solve.  Either way the result is
-    // bitwise-identical to an uninterrupted solve (the PR-5 contract).
-    nopt.resume = true;
-    run = opt.method == "pkb" ? neurfill_pkb(problem, network, nopt)
-                              : neurfill_mm(problem, network, nopt);
-  }
+  FillRequest request;
+  request.method = opt.method;
+  request.neurfill = opt.fill;
+  request.neurfill.deadline = opt.deadline;
+  request.neurfill.interrupt = opt.interrupt;
+  request.neurfill.snapshot_path =
+      ctx.store.tile_snapshot_path(ctx.pass, tile.ti, tile.tj);
+  // A leftover snapshot means this exact tile solve was killed mid-way;
+  // a missing one is simply a fresh solve.  Either way the result is
+  // bitwise-identical to an uninterrupted solve (docs/robustness.md).
+  request.neurfill.resume = true;
+  request.surrogate = ctx.surrogate;
+  FillRunResult run = run_fill(problem, request);
   record.x = std::move(run.x);
   record.timed_out = run.timed_out;
   record.degraded = run.degraded;
@@ -231,11 +223,22 @@ double seam_metric(const TileGrid& grid,
 
 }  // namespace
 
+TileGrid tile_grid(const GlfRegionIndex& index,
+                   const FullChipOptions& options) {
+  const double w = options.extract.window_um;
+  const int halo =
+      options.halo_windows >= 0
+          ? options.halo_windows
+          : auto_halo_windows(options.process.char_length_um, w);
+  return TileGrid(static_cast<std::size_t>(std::ceil(index.height_um() / w)),
+                  static_cast<std::size_t>(std::ceil(index.width_um() / w)),
+                  options.tile_windows, halo, w);
+}
+
 FullChipResult fullchip_fill(const GlfRegionIndex& index,
                              const FullChipOptions& options) {
   obs::SpanTimer timer("fullchip.run");
-  if (options.method != "lin" && options.method != "pkb" &&
-      options.method != "mm")
+  if (options.method != "lin" && !is_model_based(options.method))
     throw ErrorException(driver_error(
         ErrorCode::kInvalidArgument,
         "method '" + options.method +
@@ -243,22 +246,14 @@ FullChipResult fullchip_fill(const GlfRegionIndex& index,
   if (options.store_dir.empty())
     throw ErrorException(driver_error(ErrorCode::kInvalidArgument,
                                       "store_dir is required"));
-  if ((options.method == "pkb" || options.method == "mm") &&
-      !options.surrogate_factory)
+  if (is_model_based(options.method) && !options.surrogate_factory)
     throw ErrorException(driver_error(
         ErrorCode::kInvalidArgument,
         "method '" + options.method + "' needs a surrogate_factory"));
 
-  const double window_um = options.extract.window_um;
-  const std::size_t rows =
-      static_cast<std::size_t>(std::ceil(index.height_um() / window_um));
-  const std::size_t cols =
-      static_cast<std::size_t>(std::ceil(index.width_um() / window_um));
-  const int halo = options.halo_windows >= 0
-                       ? options.halo_windows
-                       : auto_halo_windows(options.process.char_length_um,
-                                           window_um);
-  const TileGrid grid(rows, cols, options.tile_windows, halo, window_um);
+  const TileGrid grid = tile_grid(index, options);
+  const std::size_t rows = grid.chip_rows();
+  const std::size_t cols = grid.chip_cols();
   // lin assigns per-layer target densities from tile-local rules and cannot
   // honor pinned fringe variables, so refining it would not converge.
   const int max_passes =
@@ -271,8 +266,8 @@ FullChipResult fullchip_fill(const GlfRegionIndex& index,
   manifest.chip_cols = cols;
   manifest.num_layers = index.num_layers();
   manifest.tile_windows = options.tile_windows;
-  manifest.halo_windows = halo;
-  manifest.window_um = window_um;
+  manifest.halo_windows = grid.halo_windows();
+  manifest.window_um = grid.window_um();
   manifest.stitch_tol = options.stitch_tol;
   manifest.max_stitch_passes = max_passes;
   TileStore store(options.store_dir);
@@ -287,7 +282,7 @@ FullChipResult fullchip_fill(const GlfRegionIndex& index,
 
   PassContext ctx{index, grid, options, store, nullptr, nullptr, 0,
                   index.num_layers()};
-  if (options.method == "pkb" || options.method == "mm") {
+  if (is_model_based(options.method)) {
     ctx.surrogate = options.surrogate_factory();
     if (!ctx.surrogate)
       throw ErrorException(driver_error(ErrorCode::kInvalidArgument,

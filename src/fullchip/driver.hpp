@@ -3,8 +3,8 @@
 // Tiled out-of-core full-chip fill driver (docs/fullchip.md).
 //
 // fullchip_fill() decomposes the chip's window grid into halo tiles
-// (tiling.hpp), solves each tile with the existing per-window NeurFill
-// pipeline through the deterministic pool, persists every solved tile in
+// (tiling.hpp), solves each tile with the fill pipeline (fill/pipeline.hpp)
+// through the deterministic pool, persists every solved tile in
 // the spill-to-disk store (tile_store.hpp), and reconciles tile boundaries
 // with Jacobi-style stitch passes: after the free-halo initial pass, each
 // refinement pass re-solves every tile with its halo fringe *pinned* to the
@@ -63,7 +63,7 @@ struct FullChipOptions {
   /// Called once per pkb/mm fullchip_fill; the instance it returns serves
   /// every tile solve, concurrently (surrogate evaluation, gradients
   /// included, is tape-free and leaves the network untouched).  Typical
-  /// implementation: load_surrogate(prefix).
+  /// implementation: SurrogateProvider::get (surrogate/provider.hpp).
   std::function<std::shared_ptr<const CmpSurrogate>()> surrogate_factory;
   const std::atomic<bool>* interrupt = nullptr;
 };
@@ -83,6 +83,12 @@ struct FullChipResult {
   bool degraded = false;
   long evaluations = 0;
 };
+
+/// The tile decomposition fullchip_fill runs for `options` over `index`:
+/// the chip's window grid (ceil of the extents over the window edge), cut
+/// into `tile_windows` cores with the configured or derived halo.
+TileGrid tile_grid(const GlfRegionIndex& index,
+                   const FullChipOptions& options);
 
 /// Cuts one tile's geometry out of the indexed full-chip GLF: every record
 /// intersecting the halo region, *unclipped*, shifted so the halo's corner

@@ -21,8 +21,9 @@ fail() { echo "FAIL: $*" >&2; exit 1; }
 
 COMMON_ARGS=(--method mm --threads 2 --surrogate "$WORK/reduced")
 
-# Reference: one uninterrupted run.  (The first run also quick-trains the
-# reduced surrogate into $WORK, so every later run loads identical weights.)
+# Reference: one uninterrupted run.  (No artifact exists at $WORK/reduced and
+# nf_fill never saves one: every run quick-trains the same reduced surrogate
+# from the same windows and seeds, so all runs use identical weights.)
 "$NF_FILL" "$WORK/in.glf" "$WORK/ref.glf" "${COMMON_ARGS[@]}" \
   --snapshot "$WORK/ref.snap" >/dev/null 2>&1 \
   || fail "reference run failed"

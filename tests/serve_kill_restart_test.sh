@@ -2,16 +2,20 @@
 # Daemon crash-restart acceptance test (docs/serving.md): SIGKILL an
 # nf_serve daemon while a job is mid-solve, restart it on the same journal,
 # and require the recovered job to finish with an artifact byte-identical
-# to one produced by an uninterrupted daemon.  A final phase SIGTERMs a
-# daemon under load and requires a clean exit 0 with the accepted job left
-# durably journaled.
+# to one produced by an uninterrupted daemon.  The uninterrupted artifact
+# must also equal nf_fill's output for the same input, surrogate and
+# threads: the CLI and the daemon share one fill pipeline.  A final phase
+# SIGTERMs a daemon under load and requires a clean exit 0 with the
+# accepted job left durably journaled.
 #
-# Usage: serve_kill_restart_test.sh <nf_gen> <nf_serve> [workdir]
+# Usage: serve_kill_restart_test.sh <nf_gen> <nf_serve> <nf_fill> [workdir]
 set -u
 
-NF_GEN="${1:?usage: serve_kill_restart_test.sh <nf_gen> <nf_serve> [workdir]}"
-NF_SERVE="${2:?usage: serve_kill_restart_test.sh <nf_gen> <nf_serve> [workdir]}"
-WORK="${3:-$(mktemp -d)}"
+USAGE="usage: serve_kill_restart_test.sh <nf_gen> <nf_serve> <nf_fill> [workdir]"
+NF_GEN="${1:?$USAGE}"
+NF_SERVE="${2:?$USAGE}"
+NF_FILL="${3:?$USAGE}"
+WORK="${4:-$(mktemp -d)}"
 mkdir -p "$WORK"
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
@@ -51,8 +55,9 @@ wait_job() {  # $1=port $2=job_id
 }
 
 # A deterministic fixture; mm carries the most resumable state (NMMSO phase
-# plus multi-start SQP).  Both daemons quick-train the same reduced
-# surrogate from the same seeds, so their solves are bitwise comparable.
+# plus multi-start SQP).  Every daemon and the nf_fill run quick-train the
+# same reduced surrogate from the same seeds, so their solves are bitwise
+# comparable.
 "$NF_GEN" b "$WORK/in.glf" --windows 10 --seed 3 >/dev/null 2>&1 \
   || fail "nf_gen could not write the fixture layout"
 SERVE_ARGS=(--surrogate "$WORK/reduced" --threads 2)
@@ -73,6 +78,12 @@ req "$REF_PORT" '{"op":"drain"}' >/dev/null || fail "reference drain failed"
 wait "$REF_PID"
 [ $? -eq 0 ] || fail "reference daemon did not exit 0 after drain"
 [ -s "$WORK/ref.glf" ] || fail "reference artifact missing"
+
+# ---- CLI parity: nf_fill on the same input, surrogate and threads. ------
+"$NF_FILL" "$WORK/in.glf" "$WORK/cli.glf" --method mm "${SERVE_ARGS[@]}" \
+  >"$WORK/cli.log" 2>&1 || fail "nf_fill run failed (see $WORK/cli.log)"
+cmp -s "$WORK/ref.glf" "$WORK/cli.glf" \
+  || fail "nf_fill and the daemon filled the same mm job differently"
 
 # ---- Phase 2: SIGKILL the daemon mid-solve, restart, resume. ------------
 "$NF_SERVE" --journal "$WORK/kill.journal" --port-file "$WORK/kill.port" \
@@ -132,5 +143,5 @@ TERM_RC=$?
 [ -s "$WORK/term.journal/job_$TERM_JOB.nfcp" ] \
   || fail "accepted job's record is gone after the SIGTERM drain"
 
-echo "PASS: restart resumed to a byte-identical artifact; SIGTERM drained to exit 0"
+echo "PASS: nf_fill matched the daemon; restart resumed to a byte-identical artifact; SIGTERM drained to exit 0"
 exit 0

@@ -1,8 +1,9 @@
 // Tiled out-of-core full-chip driver tests (docs/fullchip.md): tile/halo
 // geometry, the streaming GLF index against brute force, stitcher
-// invariants (single-tile exactness, monolithic proximity, bitwise
-// determinism across thread counts), and store-based resume identity
-// (including a corrupt-record re-solve through the fault site).
+// invariants (single-tile exactness against the whole-die fill pipeline,
+// monolithic proximity, bitwise determinism across thread counts), and
+// store-based resume identity (including a corrupt-record re-solve through
+// the fault site).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -15,6 +16,7 @@
 
 #include "common/fault.hpp"
 #include "fill/baselines.hpp"
+#include "fill/pipeline.hpp"
 #include "fullchip/driver.hpp"
 #include "fullchip/tile_store.hpp"
 #include "fullchip/tiling.hpp"
@@ -265,24 +267,44 @@ class FullChipDriver : public ::testing::Test {
 };
 
 TEST_F(FullChipDriver, SingleTileEqualsMonolithicExactly) {
-  // One tile covering the whole chip is the monolithic problem verbatim.
-  FullChipOptions opt = options("fc_single");
-  opt.tile_windows = 64;
-  const FullChipResult tiled = fullchip_fill(index_, opt);
-  EXPECT_EQ(tiled.tiles_total, 1u);
+  // One tile covering the whole chip is the monolithic problem verbatim:
+  // the tile solve and a whole-die run_fill go through the same pipeline,
+  // for the rule method and both model-based ones, at any thread count.
+  SurrogateConfig cfg;
+  cfg.unet.base_channels = 4;
+  cfg.unet.depth = 1;
+  const auto surrogate = std::make_shared<const CmpSurrogate>(cfg, 3);
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    for (const std::string method : {"lin", "pkb", "mm"}) {
+      SCOPED_TRACE(method + " at " + std::to_string(threads) + " threads");
+      FullChipOptions opt =
+          options("fc_single_" + method + std::to_string(threads));
+      opt.method = method;
+      opt.tile_windows = 64;
+      opt.fill.sqp.max_iterations = 3;
+      opt.fill.pkb_steps = 3;
+      opt.fill.nmmso.max_evaluations = 30;
+      opt.fill.mm_starts = 2;
+      opt.surrogate_factory = [&surrogate] { return surrogate; };
+      const FullChipResult tiled = fullchip_fill(index_, opt);
+      EXPECT_EQ(tiled.tiles_total, 1u);
 
-  const WindowExtraction ext = extract_windows(layout_, opt.extract);
-  CmpProcessParams params = opt.process;
-  params.window_um = opt.extract.window_um;
-  const CmpSimulator sim(params);
-  const FillProblem problem(ext, sim,
-                            make_coefficients(layout_, ext, sim));
-  const FillRunResult mono = lin_rule_fill(problem);
+      FillRequest request;
+      request.method = method;
+      request.neurfill = opt.fill;
+      request.surrogate = surrogate;
+      const FillRunResult mono = run_fill(
+          make_fill_problem(layout_, opt.extract, opt.process), request);
 
-  ASSERT_EQ(tiled.x.size(), mono.x.size());
-  for (std::size_t l = 0; l < mono.x.size(); ++l)
-    for (std::size_t k = 0; k < mono.x[l].size(); ++k)
-      ASSERT_EQ(tiled.x[l][k], mono.x[l][k]);
+      EXPECT_EQ(tiled.evaluations, mono.objective_evaluations);
+      ASSERT_EQ(tiled.x.size(), mono.x.size());
+      for (std::size_t l = 0; l < mono.x.size(); ++l)
+        for (std::size_t k = 0; k < mono.x[l].size(); ++k)
+          ASSERT_EQ(tiled.x[l][k], mono.x[l][k]) << "layer " << l
+                                                 << " window " << k;
+    }
+  }
 }
 
 TEST_F(FullChipDriver, TiledStaysNearMonolithic) {

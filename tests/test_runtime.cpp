@@ -229,9 +229,13 @@ TEST(Determinism, ContactSolverBitwiseIdentical) {
   for (auto& h : height) h = rng.uniform(0.0, 50.0);
   ElasticContactSolver::Options opt;
   opt.max_iterations = 60;
+  // 60 iterations do not converge on this surface: compare the iterate
+  // the budget ends on.
   const auto run = [&] {
     ElasticContactSolver solver(R, C, opt);
-    return solver.solve(height, /*nominal_pressure=*/1.5);
+    ContactDiag diag;
+    (void)solver.try_solve(height, /*nominal_pressure=*/1.5, &diag);
+    return diag.final_pressure;
   };
   const auto results = at_thread_counts({1, 2, 8}, run);
   ASSERT_EQ(results[0].size(), results[1].size());

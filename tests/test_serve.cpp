@@ -649,6 +649,7 @@ TEST(ServeRunner, LinJobProducesArtifact) {
   ASSERT_TRUE(out.ok()) << out.error().to_string();
   EXPECT_GT(out->dummies, 0u);
   EXPECT_FALSE(read_file(dir + "/out.glf").empty());
+  EXPECT_EQ(runner.surrogate_cache_size(), 0u);  // lin never asks for one
 }
 
 TEST(ServeRunner, UnknownMethodAndMissingDesignAreStructuredErrors) {
@@ -696,9 +697,6 @@ TEST(ServeRunner, CorruptSnapshotIsQuarantinedAndSurrogateCacheHits) {
   RunnerOptions opts;
   opts.default_surrogate = dir + "/missing_prefix";
   opts.sqp_max_iterations = 2;
-  opts.pkb_steps = 2;
-  opts.quicktrain_epochs = 1;
-  opts.quicktrain_dataset = 4;
   JobRunner runner(opts);
   JobRecord rec;
   rec.id = "j000001";

@@ -1,5 +1,9 @@
 // Tests for the surrogate package: feature extraction layer, CMP network
-// forward/backward, training-data generation, trainer and checkpointing.
+// forward/backward, training-data generation, trainer, checkpointing and
+// the surrogate provider's cache and error contract.
+
+#include <fcntl.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cmath>
@@ -16,6 +20,8 @@
 #include "surrogate/datagen.hpp"
 #include "surrogate/eval.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
+#include "surrogate/provider.hpp"
 #include "surrogate/trainer.hpp"
 
 namespace neurfill {
@@ -334,6 +340,82 @@ TEST(SurrogateIo, SaveLoadRoundTrip) {
   EXPECT_EQ(n1.evaluate(x, false).s_plan, n2.evaluate(x, false).s_plan);
   std::remove((prefix + ".meta").c_str());
   std::remove((prefix + ".weights").c_str());
+}
+
+std::string provider_prefix(const std::string& name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
+void remove_artifact(const std::string& prefix) {
+  std::remove((prefix + ".meta").c_str());
+  std::remove((prefix + ".weights").c_str());
+}
+
+TEST(SurrogateProvider, SameSecondRewriteMissesOnTheContentHash) {
+  const std::string prefix = provider_prefix("nf_provider_rewrite");
+  const WindowExtraction ext = extract_windows(make_design_a(800.0, 2, 1));
+  const CmpSimulator sim(fast_params());
+  ASSERT_TRUE(save_surrogate(CmpSurrogate(tiny_config(), 1), prefix).ok());
+  SurrogateProvider provider;
+  const auto first = provider.get(prefix, ext, sim);
+  ASSERT_TRUE(first.ok()) << first.error().to_string();
+  const auto again = provider.get(prefix, ext, sim);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->get(), first->get());  // cache hit: the same instance
+
+  // Same architecture, other weights: the same size.  Pinning the mtime to
+  // the first file's makes the rewrite look like one within the same
+  // second, so only the content hash can tell the two apart.
+  const std::string weights = prefix + ".weights";
+  struct stat before{};
+  ASSERT_EQ(::stat(weights.c_str(), &before), 0);
+  const CmpSurrogate other(tiny_config(), 2);
+  ASSERT_TRUE(save_surrogate(other, prefix).ok());
+  const struct timespec times[2] = {before.st_atim, before.st_mtim};
+  ASSERT_EQ(::utimensat(AT_FDCWD, weights.c_str(), times, 0), 0);
+  struct stat after{};
+  ASSERT_EQ(::stat(weights.c_str(), &after), 0);
+  ASSERT_EQ(after.st_size, before.st_size);
+  ASSERT_EQ(after.st_mtime, before.st_mtime);
+
+  const auto rewritten = provider.get(prefix, ext, sim);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.error().to_string();
+  EXPECT_NE(rewritten->get(), first->get());
+  EXPECT_EQ(provider.cache_size(), 1u);
+  const nn::Tensor want = other.unet().named_parameters()[0].second;
+  const nn::Tensor got = (*rewritten)->unet().named_parameters()[0].second;
+  ASSERT_EQ(got.numel(), want.numel());
+  EXPECT_TRUE(std::equal(got.data(), got.data() + got.numel(), want.data()));
+  remove_artifact(prefix);
+}
+
+TEST(SurrogateProvider, CorruptWeightsAreAnErrorNotAQuickTrain) {
+  const std::string prefix = provider_prefix("nf_provider_corrupt");
+  const WindowExtraction ext = extract_windows(make_design_a(800.0, 2, 1));
+  const CmpSimulator sim(fast_params());
+  ASSERT_TRUE(save_surrogate(CmpSurrogate(tiny_config(), 1), prefix).ok());
+  {
+    std::fstream f(prefix + ".weights",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(0, std::ios::end);
+    const std::streamoff middle = f.tellg() / 2;
+    f.seekg(middle);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x5a);
+    f.seekp(middle);
+    f.write(&byte, 1);
+  }
+  obs::set_metrics_enabled(true);
+  const std::int64_t trained = obs::counter("train.samples").value();
+  SurrogateProvider provider;
+  const auto got = provider.get(prefix, ext, sim);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.error().code, ErrorCode::kCorrupt);
+  EXPECT_EQ(provider.cache_size(), 0u);
+  EXPECT_EQ(obs::counter("train.samples").value(), trained);
+  obs::set_metrics_enabled(false);
+  remove_artifact(prefix);
 }
 
 TEST(SurrogateEval, ReportFieldsConsistent) {

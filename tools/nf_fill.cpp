@@ -2,7 +2,8 @@
 //
 // Run `nf_fill --help` for the full flag list.  pkb/mm need a pre-trained
 // surrogate (see examples/train_surrogate); with none available a reduced
-// surrogate is trained on the fly.
+// surrogate is trained on the fly (surrogate/provider.hpp), while a corrupt
+// one is an error.
 //
 // Robustness (docs/robustness.md): `--deadline-s` bounds the wall clock and
 // returns the best feasible fill with a [timed-out] report flag;
@@ -13,22 +14,22 @@
 // trace), 2 usage error.
 
 #include <atomic>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
-#include "fill/neurfill.hpp"
+#include "fill/pipeline.hpp"
 #include "fill/report.hpp"
 #include "fullchip/driver.hpp"
 #include "geom/glf_io.hpp"
 #include "layout/fill_insertion.hpp"
 #include "runtime/parallel.hpp"
-#include "surrogate/trainer.hpp"
+#include "surrogate/provider.hpp"
 
 using namespace neurfill;
 
@@ -41,30 +42,21 @@ void handle_signal(int sig) {
   g_interrupt.store(true);
 }
 
-std::shared_ptr<CmpSurrogate> obtain_surrogate(const std::string& prefix,
-                                               const WindowExtraction& ext,
-                                               const CmpSimulator& sim) {
-  Expected<std::shared_ptr<CmpSurrogate>> loaded = load_surrogate(prefix);
-  if (loaded.ok()) return std::move(*loaded);
-  // A *missing* artifact has the documented quick-train fallback; a present
-  // but corrupt/unreadable one is a hard input error (exit 1, no trace).
-  if (loaded.error().code != ErrorCode::kNotFound)
-    throw ErrorException(loaded.error());
-  std::fprintf(stderr,
-               "nf_fill: no surrogate at '%s'; training a reduced one\n",
-               prefix.c_str());
-  SurrogateConfig cfg;
-  cfg.unet.base_channels = 8;
-  cfg.unet.depth = 2;
-  auto s = std::make_shared<CmpSurrogate>(cfg, 5);
-  TrainingDataGenerator gen({ext}, sim, 17, 4);
-  TrainOptions opt;
-  opt.epochs = 6;
-  opt.dataset_size = 60;
-  opt.grid_rows = ext.rows;
-  opt.grid_cols = ext.cols;
-  train_surrogate(*s, gen, opt);
-  return s;
+/// The surrogate for a pkb/mm solve on `ext`: the artifact at `prefix`, or
+/// the provider's quick-trained fallback when none exists there.  Any other
+/// load failure is a hard input error (exit 1, no trace).
+std::shared_ptr<const CmpSurrogate> obtain_surrogate(
+    const std::string& prefix, const WindowExtraction& ext,
+    const CmpSimulator& sim) {
+  SurrogateProvider provider;
+  Expected<std::shared_ptr<const CmpSurrogate>> surrogate =
+      provider.get(prefix, ext, sim);
+  if (!surrogate.ok()) throw ErrorException(surrogate.error());
+  return std::move(*surrogate);
+}
+
+Deadline deadline_after(double seconds) {
+  return seconds > 0.0 ? Deadline::after_seconds(seconds) : Deadline();
 }
 
 struct RunFlags {
@@ -76,54 +68,26 @@ struct RunFlags {
   bool resume = false;
 };
 
-struct TiledFlags {
-  bool tiled = false;
-  int tile_windows = 16;
-  int halo_windows = -1;  ///< negative = derive from planarization length
-  double stitch_tol = 0.02;
-  int stitch_passes = 2;
-  std::string store_dir;  ///< empty = out.glf + ".tiles"
-};
-
 int run(const std::string& in_path, const std::string& out_path,
         const std::string& method, const std::string& surrogate_prefix,
         const ExtractOptions& eopt, const RunFlags& flags) {
   Layout layout = read_glf_file(in_path);
-  const WindowExtraction ext = extract_windows(layout, eopt);
-  CmpProcessParams params;
-  params.window_um = eopt.window_um;
-  CmpSimulator sim(params);
-  const ScoreCoefficients coeffs = make_coefficients(layout, ext, sim);
-  FillProblem problem(ext, sim, coeffs);
+  const FillProblem problem =
+      make_fill_problem(layout, eopt, CmpProcessParams());
+  const WindowExtraction& ext = problem.extraction();
 
-  const Deadline deadline = flags.deadline_s > 0.0
-                                ? Deadline::after_seconds(flags.deadline_s)
-                                : Deadline();
-
-  FillRunResult result;
-  if (method == "lin") {
-    result = lin_rule_fill(problem);
-  } else if (method == "tao") {
-    TaoOptions topt;
-    topt.sqp.deadline = deadline;
-    result = tao_rule_sqp(problem, topt);
-  } else if (method == "cai") {
-    CaiOptions copt;
-    copt.sqp.deadline = deadline;
-    result = cai_model_fill(problem, copt);
-  } else {  // pkb or mm: the parser only admits the five known methods
-    auto surrogate = obtain_surrogate(surrogate_prefix, ext, sim);
-    CmpNetwork network(surrogate, ext, coeffs);
-    calibrate_network(network, problem);
-    NeurFillOptions nopt;
-    nopt.deadline = deadline;
-    nopt.snapshot_path = flags.snapshot_path;
-    nopt.snapshot_every = flags.snapshot_every;
-    nopt.resume = flags.resume;
-    nopt.interrupt = &g_interrupt;
-    result = method == "pkb" ? neurfill_pkb(problem, network, nopt)
-                             : neurfill_mm(problem, network, nopt);
+  FillRequest request;
+  request.method = method;
+  request.neurfill.deadline = deadline_after(flags.deadline_s);
+  if (is_model_based(method)) {
+    request.surrogate =
+        obtain_surrogate(surrogate_prefix, ext, problem.simulator());
+    request.neurfill.snapshot_path = flags.snapshot_path;
+    request.neurfill.snapshot_every = flags.snapshot_every;
+    request.neurfill.resume = flags.resume;
+    request.neurfill.interrupt = &g_interrupt;
   }
+  const FillRunResult result = run_fill(problem, request);
 
   const Layout original = layout;  // scoring must see the pre-fill design
   std::size_t dummies = 0;
@@ -151,73 +115,42 @@ int run(const std::string& in_path, const std::string& out_path,
   return 0;
 }
 
-/// The surrogate every tile solve shares: the given prefix when it exists,
-/// else a reduced surrogate quick-trained on tile (0,0)'s halo region.
-std::shared_ptr<const CmpSurrogate> prepare_tiled_surrogate(
-    const std::string& prefix, const fullchip::FullChipOptions& fopt,
-    const GlfRegionIndex& index) {
-  Expected<std::shared_ptr<CmpSurrogate>> loaded = load_surrogate(prefix);
-  if (loaded.ok()) return std::move(*loaded);
-  if (loaded.error().code != ErrorCode::kNotFound)
-    throw ErrorException(loaded.error());
-
-  const double w = fopt.extract.window_um;
-  const std::size_t rows =
-      static_cast<std::size_t>(std::ceil(index.height_um() / w));
-  const std::size_t cols =
-      static_cast<std::size_t>(std::ceil(index.width_um() / w));
-  const int halo =
-      fopt.halo_windows >= 0
-          ? fopt.halo_windows
-          : fullchip::auto_halo_windows(fopt.process.char_length_um, w);
-  const fullchip::TileGrid grid(rows, cols, fopt.tile_windows, halo, w);
-  const Layout local =
-      fullchip::load_tile_layout(index, grid.tile(0, 0), w);
-  const WindowExtraction ext = extract_windows(local, fopt.extract);
-  CmpProcessParams params = fopt.process;
-  params.window_um = w;
-  const CmpSimulator sim(params);
-  return obtain_surrogate(prefix, ext, sim);
-}
-
 int run_tiled(const std::string& in_path, const std::string& out_path,
-              const std::string& method, const std::string& surrogate_prefix,
-              const ExtractOptions& eopt, const RunFlags& flags,
-              const TiledFlags& tiled) {
+              const std::string& surrogate_prefix, const RunFlags& flags,
+              fullchip::FullChipOptions fopt) {
   // Index, never parse: the full chip is only ever touched one tile region
   // at a time.  Buckets of a few windows keep region queries sharp without
   // inflating the index.
-  const GlfRegionIndex index =
-      GlfRegionIndex::build(in_path, 4.0 * eopt.window_um);
+  const double w = fopt.extract.window_um;
+  const GlfRegionIndex index = GlfRegionIndex::build(in_path, 4.0 * w);
 
-  fullchip::FullChipOptions fopt;
-  fopt.method = method;
-  fopt.extract = eopt;
-  fopt.tile_windows = tiled.tile_windows;
-  fopt.halo_windows = tiled.halo_windows;
-  fopt.stitch_tol = tiled.stitch_tol;
-  fopt.max_stitch_passes = tiled.stitch_passes;
-  fopt.store_dir =
-      tiled.store_dir.empty() ? out_path + ".tiles" : tiled.store_dir;
+  if (fopt.store_dir.empty()) fopt.store_dir = out_path + ".tiles";
   fopt.resume = flags.resume;
-  fopt.deadline = flags.deadline_s > 0.0
-                      ? Deadline::after_seconds(flags.deadline_s)
-                      : Deadline();
+  fopt.deadline = deadline_after(flags.deadline_s);
   fopt.interrupt = &g_interrupt;
-  if (method == "pkb" || method == "mm") {
-    fopt.surrogate_factory = [&surrogate_prefix, &fopt, &index] {
-      return prepare_tiled_surrogate(surrogate_prefix, fopt, index);
+  if (is_model_based(fopt.method)) {
+    // Every tile solve shares one surrogate; a missing artifact is
+    // quick-trained on tile (0,0)'s halo region.
+    fopt.surrogate_factory = [&surrogate_prefix, &fopt, &index, w] {
+      const fullchip::TileGrid grid = fullchip::tile_grid(index, fopt);
+      const Layout local =
+          fullchip::load_tile_layout(index, grid.tile(0, 0), w);
+      CmpProcessParams params = fopt.process;
+      params.window_um = w;
+      return obtain_surrogate(surrogate_prefix,
+                              extract_windows(local, fopt.extract),
+                              CmpSimulator(params));
     };
   }
 
   const fullchip::FullChipResult result = fullchip::fullchip_fill(index, fopt);
-  const std::size_t dummies = fullchip::write_fullchip_result(
-      index, out_path, result, eopt.window_um);
+  const std::size_t dummies =
+      fullchip::write_fullchip_result(index, out_path, result, w);
   std::fprintf(stderr,
                "%s-tiled: %zu tiles (%zu solved, %zu loaded), %d stitch "
                "pass(es), seam %.4f; inserted %zu dummies in %.1fs "
                "(%ld evaluations)%s%s\n",
-               method.c_str(), result.tiles_total, result.tiles_solved,
+               fopt.method.c_str(), result.tiles_total, result.tiles_solved,
                result.tiles_loaded, result.stitch_passes + 1,
                result.final_seam, dummies, result.runtime_s,
                result.evaluations, result.timed_out ? " [timed-out]" : "",
@@ -233,22 +166,31 @@ int main(int argc, char** argv) {
   std::string method = "pkb";
   std::string surrogate_prefix = "data/unet_cmp";
   RunFlags flags;
-  TiledFlags tiled;
   ExtractOptions eopt;
-  double window_um = eopt.window_um;
+  bool tiled = false;
+  fullchip::FullChipOptions fopt;  ///< --tiled settings, parsed in place
   CommonToolOptions common;
+  const auto shown = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", v);
+    return std::string(buf);
+  };
 
   ArgParser parser("nf_fill", "Model-based dummy filling of a GLF layout.");
   parser.add_positional("layout.glf", "input GLF layout", &in_path);
   parser.add_positional("out.glf", "output layout with dummies inserted",
                         &out_path);
-  parser.add_choice("--method", {"lin", "tao", "cai", "pkb", "mm"},
+  parser.add_choice("--method",
+                    std::vector<std::string>(kFillMethods.begin(),
+                                             kFillMethods.end()),
                     "filling method (default pkb)", &method);
   parser.add_string("--surrogate", "PREFIX",
                     "surrogate weight prefix (default data/unet_cmp)",
                     &surrogate_prefix);
-  parser.add_double("--window", "UM", "window edge in um (default 100)",
-                    &window_um);
+  parser.add_double("--window", "UM",
+                    "window edge in um (default " + shown(eopt.window_um) +
+                        ")",
+                    &eopt.window_um);
   parser.add_flag("--report", "print the Table-III score row for the result",
                   &flags.report);
   parser.add_flag("--drc", "insert dummies with design-rule checking",
@@ -271,27 +213,28 @@ int main(int argc, char** argv) {
   parser.add_flag("--tiled",
                   "out-of-core full-chip mode: solve halo tiles through the "
                   "pool and stitch them (docs/fullchip.md)",
-                  &tiled.tiled);
+                  &tiled);
   parser.add_int("--tile-windows", "N",
-                 "tile core edge in windows (default 16)",
-                 &tiled.tile_windows);
+                 "tile core edge in windows (default " +
+                     std::to_string(fopt.tile_windows) + ")",
+                 &fopt.tile_windows);
   parser.add_int("--halo-windows", "H",
                  "halo ring width in windows (default: derived from the "
                  "planarization length)",
-                 &tiled.halo_windows);
+                 &fopt.halo_windows);
   parser.add_double("--stitch-tol", "T",
                     "stop stitching when the worst cross-tile seam falls "
-                    "under T (default 0.02)",
-                    &tiled.stitch_tol);
+                    "under T (default " + shown(fopt.stitch_tol) + ")",
+                    &fopt.stitch_tol);
   parser.add_int("--stitch-passes", "N",
                  "max refinement passes after the initial tile pass "
-                 "(default 2)",
-                 &tiled.stitch_passes);
+                 "(default " + std::to_string(fopt.max_stitch_passes) + ")",
+                 &fopt.max_stitch_passes);
   parser.add_string("--tile-store", "DIR",
                     "spill directory for solved tiles (default: "
                     "out.glf + \".tiles\"); with --resume, completed tiles "
                     "are loaded instead of re-solved",
-                    &tiled.store_dir);
+                    &fopt.store_dir);
   add_common_options(parser, &common);
   switch (parser.parse(argc, argv, std::cout, std::cerr)) {
     case ArgParser::Result::kHelp:
@@ -302,8 +245,8 @@ int main(int argc, char** argv) {
       break;
   }
   if (!apply_common_options(common, std::cerr)) return 2;
-  if (tiled.tiled) {
-    if (method != "lin" && method != "pkb" && method != "mm") {
+  if (tiled) {
+    if (method != "lin" && !is_model_based(method)) {
       std::fprintf(stderr,
                    "nf_fill: --tiled supports lin, pkb, mm (method '%s' "
                    "needs the monolithic path)\n",
@@ -316,8 +259,8 @@ int main(int argc, char** argv) {
                    "--snapshot (tile snapshots live in the tile store)\n");
       return 2;
     }
-    if (tiled.tile_windows < 1 || tiled.stitch_passes < 0 ||
-        !(tiled.stitch_tol > 0.0)) {
+    if (fopt.tile_windows < 1 || fopt.max_stitch_passes < 0 ||
+        !(fopt.stitch_tol > 0.0)) {
       std::fprintf(stderr,
                    "nf_fill: --tile-windows must be >= 1, --stitch-passes "
                    ">= 0, --stitch-tol > 0\n");
@@ -331,10 +274,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "nf_fill: --snapshot-every must be >= 1\n");
     return 2;
   }
-  if (!flags.snapshot_path.empty() && method != "pkb" && method != "mm")
+  if (!flags.snapshot_path.empty() && !is_model_based(method))
     std::fprintf(stderr,
                  "nf_fill: note: --snapshot/--resume only apply to pkb/mm\n");
-  eopt.window_um = window_um;
+  fopt.method = method;
+  fopt.extract = eopt;
   // SIGTERM and SIGINT share one checkpoint-consistent handler: the solve
   // writes a final snapshot and the tool exits 128+signal (130 for SIGINT,
   // 143 for SIGTERM — docs/robustness.md).
@@ -345,10 +289,8 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   try {
-    rc = tiled.tiled ? run_tiled(in_path, out_path, method, surrogate_prefix,
-                                 eopt, flags, tiled)
-                     : run(in_path, out_path, method, surrogate_prefix, eopt,
-                           flags);
+    rc = tiled ? run_tiled(in_path, out_path, surrogate_prefix, flags, fopt)
+               : run(in_path, out_path, method, surrogate_prefix, eopt, flags);
   } catch (const ErrorException& e) {
     if (e.err.code == ErrorCode::kInterrupted) {
       std::fprintf(stderr, "nf_fill: %s\n", e.err.message.c_str());
