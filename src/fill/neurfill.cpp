@@ -328,16 +328,12 @@ FillRunResult neurfill_mm(const FillProblem& problem, const CmpNetwork& network,
     evals = resumed.evaluations;
   } else {
     // Multi-modal exploration maximizes the quality score (value only).
-    // The explore objective carries no shared mutable state (its
-    // evaluations are tallied from the optimizer afterwards), so NMMSO may
-    // run its per-swarm evaluation batches on the thread pool.
     const ObjectiveFn net_obj =
         make_network_objective(problem, network, nullptr);
     const ObjectiveFn explore = [&net_obj](const VecD& v, VecD*) -> double {
       return -net_obj(v, nullptr);  // NMMSO maximizes
     };
     NmmsoOptions nmmso_opt = options.nmmso;
-    nmmso_opt.parallel_evaluations = true;
     nmmso_opt.deadline = options.deadline;
     nmmso_opt.interrupt = options.interrupt;
     Nmmso nmmso(explore, problem.bounds(), nmmso_opt);

@@ -208,715 +208,293 @@ void pack_conv_sliver_batched(const float* x, int C, int H, int W, int kh,
 // exactly the order the packed GEMM uses — ascending k = (c, ki, kj), a
 // fresh partial sum per kGemmKc-slab, partials combined in ascending slab
 // order, with the padding zeros participating in the chain just as a
-// materialized im2col would have them.  The vector and scalar bodies below
-// use the same expression shape as the GEMM micro-kernel (`acc += w * x`),
-// so the compiler makes the same contraction choice in both TUs (both
-// compile under NEURFILL_KERNEL_FLAGS) and fused-vs-unfused stays bitwise
-// equal (asserted by tests/test_inference.cpp).
+// materialized im2col would have them.  The tile body below uses the same
+// expression shape as the GEMM micro-kernel (`acc += w * x`), so the
+// compiler makes the same contraction choice in both TUs (both compile
+// under NEURFILL_KERNEL_FLAGS) and fused-vs-unfused stays bitwise equal
+// (asserted by tests/test_inference.cpp).
 // ---------------------------------------------------------------------------
 
-#if defined(__GNUC__) || defined(__clang__)
-#define NEURFILL_CONV_VECTOR_EXT 1
 /// Output vectors of the direct kernel.  Lane count is semantically
 /// irrelevant — every output element owns an independent per-lane chain —
-/// so the row driver picks the widest block that fits the output row:
-/// 16-lane blocks halve the broadcast-load pressure per FLOP on AVX-512
-/// hosts (where they map to single zmm registers), 8-lane blocks fit the
-/// 16-register AVX2 file and the 8-wide bottleneck rows.
+/// so the job driver picks the widest tile that fits the output row:
+/// 16-lane tiles halve the broadcast-load pressure per FLOP on AVX-512
+/// hosts (where they map to single zmm registers), 8-lane tiles fit the
+/// 16-register AVX2 file and the 8-wide bottleneck rows.  Half and quarter
+/// vectors only ever load rows that share a 16-lane vector.
 typedef float VOut4 __attribute__((vector_size(4 * sizeof(float))));
 typedef float VOut8 __attribute__((vector_size(8 * sizeof(float))));
 typedef float VOut16 __attribute__((vector_size(16 * sizeof(float))));
-#endif
 
-/// Output channels per register block: every UNet stage width (8/16/32/64)
-/// is a multiple, so the remainder path only ever sees the 1-channel head.
+/// Output channels per register tile: every UNet stage width (8/16/32/64)
+/// is a multiple, so the one-channel remainder tiles only ever see the
+/// 1-channel head.
 constexpr int kConvOr = 8;
 
-/// One output element through the GEMM-ordered chain: ascending-k partial
-/// sums flushed at kGemmKc boundaries, flushes combined in slab order.
-float conv_direct_one(const float* const* prows, const float* wo, int C,
-                      int kh, int kw, int j) {
-  float total = 0.0f, acc = 0.0f;
-  bool flushed = false;
-  int boundary = kGemmKc;
-  int k = 0;
-  for (int c = 0; c < C; ++c)
-    for (int ki = 0; ki < kh; ++ki) {
-      const float* row = prows[c * kh + ki] + j;
-      for (int kj = 0; kj < kw; ++kj, ++k) {
-        if (k == boundary) {
-          total = flushed ? total + acc : acc;
-          flushed = true;
-          acc = 0.0f;
-          boundary += kGemmKc;
-        }
-        acc += wo[k] * row[kj];
-      }
-    }
-  return flushed ? total + acc : acc;
-}
-
-#if NEURFILL_CONV_VECTOR_EXT
-/// kConvOr channels x lanes-of-V output columns in registers: one input
-/// vector load feeds kConvOr independent accumulation chains, giving the
-/// ILP the single-chain scalar loop lacks, with the input rows shared
-/// across channels straight from L1.
-///
-/// All block kernels below take the filters either raw ([o][k] rows, WP =
-/// false) or as the conv_weight_pack transposed panel ([k][o] blocks, WP =
-/// true, `wgt` pointing at this kConvOr-channel block); the loaded values
-/// and the FMA order are identical either way, so the two instantiations
-/// are bitwise-equal and only differ in weight cache behavior.
-template <typename V, bool WP = false>
-void conv_direct_block(const float* const* prows, const float* wgt, int K,
-                       int C, int kh, int kw, int j, std::int64_t cols,
-                       float* out) {
-  V total[kConvOr] = {}, acc[kConvOr] = {};
-  bool flushed = false;
-  int boundary = kGemmKc;
-  int k = 0;
-  for (int c = 0; c < C; ++c)
-    for (int ki = 0; ki < kh; ++ki) {
-      const float* row = prows[c * kh + ki] + j;
-      for (int kj = 0; kj < kw; ++kj, ++k) {
-        if (k == boundary) {
-          for (int i = 0; i < kConvOr; ++i) {
-            total[i] = flushed ? total[i] + acc[i] : acc[i];
-            acc[i] = V{};
-          }
-          flushed = true;
-          boundary += kGemmKc;
-        }
-        V xv;
-        __builtin_memcpy(&xv, row + kj, sizeof xv);
-        const float* wk =
-            WP ? wgt + static_cast<std::size_t>(k) * kConvOr : wgt + k;
-        for (int i = 0; i < kConvOr; ++i)
-          acc[i] += (WP ? wk[i] : wk[static_cast<std::size_t>(i) * K]) * xv;
-      }
-    }
-  for (int i = 0; i < kConvOr; ++i) {
-    const V v = flushed ? total[i] + acc[i] : acc[i];
-    __builtin_memcpy(out + static_cast<std::int64_t>(i) * cols, &v, sizeof v);
-  }
-}
-
-/// Two lanes-of-V column blocks sharing each weight broadcast: per k the
-/// kernel issues one broadcast and two input loads for 2*kConvOr FMAs,
-/// easing the load-port pressure that bounds the single-block variant on
-/// wide output rows.  Per-element chains are untouched.
-template <typename V, bool WP = false>
-void conv_direct_block2(const float* const* prows, const float* wgt, int K,
-                        int C, int kh, int kw, int j, std::int64_t cols,
-                        float* out) {
-  constexpr int lanes = static_cast<int>(sizeof(V) / sizeof(float));
-  V total0[kConvOr] = {}, acc0[kConvOr] = {};
-  V total1[kConvOr] = {}, acc1[kConvOr] = {};
-  bool flushed = false;
-  int boundary = kGemmKc;
-  int k = 0;
-  for (int c = 0; c < C; ++c)
-    for (int ki = 0; ki < kh; ++ki) {
-      const float* row = prows[c * kh + ki] + j;
-      for (int kj = 0; kj < kw; ++kj, ++k) {
-        if (k == boundary) {
-          for (int i = 0; i < kConvOr; ++i) {
-            total0[i] = flushed ? total0[i] + acc0[i] : acc0[i];
-            total1[i] = flushed ? total1[i] + acc1[i] : acc1[i];
-            acc0[i] = V{};
-            acc1[i] = V{};
-          }
-          flushed = true;
-          boundary += kGemmKc;
-        }
-        V xv0, xv1;
-        __builtin_memcpy(&xv0, row + kj, sizeof xv0);
-        __builtin_memcpy(&xv1, row + kj + lanes, sizeof xv1);
-        const float* wk =
-            WP ? wgt + static_cast<std::size_t>(k) * kConvOr : wgt + k;
-        for (int i = 0; i < kConvOr; ++i) {
-          const float wi = WP ? wk[i] : wk[static_cast<std::size_t>(i) * K];
-          acc0[i] += wi * xv0;
-          acc1[i] += wi * xv1;
-        }
-      }
-    }
-  for (int i = 0; i < kConvOr; ++i) {
-    const V v0 = flushed ? total0[i] + acc0[i] : acc0[i];
-    const V v1 = flushed ? total1[i] + acc1[i] : acc1[i];
-    float* dst = out + static_cast<std::int64_t>(i) * cols;
-    __builtin_memcpy(dst, &v0, sizeof v0);
-    __builtin_memcpy(dst + lanes, &v1, sizeof v1);
-  }
-}
-
-/// Single-channel vector block for the O % kConvOr remainder (the 1x1
-/// output head): one chain, still vectorized across output columns.
-template <typename V>
-void conv_direct_block1(const float* const* prows, const float* wo, int C,
-                        int kh, int kw, int j, float* out) {
-  V total = {}, acc = {};
-  bool flushed = false;
-  int boundary = kGemmKc;
-  int k = 0;
-  for (int c = 0; c < C; ++c)
-    for (int ki = 0; ki < kh; ++ki) {
-      const float* row = prows[c * kh + ki] + j;
-      for (int kj = 0; kj < kw; ++kj, ++k) {
-        if (k == boundary) {
-          total = flushed ? total + acc : acc;
-          flushed = true;
-          acc = V{};
-          boundary += kGemmKc;
-        }
-        V xv;
-        __builtin_memcpy(&xv, row + kj, sizeof xv);
-        acc += wo[k] * xv;
-      }
-    }
-  const V v = flushed ? total + acc : acc;
-  __builtin_memcpy(out + j, &v, sizeof v);
-}
-
-/// Two OUTPUT ROWS packed into one vector: lanes [0, half) are columns
-/// j..j+half of output row oi, lanes [half, 2*half) the same columns of row
-/// oi+1.  The narrow bottleneck rows (Wout = 8) fill only half a 16-lane
-/// register on their own, capping them at the 8-lane FMA rate; pairing rows
-/// restores full-width FMAs.  Each lane still owns an independent
-/// GEMM-ordered chain, so pairing never perturbs a single output bit.
-template <bool WP = false>
-void conv_direct_block_pair(const float* const* prows0,
-                            const float* const* prows1, const float* wgt,
-                            int K, int C, int kh, int kw, int j, int wout,
-                            std::int64_t cols, float* out) {
-  using V = VOut16;
-  constexpr int half = static_cast<int>(sizeof(V) / sizeof(float)) / 2;
-  V total[kConvOr] = {}, acc[kConvOr] = {};
-  bool flushed = false;
-  int boundary = kGemmKc;
-  int k = 0;
-  for (int c = 0; c < C; ++c)
-    for (int ki = 0; ki < kh; ++ki) {
-      const float* row0 = prows0[c * kh + ki] + j;
-      const float* row1 = prows1[c * kh + ki] + j;
-      for (int kj = 0; kj < kw; ++kj, ++k) {
-        if (k == boundary) {
-          for (int i = 0; i < kConvOr; ++i) {
-            total[i] = flushed ? total[i] + acc[i] : acc[i];
-            acc[i] = V{};
-          }
-          flushed = true;
-          boundary += kGemmKc;
-        }
-        // Half-vector loads combined in registers (shufflevector compiles
-        // to a single insert); round-tripping the build through a stack
-        // temporary would stall every iteration on store forwarding.
-        VOut8 lo, hi;
-        __builtin_memcpy(&lo, row0 + kj, sizeof lo);
-        __builtin_memcpy(&hi, row1 + kj, sizeof hi);
-        const V xv = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7,
-                                             8, 9, 10, 11, 12, 13, 14, 15);
-        const float* wk =
-            WP ? wgt + static_cast<std::size_t>(k) * kConvOr : wgt + k;
-        for (int i = 0; i < kConvOr; ++i)
-          acc[i] += (WP ? wk[i] : wk[static_cast<std::size_t>(i) * K]) * xv;
-      }
-    }
-  for (int i = 0; i < kConvOr; ++i) {
-    const V v = flushed ? total[i] + acc[i] : acc[i];
-    float* dst = out + static_cast<std::int64_t>(i) * cols;
-    __builtin_memcpy(dst, &v, half * sizeof(float));
-    __builtin_memcpy(dst + wout, reinterpret_cast<const float*>(&v) + half,
-                     half * sizeof(float));
-  }
-}
-
-/// Two full-width OUTPUT ROWS sharing each weight broadcast: vector 0 is
-/// columns j..j+lanes of output row oi, vector 1 the same columns of row
-/// oi+1.  The column-pair variant (conv_direct_block2) needs 2*lanes
-/// columns in one row; 16-wide rows on a 16-lane host never have them, so
-/// each row runs a lone block at half the FMA-per-broadcast rate.  Pairing
-/// rows instead restores the 2x ratio with the same independent chains.
-template <typename V, bool WP = false>
-void conv_direct_block2_rows(const float* const* prows0,
-                             const float* const* prows1, const float* wgt,
-                             int K, int C, int kh, int kw, int j, int wout,
-                             std::int64_t cols, float* out) {
-  V total0[kConvOr] = {}, acc0[kConvOr] = {};
-  V total1[kConvOr] = {}, acc1[kConvOr] = {};
-  bool flushed = false;
-  int boundary = kGemmKc;
-  int k = 0;
-  for (int c = 0; c < C; ++c)
-    for (int ki = 0; ki < kh; ++ki) {
-      const std::size_t rk = static_cast<std::size_t>(c) * kh + ki;
-      const float* row0 = prows0[rk] + j;
-      const float* row1 = prows1[rk] + j;
-      for (int kj = 0; kj < kw; ++kj, ++k) {
-        if (k == boundary) {
-          for (int i = 0; i < kConvOr; ++i) {
-            total0[i] = flushed ? total0[i] + acc0[i] : acc0[i];
-            total1[i] = flushed ? total1[i] + acc1[i] : acc1[i];
-            acc0[i] = V{};
-            acc1[i] = V{};
-          }
-          flushed = true;
-          boundary += kGemmKc;
-        }
-        V xv0, xv1;
-        __builtin_memcpy(&xv0, row0 + kj, sizeof xv0);
-        __builtin_memcpy(&xv1, row1 + kj, sizeof xv1);
-        const float* wk =
-            WP ? wgt + static_cast<std::size_t>(k) * kConvOr : wgt + k;
-        for (int i = 0; i < kConvOr; ++i) {
-          const float wi = WP ? wk[i] : wk[static_cast<std::size_t>(i) * K];
-          acc0[i] += wi * xv0;
-          acc1[i] += wi * xv1;
-        }
-      }
-    }
-  for (int i = 0; i < kConvOr; ++i) {
-    const V v0 = flushed ? total0[i] + acc0[i] : acc0[i];
-    const V v1 = flushed ? total1[i] + acc1[i] : acc1[i];
-    float* dst = out + static_cast<std::int64_t>(i) * cols;
-    __builtin_memcpy(dst, &v0, sizeof v0);
-    __builtin_memcpy(dst + wout, &v1, sizeof v1);
-  }
-}
-
-/// FOUR 8-wide output rows as two row-pair vectors sharing each weight
-/// broadcast: vector 0 packs rows oi/oi+1 (conv_direct_block_pair's
-/// layout), vector 1 rows oi+2/oi+3.  Same FMA-per-broadcast doubling as
-/// conv_direct_block2_rows, one level narrower.
-template <bool WP = false>
-void conv_direct_block_pair2(const float* const* prows0,
-                             const float* const* prows1,
-                             const float* const* prows2,
-                             const float* const* prows3, const float* wgt,
-                             int K, int C, int kh, int kw, int j, int wout,
-                             std::int64_t cols, float* out) {
-  using V = VOut16;
-  constexpr int half = static_cast<int>(sizeof(V) / sizeof(float)) / 2;
-  V total0[kConvOr] = {}, acc0[kConvOr] = {};
-  V total1[kConvOr] = {}, acc1[kConvOr] = {};
-  bool flushed = false;
-  int boundary = kGemmKc;
-  int k = 0;
-  for (int c = 0; c < C; ++c)
-    for (int ki = 0; ki < kh; ++ki) {
-      const std::size_t rk = static_cast<std::size_t>(c) * kh + ki;
-      const float* row0 = prows0[rk] + j;
-      const float* row1 = prows1[rk] + j;
-      const float* row2 = prows2[rk] + j;
-      const float* row3 = prows3[rk] + j;
-      for (int kj = 0; kj < kw; ++kj, ++k) {
-        if (k == boundary) {
-          for (int i = 0; i < kConvOr; ++i) {
-            total0[i] = flushed ? total0[i] + acc0[i] : acc0[i];
-            total1[i] = flushed ? total1[i] + acc1[i] : acc1[i];
-            acc0[i] = V{};
-            acc1[i] = V{};
-          }
-          flushed = true;
-          boundary += kGemmKc;
-        }
-        VOut8 a, b, c2, d;
-        __builtin_memcpy(&a, row0 + kj, sizeof a);
-        __builtin_memcpy(&b, row1 + kj, sizeof b);
-        __builtin_memcpy(&c2, row2 + kj, sizeof c2);
-        __builtin_memcpy(&d, row3 + kj, sizeof d);
-        const V xv0 = __builtin_shufflevector(a, b, 0, 1, 2, 3, 4, 5, 6, 7, 8,
-                                              9, 10, 11, 12, 13, 14, 15);
-        const V xv1 = __builtin_shufflevector(c2, d, 0, 1, 2, 3, 4, 5, 6, 7, 8,
-                                              9, 10, 11, 12, 13, 14, 15);
-        const float* wk =
-            WP ? wgt + static_cast<std::size_t>(k) * kConvOr : wgt + k;
-        for (int i = 0; i < kConvOr; ++i) {
-          const float wi = WP ? wk[i] : wk[static_cast<std::size_t>(i) * K];
-          acc0[i] += wi * xv0;
-          acc1[i] += wi * xv1;
-        }
-      }
-    }
-  for (int i = 0; i < kConvOr; ++i) {
-    const V v0 = flushed ? total0[i] + acc0[i] : acc0[i];
-    const V v1 = flushed ? total1[i] + acc1[i] : acc1[i];
-    float* dst = out + static_cast<std::int64_t>(i) * cols;
-    __builtin_memcpy(dst, &v0, half * sizeof(float));
-    __builtin_memcpy(dst + wout, reinterpret_cast<const float*>(&v0) + half,
-                     half * sizeof(float));
-    __builtin_memcpy(dst + 2 * wout, &v1, half * sizeof(float));
-    __builtin_memcpy(dst + 3 * wout, reinterpret_cast<const float*>(&v1) + half,
-                     half * sizeof(float));
-  }
-}
-
-/// FOUR output rows packed into one 16-lane vector: lanes [q*4, q*4+4) are
-/// columns j..j+4 of output row oi+q.  The 4-wide UNet stages (a 16-window
-/// tile's middle encoder/decoder level) would otherwise fall to the packed
-/// GEMM, whose per-element unfold gather costs more than the product
-/// itself at these shapes; quad packing keeps them on the zero-copy direct
-/// kernel at full vector width.  Lanes are independent chains — packing
-/// never perturbs a single output bit.
-template <bool WP = false>
-void conv_direct_block_quad(const float* const* prows0,
-                            const float* const* prows1,
-                            const float* const* prows2,
-                            const float* const* prows3, const float* wgt,
-                            int K, int C, int kh, int kw, int j, int wout,
-                            std::int64_t cols, float* out) {
-  using V = VOut16;
-  constexpr int quarter = static_cast<int>(sizeof(V) / sizeof(float)) / 4;
-  V total[kConvOr] = {}, acc[kConvOr] = {};
-  bool flushed = false;
-  int boundary = kGemmKc;
-  int k = 0;
-  for (int c = 0; c < C; ++c)
-    for (int ki = 0; ki < kh; ++ki) {
-      const std::size_t rk = static_cast<std::size_t>(c) * kh + ki;
-      const float* row0 = prows0[rk] + j;
-      const float* row1 = prows1[rk] + j;
-      const float* row2 = prows2[rk] + j;
-      const float* row3 = prows3[rk] + j;
-      for (int kj = 0; kj < kw; ++kj, ++k) {
-        if (k == boundary) {
-          for (int i = 0; i < kConvOr; ++i) {
-            total[i] = flushed ? total[i] + acc[i] : acc[i];
-            acc[i] = V{};
-          }
-          flushed = true;
-          boundary += kGemmKc;
-        }
-        // Quarter-vector loads combined in registers (two insert levels);
-        // see conv_direct_block_pair for why a stack temporary would stall.
-        VOut4 q0, q1, q2, q3;
-        __builtin_memcpy(&q0, row0 + kj, sizeof q0);
-        __builtin_memcpy(&q1, row1 + kj, sizeof q1);
-        __builtin_memcpy(&q2, row2 + kj, sizeof q2);
-        __builtin_memcpy(&q3, row3 + kj, sizeof q3);
-        const VOut8 lo = __builtin_shufflevector(q0, q1, 0, 1, 2, 3, 4, 5, 6, 7);
-        const VOut8 hi = __builtin_shufflevector(q2, q3, 0, 1, 2, 3, 4, 5, 6, 7);
-        const V xv = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7,
-                                             8, 9, 10, 11, 12, 13, 14, 15);
-        const float* wk =
-            WP ? wgt + static_cast<std::size_t>(k) * kConvOr : wgt + k;
-        for (int i = 0; i < kConvOr; ++i)
-          acc[i] += (WP ? wk[i] : wk[static_cast<std::size_t>(i) * K]) * xv;
-      }
-    }
-  for (int i = 0; i < kConvOr; ++i) {
-    const V v = flushed ? total[i] + acc[i] : acc[i];
-    const float* vf = reinterpret_cast<const float*>(&v);
-    float* dst = out + static_cast<std::int64_t>(i) * cols;
-    for (int q = 0; q < 4; ++q)
-      __builtin_memcpy(dst + static_cast<std::int64_t>(q) * wout,
-                       vf + q * quarter, quarter * sizeof(float));
-  }
-}
-#endif
-
-/// Whether 16-lane blocks are single registers (AVX-512).  Such hosts run
-/// the wide-row 16-lane blocks, pair adjacent output rows on narrow outputs
-/// (conv_direct_block_pair; on AVX2 the paired accumulators alone would
-/// overflow the 16-register file and spill), and give the narrow-plane
-/// driver 16 lanes instead of 8.
-#if NEURFILL_CONV_VECTOR_EXT && defined(__AVX512F__)
+/// Whether 16-lane vectors are single registers (AVX-512).  Such hosts run
+/// 16-lane tiles on wide rows, pack several narrow output rows into one
+/// vector (on AVX2 the packed tiles' accumulators alone would overflow the
+/// 16-register file and spill), and give narrow planes 16 lanes instead of
+/// 8.
+#if defined(__AVX512F__)
 constexpr bool kConvPairRows = true;
 #else
 constexpr bool kConvPairRows = false;
 #endif
 
-/// Lanes of one narrow-plane vector (conv_direct_rows_narrow).  Outputs
-/// narrower than this run that driver, except the 8-wide rows (row pairing
-/// or one 8-lane block per row) and quad-packed 4-wide planes: on 16-lane
-/// hosts a 9..15-wide row then costs one 16-lane vector instead of two
-/// 8-lane blocks.
-constexpr int kConvNarrowLanes = kConvPairRows ? 16 : 8;
+/// Vector of one narrow-plane tile (ConvShape::kNarrow): outputs narrower
+/// than it take that shape, except the 8-wide rows and the quad-packed
+/// 4-wide planes, so on 16-lane hosts a 9..15-wide row costs one 16-lane
+/// vector instead of two 8-lane tiles.
+using VNarrow = std::conditional_t<kConvPairRows, VOut16, VOut8>;
+constexpr int kConvNarrowLanes =
+    static_cast<int>(sizeof(VNarrow) / sizeof(float));
 
-/// One full output row (all O channels) from padded input row pointers.
-/// `prows[c*kh + ki]` holds the input row oi+ki-pad shifted by the padding:
-/// index j+kj reads input column j+kj-pad, zero outside the sample.
-/// Vector builds need Wout >= 8: a row end that is not a multiple of 8 gets
-/// one more 8-lane block placed flush with it, whose columns shared with
-/// the previous block are recomputed by the same chains (identical bits).
-///
-/// All row drivers take the raw filters in `wgt` plus the optional
-/// conv_weight_pack transposed panel in `wp` (WP = true; full kConvOr
-/// blocks only — scalar and remainder-channel paths always read `wgt`).
-template <bool WP>
-void conv_direct_row(const float* const* prows, const float* wgt,
-                     const float* wp, int O, int K, int C, int kh, int kw,
-                     int Wout, std::int64_t cols, float* yrow) {
-  int o0 = 0;
-#if NEURFILL_CONV_VECTOR_EXT
-  constexpr bool kWide = kConvPairRows;
-  for (; o0 + kConvOr <= O; o0 += kConvOr) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    const float* wob = WP ? wp + static_cast<std::size_t>(o0) * K : wo;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    int j = 0;
-    if (kWide) {
-      for (; j + 32 <= Wout; j += 32)
-        conv_direct_block2<VOut16, WP>(prows, wob, K, C, kh, kw, j, cols,
-                                       out + j);
-      for (; j + 16 <= Wout; j += 16)
-        conv_direct_block<VOut16, WP>(prows, wob, K, C, kh, kw, j, cols,
-                                      out + j);
+/// How one job's output rows map onto tiles.  Chosen from the output
+/// geometry alone (conv_shape), never the thread count.
+enum class ConvShape {
+  kRow,     ///< one row, walked left to right in column tiles
+  kNarrow,  ///< rows narrower than a vector: one vector across padded rows
+  kPair8,   ///< two 8-wide rows in one 16-lane vector
+  kQuad8,   ///< four 8-wide rows: two row-pair vectors per broadcast
+  kPair16,  ///< two 16-wide rows: one vector each, sharing broadcasts
+  kQuad4,   ///< four 4-wide rows in one 16-lane vector
+};
+
+ConvShape conv_shape(int Wout, int Hout) {
+  if (kConvPairRows) {
+    if (Wout == 4 && Hout % 4 == 0) return ConvShape::kQuad4;
+    if (Wout == 8 && Hout % 4 == 0) return ConvShape::kQuad8;
+    if (Wout == 8 && Hout % 2 == 0) return ConvShape::kPair8;
+    if (Wout == 16 && Hout % 2 == 0) return ConvShape::kPair16;
+  }
+  if (Wout < kConvNarrowLanes && Wout != 8) return ConvShape::kNarrow;
+  return ConvShape::kRow;
+}
+
+/// One job's operands.  `ptrs` holds consecutive row tables of `n_rows` =
+/// C*kh entries; entry c*kh + ki of table t points at the padded input row
+/// that output row oi+t reads through kernel row ki, shifted by the
+/// padding, so index j+kj reads input column j+kj-pad (zero outside the
+/// sample).  In the output, row oi+t of a channel starts t*wout floats past
+/// row oi, and channels lie `cols` floats apart.
+struct ConvJob {
+  const float* const* ptrs;
+  std::size_t n_rows;
+  int K, C, kh, kw;
+  int wout;
+  std::int64_t cols;
+};
+
+/// Loads the input vector of RPV output rows that share one vector: lanes
+/// consecutive floats of `row[0]`, or half (RPV = 2) or quarter (RPV = 4)
+/// vectors of `row[0..RPV)` combined in registers.  shufflevector compiles
+/// to inserts; building the vector through a stack temporary would stall
+/// every step on store forwarding.  `xv` is an out-parameter because
+/// returning a 16-lane vector by value changes the ABI on 8-lane builds.
+template <typename V, int RPV>
+inline void conv_load(V& xv, const float* const* row, int kj) {
+  if constexpr (RPV == 1) {
+    __builtin_memcpy(&xv, row[0] + kj, sizeof xv);
+  } else {
+    static_assert(std::is_same_v<V, VOut16>, "packed rows fill 16 lanes");
+    VOut8 lo, hi;
+    if constexpr (RPV == 2) {
+      __builtin_memcpy(&lo, row[0] + kj, sizeof lo);
+      __builtin_memcpy(&hi, row[1] + kj, sizeof hi);
     } else {
-      for (; j + 16 <= Wout; j += 16)
-        conv_direct_block2<VOut8, WP>(prows, wob, K, C, kh, kw, j, cols,
-                                      out + j);
+      static_assert(RPV == 4, "1, 2 or 4 rows per vector");
+      VOut4 q0, q1, q2, q3;
+      __builtin_memcpy(&q0, row[0] + kj, sizeof q0);
+      __builtin_memcpy(&q1, row[1] + kj, sizeof q1);
+      __builtin_memcpy(&q2, row[2] + kj, sizeof q2);
+      __builtin_memcpy(&q3, row[3] + kj, sizeof q3);
+      lo = __builtin_shufflevector(q0, q1, 0, 1, 2, 3, 4, 5, 6, 7);
+      hi = __builtin_shufflevector(q2, q3, 0, 1, 2, 3, 4, 5, 6, 7);
     }
-    for (; j + 8 <= Wout; j += 8)
-      conv_direct_block<VOut8, WP>(prows, wob, K, C, kh, kw, j, cols, out + j);
-    if (j < Wout)
-      conv_direct_block<VOut8, WP>(prows, wob, K, C, kh, kw, Wout - 8, cols,
-                                   out + Wout - 8);
+    xv = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                 11, 12, 13, 14, 15);
   }
-  for (; o0 < O; ++o0) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    int j = 0;
-    if (kWide)
-      for (; j + 16 <= Wout; j += 16)
-        conv_direct_block1<VOut16>(prows, wo, C, kh, kw, j, out);
-    for (; j + 8 <= Wout; j += 8)
-      conv_direct_block1<VOut8>(prows, wo, C, kh, kw, j, out);
-    if (j < Wout)
-      conv_direct_block1<VOut8>(prows, wo, C, kh, kw, Wout - 8, out);
-  }
-#else
-  for (; o0 < O; ++o0) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    for (int j = 0; j < Wout; ++j)
-      out[j] = conv_direct_one(prows, wo, C, kh, kw, j);
-  }
-#endif
 }
 
-/// Outputs narrower than one vector (see kConvNarrowLanes), `rows`
-/// consecutive output rows oi.. at once from the materialized zero-padded
-/// plane (row length `prow_len`, also when P == 0).
-/// One vector runs over consecutive plane positions starting at padded row
-/// oi, so its lanes continue from one padded row into the next: lane l is
-/// output (oi + l / prow_len, l % prow_len), and lanes whose column is >=
-/// Wout are junk.  A vector holds (lanes - Wout) / prow_len + 1 output rows
-/// (the caller's row group); only their valid lanes are copied out.  A
-/// valid lane reads only its own channel plane, with the padding zeros in
-/// their im2col places, so it keeps the GEMM-ordered chain; junk lanes may
-/// read up to one vector past the last plane, which the caller zero-pads.
-template <bool WP>
-void conv_direct_rows_narrow(const float* const* prows, const float* wgt,
-                             const float* wp, int O, int K, int C, int kh,
-                             int kw, int Wout, int rows, int prow_len,
-                             std::int64_t cols, float* yrow) {
-#if NEURFILL_CONV_VECTOR_EXT
-  using V = std::conditional_t<kConvPairRows, VOut16, VOut8>;
+/// The direct kernel's register tile: OC output channels x NV vectors of V,
+/// each vector holding RPV output rows of lanes/RPV columns.  One input
+/// load per vector feeds OC independent accumulation chains with the input
+/// rows shared across channels straight from L1, and the NV vectors share
+/// each weight broadcast (OC*NV FMAs per OC broadcasts).  Vector v covers
+/// output rows [v*vrows, v*vrows + RPV) of the job at columns
+/// j + (vrows ? 0 : v*lanes): side by side in one row when vrows = 0,
+/// stacked down the rows when vrows = RPV.  Every lane owns an independent
+/// GEMM-ordered chain, so the tile shape never perturbs a single output bit.
+///
+/// The filters come either raw ([o][k] rows, WP = false) or as the
+/// conv_weight_pack transposed panel ([k][o] blocks, WP = true, `wgt`
+/// pointing at this kConvOr-channel block); the loaded values and the FMA
+/// order are identical either way, so the two instantiations are
+/// bitwise-equal and only differ in weight cache behavior.
+template <typename V, int OC, int NV, int RPV, bool WP>
+__attribute__((always_inline)) inline void conv_tile(const ConvJob& jb,
+                                                     const float* wgt, int j,
+                                                     int vrows, float* out) {
   constexpr int lanes = static_cast<int>(sizeof(V) / sizeof(float));
-  static_assert(lanes == kConvNarrowLanes, "narrow vector width");
-  alignas(sizeof(V)) float lane_out[kConvOr * lanes];
-  const auto copy_rows = [=](const float* src, float* dst) {
-    for (int r = 0; r < rows; ++r)
-      std::memcpy(dst + static_cast<std::int64_t>(r) * Wout,
-                  src + static_cast<std::int64_t>(r) * prow_len,
-                  sizeof(float) * static_cast<std::size_t>(Wout));
-  };
-  int o0 = 0;
-  for (; o0 + kConvOr <= O; o0 += kConvOr) {
-    const float* wob = (WP ? wp : wgt) + static_cast<std::size_t>(o0) * K;
-    conv_direct_block<V, WP>(prows, wob, K, C, kh, kw, 0, lanes, lane_out);
-    for (int i = 0; i < kConvOr; ++i)
-      copy_rows(lane_out + i * lanes, yrow + (o0 + i) * cols);
-  }
-  for (; o0 < O; ++o0) {
-    conv_direct_block1<V>(prows, wgt + static_cast<std::size_t>(o0) * K, C,
-                          kh, kw, 0, lane_out);
-    copy_rows(lane_out, yrow + static_cast<std::int64_t>(o0) * cols);
-  }
-#else
-  for (int o = 0; o < O; ++o)
-    for (int r = 0; r < rows; ++r)
-      for (int oj = 0; oj < Wout; ++oj)
-        yrow[static_cast<std::int64_t>(o) * cols + r * Wout + oj] =
-            conv_direct_one(prows, wgt + static_cast<std::size_t>(o) * K, C,
-                            kh, kw, r * prow_len + oj);
-#endif
-}
-
-/// Two adjacent output rows oi (prows0) and oi+1 (prows1) at once, for
-/// narrow outputs.  `yrow` addresses row oi of channel 0; row oi+1 of every
-/// channel sits `wout` floats further into the same plane.
-template <bool WP>
-void conv_direct_row_pair(const float* const* prows0,
-                          const float* const* prows1, const float* wgt,
-                          const float* wp, int O, int K, int C, int kh,
-                          int kw, int Wout, std::int64_t cols, float* yrow) {
-#if NEURFILL_CONV_VECTOR_EXT
-  int o0 = 0;
-  for (; o0 + kConvOr <= O; o0 += kConvOr) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    const float* wob = WP ? wp + static_cast<std::size_t>(o0) * K : wo;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    for (int j = 0; j + 8 <= Wout; j += 8)
-      conv_direct_block_pair<WP>(prows0, prows1, wob, K, C, kh, kw, j,
-                                 Wout, cols, out + j);
-  }
-  for (; o0 < O; ++o0) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    for (int j = 0; j < Wout; ++j) {
-      out[j] = conv_direct_one(prows0, wo, C, kh, kw, j);
-      out[Wout + j] = conv_direct_one(prows1, wo, C, kh, kw, j);
+  constexpr int seg = lanes / RPV;
+  static_assert(!WP || OC == kConvOr, "the packed panel holds full blocks");
+  const float* const* ptrs = jb.ptrs;
+  const std::size_t n_rows = jb.n_rows;
+  const int K = jb.K, C = jb.C, kh = jb.kh, kw = jb.kw;
+  const std::int64_t wout = jb.wout, cols = jb.cols;
+  // Zeroed element by element: an aggregate `= {}` on these 2-D arrays
+  // compiles to two rep stos per call.
+  V total[NV][OC], acc[NV][OC];
+  for (int v = 0; v < NV; ++v)
+    for (int i = 0; i < OC; ++i) total[v][i] = acc[v][i] = V{};
+  bool flushed = false;
+  int boundary = kGemmKc;
+  int k = 0;
+  for (int c = 0; c < C; ++c)
+    for (int ki = 0; ki < kh; ++ki) {
+      const std::size_t rk = static_cast<std::size_t>(c) * kh + ki;
+      const float* row[NV][RPV];
+      for (int v = 0; v < NV; ++v)
+        for (int q = 0; q < RPV; ++q)
+          row[v][q] =
+              ptrs[static_cast<std::size_t>(v * vrows + q) * n_rows + rk] + j +
+              (vrows ? 0 : v * lanes);
+      for (int kj = 0; kj < kw; ++kj, ++k) {
+        if (k == boundary) {
+          for (int v = 0; v < NV; ++v)
+            for (int i = 0; i < OC; ++i) {
+              total[v][i] = flushed ? total[v][i] + acc[v][i] : acc[v][i];
+              acc[v][i] = V{};
+            }
+          flushed = true;
+          boundary += kGemmKc;
+        }
+        V xv[NV];
+        for (int v = 0; v < NV; ++v) conv_load<V, RPV>(xv[v], row[v], kj);
+        const float* wk =
+            WP ? wgt + static_cast<std::size_t>(k) * OC : wgt + k;
+        for (int i = 0; i < OC; ++i) {
+          const float wi = WP ? wk[i] : wk[static_cast<std::size_t>(i) * K];
+          for (int v = 0; v < NV; ++v) acc[v][i] += wi * xv[v];
+        }
+      }
     }
-  }
-#else
-  conv_direct_row<WP>(prows0, wgt, wp, O, K, C, kh, kw, Wout, cols, yrow);
-  conv_direct_row<WP>(prows1, wgt, wp, O, K, C, kh, kw, Wout, cols,
-                      yrow + Wout);
-#endif
-}
-
-/// Four adjacent output rows oi..oi+3 at once, for 4-wide outputs.  `yrow`
-/// addresses row oi of channel 0; row oi+q of every channel sits q*wout
-/// floats further into the same plane.
-template <bool WP>
-void conv_direct_row_quad(const float* const* prows0,
-                          const float* const* prows1,
-                          const float* const* prows2,
-                          const float* const* prows3, const float* wgt,
-                          const float* wp, int O, int K, int C, int kh,
-                          int kw, int Wout, std::int64_t cols, float* yrow) {
-#if NEURFILL_CONV_VECTOR_EXT
-  int o0 = 0;
-  for (; o0 + kConvOr <= O; o0 += kConvOr) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    const float* wob = WP ? wp + static_cast<std::size_t>(o0) * K : wo;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    for (int j = 0; j + 4 <= Wout; j += 4)
-      conv_direct_block_quad<WP>(prows0, prows1, prows2, prows3, wob, K, C,
-                                 kh, kw, j, Wout, cols, out + j);
-  }
-  for (; o0 < O; ++o0) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    for (int j = 0; j < Wout; ++j) {
-      out[j] = conv_direct_one(prows0, wo, C, kh, kw, j);
-      out[Wout + j] = conv_direct_one(prows1, wo, C, kh, kw, j);
-      out[2 * Wout + j] = conv_direct_one(prows2, wo, C, kh, kw, j);
-      out[3 * Wout + j] = conv_direct_one(prows3, wo, C, kh, kw, j);
+  for (int i = 0; i < OC; ++i)
+    for (int v = 0; v < NV; ++v) {
+      const V r = flushed ? total[v][i] + acc[v][i] : acc[v][i];
+      float* dst = out + i * cols + j + (vrows ? v * vrows * wout : v * lanes);
+      if constexpr (RPV == 1) {
+        // A whole-vector store straight from the register; addressing the
+        // vector's floats would route every result through the stack.
+        __builtin_memcpy(dst, &r, sizeof r);
+      } else {
+        const float* rf = reinterpret_cast<const float*>(&r);
+        for (int q = 0; q < RPV; ++q)
+          __builtin_memcpy(dst + q * wout, rf + q * seg, seg * sizeof(float));
+      }
     }
-  }
-#else
-  conv_direct_row<WP>(prows0, wgt, wp, O, K, C, kh, kw, Wout, cols, yrow);
-  conv_direct_row<WP>(prows1, wgt, wp, O, K, C, kh, kw, Wout, cols,
-                      yrow + Wout);
-  conv_direct_row<WP>(prows2, wgt, wp, O, K, C, kh, kw, Wout, cols,
-                      yrow + 2 * Wout);
-  conv_direct_row<WP>(prows3, wgt, wp, O, K, C, kh, kw, Wout, cols,
-                      yrow + 3 * Wout);
-#endif
 }
 
-/// Two adjacent output rows oi and oi+1 at once for 16-wide outputs: each
-/// row is one full 16-lane block, the pair shares weight broadcasts
-/// (conv_direct_block2_rows).
-template <bool WP>
-void conv_direct_row2_wide(const float* const* prows0,
-                           const float* const* prows1, const float* wgt,
-                           const float* wp, int O, int K, int C, int kh,
-                           int kw, int Wout, std::int64_t cols, float* yrow) {
-#if NEURFILL_CONV_VECTOR_EXT
-  int o0 = 0;
-  for (; o0 + kConvOr <= O; o0 += kConvOr) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    const float* wob = WP ? wp + static_cast<std::size_t>(o0) * K : wo;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    for (int j = 0; j + 16 <= Wout; j += 16)
-      conv_direct_block2_rows<VOut16, WP>(prows0, prows1, wob, K, C, kh, kw,
-                                          j, Wout, cols, out + j);
-  }
-  for (; o0 < O; ++o0) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    for (int j = 0; j + 16 <= Wout; j += 16) {
-      conv_direct_block1<VOut16>(prows0, wo, C, kh, kw, j, out);
-      conv_direct_block1<VOut16>(prows1, wo, C, kh, kw, j, out + Wout);
+/// An out-of-line conv_tile instance, so that each tile the job driver
+/// calls gets its own register allocation: inlined together into the
+/// driver, the 8-wide quad tiles ran 70% slower.  Narrow planes inline
+/// their tile instead — their short rows would pay ~5% for the call and
+/// its stack setup (1-thread 12- and 6-wide planes, AVX-512).
+template <typename V, int OC, int NV, int RPV, bool WP>
+__attribute__((noinline)) void conv_tile_call(const ConvJob& jb,
+                                              const float* wgt, int j,
+                                              int vrows, float* out) {
+  conv_tile<V, OC, NV, RPV, WP>(jb, wgt, j, vrows, out);
+}
+
+/// The job driver: output channels [o0, o1) of one job, OC at a time — the
+/// channel blocks are the outer loop — with every block's rows mapped onto
+/// tiles by `shape`.  `wgt` holds the raw filters, or the conv_weight_pack
+/// panel when WP; `out` addresses the job's first row of channel 0, and
+/// the job covers `rows` output rows.
+///
+/// kRow walks the row in two-vector tiles while they fit, then single
+/// vectors; a row end that is not a multiple of 8 gets one more 8-lane
+/// tile placed flush with it, whose columns shared with the previous tile
+/// are recomputed by the same chains (identical bits).
+///
+/// kNarrow runs one vector over consecutive plane positions starting at
+/// padded row oi (the caller materializes the plane, also when P == 0), so
+/// its lanes continue from one padded row into the next: lane l is output
+/// (oi + l / prow_len, l % prow_len), and lanes whose column is >= Wout are
+/// junk.  A vector holds (lanes - Wout) / prow_len + 1 output rows (the
+/// job's rows, fewer in a sample's last job); only their valid lanes are
+/// copied out.  A valid lane reads only its own channel plane, with the
+/// padding zeros in their im2col places, so it keeps the GEMM-ordered
+/// chain; junk lanes may read up to one vector past the last plane, which
+/// the caller zero-pads.
+template <int OC, bool WP>
+void conv_direct_job(ConvShape shape, const ConvJob& jb, int rows,
+                     int prow_len, const float* wgt, int o0, int o1,
+                     float* out) {
+  const int Wout = jb.wout;
+  const std::size_t K = static_cast<std::size_t>(jb.K);
+  const std::int64_t cols = jb.cols;
+  switch (shape) {
+    case ConvShape::kRow:
+      for (int o = o0; o < o1; o += OC) {
+        const float* wo = wgt + static_cast<std::size_t>(o) * K;
+        float* oc = out + o * cols;
+        int j = 0;
+        if constexpr (kConvPairRows) {
+          for (; j + 32 <= Wout; j += 32)
+            conv_tile_call<VOut16, OC, 2, 1, WP>(jb, wo, j, 0, oc);
+          for (; j + 16 <= Wout; j += 16)
+            conv_tile_call<VOut16, OC, 1, 1, WP>(jb, wo, j, 0, oc);
+        } else {
+          for (; j + 16 <= Wout; j += 16)
+            conv_tile_call<VOut8, OC, 2, 1, WP>(jb, wo, j, 0, oc);
+        }
+        for (; j + 8 <= Wout; j += 8)
+          conv_tile_call<VOut8, OC, 1, 1, WP>(jb, wo, j, 0, oc);
+        if (j < Wout)
+          conv_tile_call<VOut8, OC, 1, 1, WP>(jb, wo, Wout - 8, 0, oc);
+      }
+      break;
+    case ConvShape::kNarrow: {
+      constexpr int lanes = kConvNarrowLanes;
+      alignas(sizeof(VNarrow)) float lane_out[OC * lanes];
+      ConvJob lj = jb;
+      lj.cols = lanes;
+      for (int o = o0; o < o1; o += OC) {
+        conv_tile<VNarrow, OC, 1, 1, WP>(
+            lj, wgt + static_cast<std::size_t>(o) * K, 0, 0, lane_out);
+        float* oc = out + o * cols;
+        for (int i = 0; i < OC; ++i)
+          for (int r = 0; r < rows; ++r)
+            std::memcpy(oc + i * cols + static_cast<std::int64_t>(r) * Wout,
+                        lane_out + i * lanes + r * prow_len,
+                        sizeof(float) * static_cast<std::size_t>(Wout));
+      }
+      break;
     }
+    case ConvShape::kPair8:
+      for (int o = o0; o < o1; o += OC)
+        conv_tile_call<VOut16, OC, 1, 2, WP>(
+            jb, wgt + static_cast<std::size_t>(o) * K, 0, 0, out + o * cols);
+      break;
+    case ConvShape::kQuad8:
+      for (int o = o0; o < o1; o += OC)
+        conv_tile_call<VOut16, OC, 2, 2, WP>(
+            jb, wgt + static_cast<std::size_t>(o) * K, 0, 2, out + o * cols);
+      break;
+    case ConvShape::kPair16:
+      for (int o = o0; o < o1; o += OC)
+        conv_tile_call<VOut16, OC, 2, 1, WP>(
+            jb, wgt + static_cast<std::size_t>(o) * K, 0, 1, out + o * cols);
+      break;
+    case ConvShape::kQuad4:
+      for (int o = o0; o < o1; o += OC)
+        conv_tile_call<VOut16, OC, 1, 4, WP>(
+            jb, wgt + static_cast<std::size_t>(o) * K, 0, 0, out + o * cols);
+      break;
   }
-#else
-  conv_direct_row<WP>(prows0, wgt, wp, O, K, C, kh, kw, Wout, cols, yrow);
-  conv_direct_row<WP>(prows1, wgt, wp, O, K, C, kh, kw, Wout, cols,
-                      yrow + Wout);
-#endif
-}
-
-/// Four adjacent 8-wide output rows oi..oi+3 at once: two row-pair vectors
-/// sharing weight broadcasts (conv_direct_block_pair2).
-template <bool WP>
-void conv_direct_row_quad8(const float* const* prows0,
-                           const float* const* prows1,
-                           const float* const* prows2,
-                           const float* const* prows3, const float* wgt,
-                           const float* wp, int O, int K, int C, int kh,
-                           int kw, int Wout, std::int64_t cols, float* yrow) {
-#if NEURFILL_CONV_VECTOR_EXT
-  int o0 = 0;
-  for (; o0 + kConvOr <= O; o0 += kConvOr) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    const float* wob = WP ? wp + static_cast<std::size_t>(o0) * K : wo;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    for (int j = 0; j + 8 <= Wout; j += 8)
-      conv_direct_block_pair2<WP>(prows0, prows1, prows2, prows3, wob, K, C,
-                                  kh, kw, j, Wout, cols, out + j);
-  }
-  for (; o0 < O; ++o0) {
-    const float* wo = wgt + static_cast<std::size_t>(o0) * K;
-    float* out = yrow + static_cast<std::int64_t>(o0) * cols;
-    for (int j = 0; j < Wout; ++j) {
-      out[j] = conv_direct_one(prows0, wo, C, kh, kw, j);
-      out[Wout + j] = conv_direct_one(prows1, wo, C, kh, kw, j);
-      out[2 * Wout + j] = conv_direct_one(prows2, wo, C, kh, kw, j);
-      out[3 * Wout + j] = conv_direct_one(prows3, wo, C, kh, kw, j);
-    }
-  }
-#else
-  conv_direct_row_pair<WP>(prows0, prows1, wgt, wp, O, K, C, kh, kw, Wout,
-                           cols, yrow);
-  conv_direct_row_pair<WP>(prows2, prows3, wgt, wp, O, K, C, kh, kw, Wout,
-                           cols, yrow + 2 * Wout);
-#endif
-}
-
-/// Routes one row-group job to the row driver matching its geometry (see
-/// the rpj selection in conv2d_gn_act_fwd_packed).  `ptrs` holds rpj
-/// consecutive pointer tables of n_rows entries each, except for `narrow`
-/// jobs, whose single table addresses the first of their `rows` rows.
-template <bool WP>
-void conv_direct_rows_dispatch(bool narrow, int rpj, int rows, int prow_len,
-                               int Wout, const float* const* ptrs,
-                               std::size_t n_rows, const float* w,
-                               const float* wp, int O, int K, int C, int kh,
-                               int kw, std::int64_t cols, float* yrow) {
-  if (narrow)
-    conv_direct_rows_narrow<WP>(ptrs, w, wp, O, K, C, kh, kw, Wout, rows,
-                                prow_len, cols, yrow);
-  else if (rpj == 4 && Wout == 4)
-    conv_direct_row_quad<WP>(ptrs, ptrs + n_rows, ptrs + 2 * n_rows,
-                             ptrs + 3 * n_rows, w, wp, O, K, C, kh, kw, Wout,
-                             cols, yrow);
-  else if (rpj == 4)
-    conv_direct_row_quad8<WP>(ptrs, ptrs + n_rows, ptrs + 2 * n_rows,
-                              ptrs + 3 * n_rows, w, wp, O, K, C, kh, kw,
-                              Wout, cols, yrow);
-  else if (rpj == 2 && Wout == 16)
-    conv_direct_row2_wide<WP>(ptrs, ptrs + n_rows, w, wp, O, K, C, kh, kw,
-                              Wout, cols, yrow);
-  else if (rpj == 2)
-    conv_direct_row_pair<WP>(ptrs, ptrs + n_rows, w, wp, O, K, C, kh, kw,
-                             Wout, cols, yrow);
-  else
-    conv_direct_row<WP>(ptrs, w, wp, O, K, C, kh, kw, Wout, cols, yrow);
 }
 
 inline float apply_act(ActKind act, float slope, float v) {
@@ -1491,7 +1069,7 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
           }
         });
   } else {
-    // Direct convolution (see the block comment above conv_direct_one), at
+    // Direct convolution (see the block comment above conv_tile), at
     // every stride-1 output width.  The zero-padded input plane is
     // materialized ONCE per call (disjoint row writes, any order — the pads
     // are constants), then every output row just indexes into it: the
@@ -1505,21 +1083,18 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
     const int plane_h = H + 2 * P;
     const int prow_len = W + 2 * P;
     const std::size_t n_rows = static_cast<std::size_t>(C) * kh;
-    // Group adjacent rows per job so the block kernels can fill wide
-    // vectors (narrow, 4- and 8-wide outputs) and share weight broadcasts
-    // across rows (8- and 16-wide); the grouping depends only on the
-    // geometry, never the thread count.  A narrow job's rows share one
-    // vector (conv_direct_rows_narrow); the last job of a sample may hold
-    // fewer.
-    const bool quad = kConvPairRows && Wout == 4 && Hout % 4 == 0;
-    const bool narrow = Wout < kConvNarrowLanes && Wout != 8 && !quad;
-    const bool quad8 = kConvPairRows && Wout == 8 && Hout % 4 == 0;
-    const bool pair = kConvPairRows && Wout == 8 && Hout % 2 == 0;
-    const bool pair16 = kConvPairRows && Wout == 16 && Hout % 2 == 0;
-    const int rpj = narrow ? (kConvNarrowLanes - Wout) / prow_len + 1
-                    : quad || quad8 ? 4
-                    : pair || pair16 ? 2
-                                     : 1;
+    // Group adjacent rows per job so the tiles can fill wide vectors
+    // (narrow, 4- and 8-wide outputs) and share weight broadcasts across
+    // rows (8- and 16-wide); the grouping depends only on the geometry,
+    // never the thread count.  A narrow job's rows share one vector and one
+    // pointer table; the last job of a sample may hold fewer.
+    const ConvShape shape = conv_shape(Wout, Hout);
+    const bool narrow = shape == ConvShape::kNarrow;
+    const int rpj =
+        narrow ? (kConvNarrowLanes - Wout) / prow_len + 1
+        : shape == ConvShape::kQuad4 || shape == ConvShape::kQuad8 ? 4
+        : shape == ConvShape::kPair8 || shape == ConvShape::kPair16 ? 2
+                                                                    : 1;
     const int tables = narrow ? 1 : rpj;
     const int jobs_per_sample = (Hout + rpj - 1) / rpj;
     const std::size_t jobs =
@@ -1595,14 +1170,18 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
                                  prow_len;
             float* yrow = y + static_cast<std::int64_t>(n) * O * cols +
                           static_cast<std::int64_t>(oi) * Wout;
+            // Full channel blocks, then the O % kConvOr remainder channels
+            // one at a time on the raw filters.
+            const ConvJob jb{ptrs, n_rows, K, C, kh, kw, Wout, cols};
+            const int full = O - O % kConvOr;
             if (wpack)
-              conv_direct_rows_dispatch<true>(narrow, rpj, rows, prow_len,
-                                              Wout, ptrs, n_rows, w, wpack, O,
-                                              K, C, kh, kw, cols, yrow);
+              conv_direct_job<kConvOr, true>(shape, jb, rows, prow_len, wpack,
+                                             0, full, yrow);
             else
-              conv_direct_rows_dispatch<false>(narrow, rpj, rows, prow_len,
-                                               Wout, ptrs, n_rows, w, nullptr,
-                                               O, K, C, kh, kw, cols, yrow);
+              conv_direct_job<kConvOr, false>(shape, jb, rows, prow_len, w, 0,
+                                              full, yrow);
+            conv_direct_job<1, false>(shape, jb, rows, prow_len, w, full, O,
+                                      yrow);
             if (!fold) continue;
             // Bias + activation on the rows this job just wrote, exactly the
             // arithmetic of the standalone epilogue pass (bias add only when
@@ -1634,63 +1213,16 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
     runtime::parallel_for(
         runtime::grain_for_cost(8.0 * static_cast<double>(gsize), jobs), jobs,
         [=](std::size_t j0, std::size_t j1) {
-          // One group's bias/stats/normalize, the unfused kernels'
-          // arithmetic verbatim.
-          const auto gn_one = [=](std::size_t job) {
-            const int n = static_cast<int>(job) / groups;
-            const int gi = static_cast<int>(job) % groups;
-            float* base =
-                y + (static_cast<std::int64_t>(n) * O + gi * cpg) * cols;
-            double m = 0.0;
-            if (bias) {
-              // Bias lands with the same per-element float rounding as the
-              // unfused bias pass; the mean accumulates the stored values
-              // in the same flat order the unfused statistics walk.
-              for (int c = 0; c < cpg; ++c) {
-                const float bv = bias[gi * cpg + c];
-                float* row = base + static_cast<std::int64_t>(c) * cols;
-                for (int i = 0; i < cols; ++i) {
-                  const float v = row[i] + bv;
-                  row[i] = v;
-                  m += static_cast<double>(v);
-                }
-              }
-            } else {
-              for (std::int64_t i = 0; i < gsize; ++i)
-                m += static_cast<double>(base[i]);
-            }
-            m /= static_cast<double>(gsize);
-            double var = 0.0;
-            for (std::int64_t i = 0; i < gsize; ++i) {
-              const double d = static_cast<double>(base[i]) - m;
-              var += d * d;
-            }
-            var /= static_cast<double>(gsize);
-            const double istd = 1.0 / std::sqrt(var + static_cast<double>(eps));
-            for (int c = 0; c < cpg; ++c) {
-              const float gm = gamma[gi * cpg + c];
-              const float bt = beta[gi * cpg + c];
-              float* row = base + static_cast<std::int64_t>(c) * cols;
-              for (int i = 0; i < cols; ++i) {
-                const float v =
-                    static_cast<float>((static_cast<double>(row[i]) - m) *
-                                       istd) *
-                        gm +
-                    bt;
-                row[i] = apply_act(act, slope, v);
-              }
-            }
-          };
-          // Four group chains interleaved per step: each group's mean and
-          // variance stay the exact serial double chains of the unfused
-          // kernels (flat order, one accumulator per group), and the
-          // independent chains hide the FP-add latency that makes a lone
-          // chain ~3 ns per element.  No value ever crosses chains, so the
-          // result is bitwise identical for any range partition and any
-          // interleave width — the remainder jobs just run one at a time.
-          constexpr int kIl = 4;
-          std::size_t job = j0;
-          for (; job + kIl <= j1; job += kIl) {
+          // Bias/stats/normalize of `il` consecutive groups, the unfused
+          // kernels' arithmetic verbatim, with the groups' chains
+          // interleaved per step: each group's mean and variance stay the
+          // exact serial double chains of the unfused kernels (flat order,
+          // one accumulator per group), and the independent chains hide the
+          // FP-add latency that makes a lone chain ~3 ns per element.  No
+          // value ever crosses chains, so the result is bitwise identical
+          // for any range partition and any interleave width.
+          const auto gn = [=](auto il, std::size_t job) {
+            constexpr int kIl = decltype(il)::value;
             float* bases[kIl];
             int gis[kIl];
             for (int b = 0; b < kIl; ++b) {
@@ -1702,6 +1234,9 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
             }
             double m[kIl] = {};
             if (bias) {
+              // Bias lands with the same per-element float rounding as the
+              // unfused bias pass; the mean accumulates the stored values
+              // in the same flat order the unfused statistics walk.
               for (int c = 0; c < cpg; ++c) {
                 float bv[kIl];
                 float* rows[kIl];
@@ -1746,8 +1281,12 @@ void CpuBackend::conv2d_gn_act_fwd_packed(
                 }
               }
             }
-          }
-          for (; job < j1; ++job) gn_one(job);
+          };
+          // Four chains per step; the leftover jobs run one chain each.
+          std::size_t job = j0;
+          for (; job + 4 <= j1; job += 4)
+            gn(std::integral_constant<int, 4>{}, job);
+          for (; job < j1; ++job) gn(std::integral_constant<int, 1>{}, job);
         });
   } else if (!epilogue_in_kernel && (bias || act != ActKind::kNone)) {
     const std::size_t rows = static_cast<std::size_t>(g.batch) * O;

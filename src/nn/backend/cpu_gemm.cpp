@@ -148,40 +148,23 @@ void pack_a_sliver(Op op, const float* a, int lda, int i0, int mr, int k0,
 /// (one 64-byte vector per accumulator row) rather than left to the
 /// auto-vectorizer, which keeps the kMr accumulators in vector registers
 /// and lowers `a * b` to broadcast FMAs on every ISA width (1 zmm, 2 ymm,
-/// or 4 xmm per row).  Vector semantics are lane-wise, so the per-element
-/// sum order — and with it the bitwise result — is identical to the scalar
-/// fallback's ascending-k chain.
-#if defined(__GNUC__) || defined(__clang__)
-#define NEURFILL_GEMM_VECTOR_EXT 1
+/// or 4 xmm per row).  Vector semantics are lane-wise, so every element
+/// sums its products in ascending k, the chain the direct convolution
+/// reproduces.
 typedef float VNr __attribute__((vector_size(kNr * sizeof(float))));
-#endif
 
 void micro_kernel(int kc, const float* __restrict__ ap,
                   const float* __restrict__ bp, float* __restrict__ c,
                   int ldc, int mr, int nr, bool overwrite) {
-  float acc[kMr * kNr] = {};
-#if NEURFILL_GEMM_VECTOR_EXT
-  {
-    VNr vacc[kMr] = {};
-    for (int k = 0; k < kc; ++k) {
-      VNr b;
-      __builtin_memcpy(&b, bp + static_cast<std::size_t>(k) * kNr, sizeof b);
-      const float* __restrict__ a = ap + static_cast<std::size_t>(k) * kMr;
-      for (int i = 0; i < kMr; ++i) vacc[i] += a[i] * b;
-    }
-    __builtin_memcpy(acc, vacc, sizeof vacc);
-  }
-#else
+  VNr vacc[kMr] = {};
   for (int k = 0; k < kc; ++k) {
-    const float* __restrict__ b = bp + static_cast<std::size_t>(k) * kNr;
+    VNr b;
+    __builtin_memcpy(&b, bp + static_cast<std::size_t>(k) * kNr, sizeof b);
     const float* __restrict__ a = ap + static_cast<std::size_t>(k) * kMr;
-    for (int i = 0; i < kMr; ++i) {
-      const float av = a[i];
-      float* __restrict__ acci = acc + static_cast<std::size_t>(i) * kNr;
-      for (int j = 0; j < kNr; ++j) acci[j] += av * b[j];
-    }
+    for (int i = 0; i < kMr; ++i) vacc[i] += a[i] * b;
   }
-#endif
+  float acc[kMr * kNr];
+  __builtin_memcpy(acc, vacc, sizeof vacc);
   if (mr == kMr && nr == kNr) {  // full tile: vectorizable writeback
     if (overwrite) {
       for (int i = 0; i < kMr; ++i)

@@ -6,38 +6,13 @@
 #include <ostream>
 #include <string>
 
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace neurfill::obs {
 
 namespace {
-
-/// JSON string escaping for names (span names are literals under our
-/// control, but thread names and future counter names may not be).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Prints a double with enough digits to round-trip, without iostream
 /// locale/precision state leaking in.

@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "obs/trace.hpp"
-#include "runtime/parallel.hpp"
 
 namespace neurfill {
 
@@ -186,18 +185,7 @@ void Nmmso::evaluate_moves(std::vector<PlannedMove>& moves) {
     evaluations_ += static_cast<int>(moves.size());
     return;
   }
-  if (opt_.parallel_evaluations && moves.size() > 1) {
-    PlannedMove* pm = moves.data();
-    const ObjectiveFn& f = f_;
-    runtime::parallel_for(1, moves.size(), [this, &f, pm](std::size_t m0,
-                                                          std::size_t m1) {
-      for (std::size_t m = m0; m < m1; ++m)
-        pm[m].value = sanitize_value(f(pm[m].x, nullptr));
-    });
-    evaluations_ += static_cast<int>(moves.size());
-  } else {
-    for (PlannedMove& m : moves) m.value = evaluate(m.x);
-  }
+  for (PlannedMove& m : moves) m.value = evaluate(m.x);
 }
 
 void Nmmso::apply_move(const PlannedMove& move) {
@@ -290,8 +278,8 @@ std::vector<Mode> Nmmso::run() {
       if (i != best) chosen.push_back(i);
     }
     // Plan one move per chosen swarm (all RNG draws, serial), evaluate the
-    // whole batch — in parallel when the objective allows it — then apply in
-    // planning order.  Indices stay valid: apply_move() only appends swarms
+    // whole batch — in one call when a batch objective is installed — then
+    // apply in planning order.  Indices stay valid: apply_move() only appends swarms
     // and particles.  Each planned move reserves one primary evaluation so
     // the batch never overruns the budget.
     std::vector<PlannedMove> moves;

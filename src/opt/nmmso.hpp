@@ -26,11 +26,6 @@ struct NmmsoOptions {
   double cognitive = 1.5;       ///< PSO c1
   double social = 1.5;          ///< PSO c2
   std::uint64_t seed = 1;
-  /// Evaluate each iteration's batch of per-swarm objective calls on the
-  /// runtime's thread pool.  The returned modes are identical either way
-  /// (the batch is planned before any evaluation and applied in a fixed
-  /// order); enable only if the objective is safe to call concurrently.
-  bool parallel_evaluations = false;
   /// Expiry stops the search and returns the modes found so far (checked
   /// between iterations, where the swarm state is consistent).
   Deadline deadline;
@@ -65,9 +60,8 @@ class Nmmso {
   /// batch function must return exactly the values `f` would for the same
   /// points (the search mixes both paths — out-of-batch evaluations such as
   /// merge midpoints, hive-off tests, and immigrants stay scalar — so the
-  /// located modes are identical with or without it).  Overrides
-  /// NmmsoOptions::parallel_evaluations for the move batch; the callee
-  /// decides its own parallelism.
+  /// located modes are identical with or without it).  The callee decides
+  /// its own parallelism; without a batch objective the moves run serially.
   void set_batch_objective(BatchObjectiveFn batch_f) {
     batch_f_ = std::move(batch_f);
   }

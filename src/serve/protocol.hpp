@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace neurfill::serve {
 
@@ -54,8 +55,8 @@ struct JsonValue {
 /// Renders `v` compactly (no whitespace), escaping strings per RFC 8259.
 std::string json_render(const JsonValue& v);
 
-/// Escapes `s` for embedding in a JSON string literal (no quotes added).
-std::string json_escape(const std::string& s);
+/// Escapes `s` for embedding in a JSON string literal (common/json.hpp).
+using neurfill::json_escape;
 
 /// Convenience builders for response assembly.
 JsonValue json_string(std::string s);

@@ -350,13 +350,15 @@ TEST(Backend, InputGradientOnlyConvBackwardMatchesFullCall) {
 
 TEST(Backend, FusedConvMatchesUnfusedChainAtEveryWidth) {
   // Differential sweep of the fused block's kernel dispatch — wide-row
-  // vector blocks with their flush tail, row pairing, quad packing, the
+  // vector tiles with their flush tail, row pairing, quad packing, the
   // narrow-plane lanes and the whole-batch GEMM — against the unfused
   // im2col + GEMM conv2d_fwd, group_norm_fwd and activation chain: every
   // output width 1..33 over a grid of heights and channel counts (C = 30
-  // crosses a K-slab flush), seeded kernel/bias/activation choices,
-  // GroupNorm on and off, raw and prepacked filters, batch 1 and 3, 1 and
-  // 4 threads.  Every element must match bit for bit.
+  // crosses a K-slab flush; O = 12 runs remainder channels after a full
+  // 8-channel tile, with four 3-channel groups that cross the tile edge),
+  // seeded kernel/bias/activation choices, GroupNorm on and off, raw and
+  // prepacked filters, batch 1 and 3, 1 and 4 threads.  Every element must
+  // match bit for bit.
   struct Kernel {
     int k, pad;
   };
@@ -371,7 +373,7 @@ TEST(Backend, FusedConvMatchesUnfusedChainAtEveryWidth) {
     for (int Wout = 1; Wout <= 33; ++Wout)
       for (const int Hout : {1, 2, 3, 4, 5, 8, 12})
         for (const int C : {1, 3, 8, 13, 30})
-          for (const int O : {1, 4, 8, 24}) {
+          for (const int O : {1, 4, 8, 12, 24}) {
             const Kernel kn = kKernels[rng.uniform_index(3)];
             nn::Conv2dGeom g;
             g.in_channels = C;

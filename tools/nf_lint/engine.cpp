@@ -2,7 +2,6 @@
 // suppression filtering, and report output (lint.hpp, rules_internal.hpp).
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -13,6 +12,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/json.hpp"
 #include "nf_lint/rules_internal.hpp"
 
 namespace neurfill::lint {
@@ -173,25 +173,6 @@ void apply_suppressions(const Project& proj, std::vector<Finding>* findings) {
       findings->end());
 }
 
-void json_escape(const std::string& s, std::string* out) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 
 }  // namespace
 
@@ -286,13 +267,13 @@ std::string report_to_json(const Report& report) {
     if (!first) out += ',';
     first = false;
     out += "{\"rule\":\"";
-    json_escape(f.rule, &out);
+    out += json_escape(f.rule);
     out += "\",\"file\":\"";
-    json_escape(f.file, &out);
+    out += json_escape(f.file);
     out += "\",\"line\":";
     out += std::to_string(f.line);
     out += ",\"message\":\"";
-    json_escape(f.message, &out);
+    out += json_escape(f.message);
     out += "\"}";
   }
   out += "]}\n";
