@@ -15,12 +15,13 @@
 //
 // Then times one CmpNetwork gradient evaluation (S_plan and dS_plan/dx on
 // a 32x32-window, 3-layer design, the production surrogate architecture)
-// through the compiled reverse pass and through the autograd reference.
+// through the compiled reverse pass and through the autograd reference
+// (reference_evaluate, surrogate/network_reference.hpp).
 //
 // Emits a one-line JSON summary; --json FILE writes the same object for CI
 // (tools/check_bench_regression.py gates unet_infer_ms_1t,
 // infer_vs_autograd_speedup — the redesign's acceptance is >= 2x —
-// unet_infer_b8_ms_per_sample, which must stay below batch-1 latency,
+// unet_infer_b8_ms_per_sample against its own baseline,
 // grad_vs_autograd_speedup, a same-host ratio like the forward one, and
 // unet_infer_w24_pixel_ratio, another same-host ratio).
 
@@ -40,6 +41,7 @@
 #include "runtime/parallel.hpp"
 #include "surrogate/cmp_network.hpp"
 #include "surrogate/features.hpp"
+#include "surrogate/network_reference.hpp"
 
 namespace {
 
@@ -154,11 +156,8 @@ int main(int argc, char** argv) {
   coeffs.beta_sigma = 1e4;
   coeffs.beta_sigma_star = 1e5;
   coeffs.beta_ol = 1e3;
-  auto compiled_s = std::make_shared<CmpSurrogate>(SurrogateConfig(), 21);
-  auto autograd_s = std::make_shared<CmpSurrogate>(SurrogateConfig(), 21);
-  autograd_s->set_fast_inference(false);
-  const CmpNetwork compiled_net(compiled_s, ext, coeffs);
-  const CmpNetwork autograd_net(autograd_s, ext, coeffs);
+  const CmpNetwork network(
+      std::make_shared<CmpSurrogate>(SurrogateConfig(), 21), ext, coeffs);
   std::vector<GridD> x;
   for (const auto& l : ext.layers) {
     GridD g = l.slack;
@@ -168,14 +167,14 @@ int main(int argc, char** argv) {
   constexpr int kGradReps = 11;
   std::vector<double> grad_compiled_s(kGradReps), grad_autograd_s(kGradReps);
   runtime::set_thread_count(1);
-  (void)compiled_net.evaluate(x, true);  // warm-up (arenas, records)
-  (void)autograd_net.evaluate(x, true);
+  (void)network.evaluate(x, true);  // warm-up (arenas, records)
+  (void)reference_evaluate(network, x, true);
   for (int r = 0; r < kGradReps; ++r) {
     Timer t;
-    (void)compiled_net.evaluate(x, true);
+    (void)network.evaluate(x, true);
     grad_compiled_s[static_cast<std::size_t>(r)] = t.elapsed_seconds();
     t.reset();
-    (void)autograd_net.evaluate(x, true);
+    (void)reference_evaluate(network, x, true);
     grad_autograd_s[static_cast<std::size_t>(r)] = t.elapsed_seconds();
   }
   runtime::set_thread_count(0);

@@ -21,7 +21,7 @@
 #include "cmp/contact_solver.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "nn/gemm.hpp"
+#include "nn/kernels.hpp"
 #include "nn/ops.hpp"
 #include "runtime/parallel.hpp"
 

@@ -2,13 +2,13 @@
 
 // Cache-line-aligned allocation for the packed compute kernels.
 //
-// The tiled GEMM in src/nn/backend/cpu_gemm.cpp streams packed panels of A
+// The tiled GEMM in src/nn/gemm.cpp streams packed panels of A
 // and B through SIMD loads; 64-byte alignment keeps every panel row on one
 // cache line and lets the compiler emit aligned vector moves.  AlignedBuffer
 // is a grow-only scratch: `ensure(n)` reallocates only when the requested
 // count exceeds the current capacity and never shrinks, so a thread_local
 // instance amortizes allocation to zero across repeated kernel calls (the
-// persistent im2col scratch in src/nn/backend/cpu_backend.cpp relies on
+// persistent im2col scratch in src/nn/kernels.cpp relies on
 // exactly this).
 
 #include <cstddef>

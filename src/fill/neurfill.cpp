@@ -69,31 +69,6 @@ ObjectiveFn make_network_objective(const FillProblem& problem,
   };
 }
 
-BatchObjectiveFn make_network_batch_objective(const FillProblem& problem,
-                                              const CmpNetwork& network,
-                                              long* eval_counter) {
-  return [&problem, &network,
-          eval_counter](const std::vector<VecD>& vs) -> std::vector<double> {
-    if (eval_counter) *eval_counter += static_cast<long>(vs.size());
-    std::vector<std::vector<GridD>> xs;
-    xs.reserve(vs.size());
-    for (const VecD& v : vs) xs.push_back(problem.unflatten(v));
-    const std::vector<CmpNetwork::Eval> nets = network.evaluate_batch(xs);
-    std::vector<double> out(vs.size());
-    for (std::size_t b = 0; b < vs.size(); ++b) {
-      const PdScore pd = pd_score_and_gradient(problem.extraction(), xs[b],
-                                               problem.coefficients());
-      out[b] = -(nets[b].s_plan + pd.s_pd);
-    }
-    return out;
-  };
-}
-
-namespace {
-
-/// Batched network quality (maximization) for starting-point generation:
-/// per candidate, S_plan + S_PD — the values network-objective callers
-/// negate — via one evaluate_batch call.
 std::vector<double> network_batch_quality(
     const FillProblem& problem, const CmpNetwork& network,
     const std::vector<std::vector<GridD>>& xs, long* eval_counter) {
@@ -107,6 +82,8 @@ std::vector<double> network_batch_quality(
   }
   return q;
 }
+
+namespace {
 
 void persist_snapshot(const FillSnapshot& snap, const std::string& path) {
   const Expected<void> res = save_fill_snapshot(snap, path);
@@ -337,17 +314,16 @@ FillRunResult neurfill_mm(const FillProblem& problem, const CmpNetwork& network,
     nmmso_opt.deadline = options.deadline;
     nmmso_opt.interrupt = options.interrupt;
     Nmmso nmmso(explore, problem.bounds(), nmmso_opt);
-    // Each iteration's move batch runs as one batched network evaluation
-    // (negated to match `explore`'s maximization sign); out-of-batch
-    // evaluations (midpoints, hive-offs, immigrants) stay scalar.  Values
-    // are bitwise identical either way, so the located modes don't change.
-    const BatchObjectiveFn batch_obj =
-        make_network_batch_objective(problem, network, nullptr);
+    // Each iteration's move batch runs as one batched network evaluation;
+    // out-of-batch evaluations (midpoints, hive-offs, immigrants) stay
+    // scalar.  Values are bitwise identical either way, so the located
+    // modes don't change.
     nmmso.set_batch_objective(
-        [batch_obj](const std::vector<VecD>& xs) -> std::vector<double> {
-          std::vector<double> v = batch_obj(xs);
-          for (double& q : v) q = -q;
-          return v;
+        [&problem, &network](const std::vector<VecD>& vs) {
+          std::vector<std::vector<GridD>> xs;
+          xs.reserve(vs.size());
+          for (const VecD& v : vs) xs.push_back(problem.unflatten(v));
+          return network_batch_quality(problem, network, xs);
         });
     const std::vector<Mode> modes = nmmso.run();
     evals += nmmso.evaluations_used();

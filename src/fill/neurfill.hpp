@@ -61,15 +61,15 @@ ObjectiveFn make_network_objective(const FillProblem& problem,
                                    const CmpNetwork& network,
                                    long* eval_counter = nullptr);
 
-/// Batched, value-only counterpart of make_network_objective: all B
-/// candidate points go through one CmpNetwork::evaluate_batch call (one
-/// batched UNet forward per layer) plus per-candidate analytic PD scores.
-/// Returns exactly the values the scalar objective would for the same
-/// points — NMMSO installs this via set_batch_objective and mixes it with
-/// scalar calls.  `eval_counter` advances by B per call.
-BatchObjectiveFn make_network_batch_objective(const FillProblem& problem,
-                                              const CmpNetwork& network,
-                                              long* eval_counter = nullptr);
+/// Batched network quality S_plan + S_PD (to maximize) of B candidate
+/// fills: one CmpNetwork::evaluate_batch call (one batched UNet forward per
+/// layer) plus per-candidate analytic PD scores.  Each value is exactly the
+/// negation of make_network_objective's at the same point, so NMMSO's move
+/// batches and the PKB sweep mix it freely with scalar calls.
+/// `eval_counter` advances by B per call.
+std::vector<double> network_batch_quality(
+    const FillProblem& problem, const CmpNetwork& network,
+    const std::vector<std::vector<GridD>>& xs, long* eval_counter = nullptr);
 
 /// NeurFill (PKB): prior-knowledge-based starting point (judged by the
 /// network's quality) followed by SQP with backward-propagation gradients.

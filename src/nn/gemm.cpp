@@ -1,12 +1,11 @@
-#include "nn/gemm.hpp"
-
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
 
 #include "common/aligned.hpp"
-#include "nn/backend/gemm_internal.hpp"
 #include "common/check.hpp"
+#include "nn/gemm_internal.hpp"
+#include "nn/kernels.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
 

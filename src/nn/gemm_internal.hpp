@@ -2,22 +2,22 @@
 
 #include <functional>
 
-// CpuBackend-internal GEMM entry point: the packed kernel with a
+// Kernel-internal GEMM entry points: the packed kernel with a
 // caller-supplied B operand.  Kernels that already gather their right-hand
 // side (the fused convolution packs directly from the input tensor with
 // im2col indexing) plug in here and skip materializing B entirely — one
-// gather pass replaces the unfold write + the packing read.  Not part of
-// the public Backend contract; see docs/inference.md.
+// gather pass replaces the unfold write + the packing read.  Shared by
+// gemm.cpp and kernels.cpp only; see docs/inference.md.
 
 namespace neurfill::nn {
 
 /// Column width of one packed B sliver.  Mirrors the micro-kernel's kNr in
-/// cpu_gemm.cpp (static_asserted there).
+/// gemm.cpp (static_asserted there).
 inline constexpr int kGemmNr = 16;
 
-/// K-slab depth of the cache-blocked GEMM.  Mirrors kKc in cpu_gemm.cpp
+/// K-slab depth of the cache-blocked GEMM.  Mirrors kKc in gemm.cpp
 /// (static_asserted there).  The direct convolution kernel in
-/// cpu_backend.cpp replays this slab boundary — partial sums flushed at
+/// kernels.cpp replays this slab boundary — partial sums flushed at
 /// every kGemmKc products, flushes combined in ascending slab order — so
 /// its per-element accumulation chains are bitwise identical to running
 /// the same convolution through im2col + the packed GEMM.
@@ -32,7 +32,7 @@ using GemmPackBFn = std::function<void(int sliver, float* dst)>;
 /// C (MxN) = A(MxK) * B, `accumulate=false` overwrites C, with B supplied
 /// sliver-by-sliver through `pack_b`.  Same tile/slab decomposition — and
 /// therefore bitwise the same result at any thread count — as gemm_nn on a
-/// materialized B (see nn/gemm.hpp).
+/// materialized B (see nn/kernels.hpp).
 void gemm_packed_b(int M, int N, int K, const float* A,
                    const GemmPackBFn& pack_b, float* C, bool accumulate);
 

@@ -15,7 +15,7 @@
 // The compiler mirrors the module evaluation order of UNet exactly (encoder
 // blocks with skips and 2x2 pools, bottleneck, upsample+conv / concat /
 // double-conv decoder stages, 1x1 head) so the planned graph computes the
-// same floats through the same backend kernels — bitwise, not just within
+// same floats through the same kernels — bitwise, not just within
 // tolerance.  See docs/inference.md for the arena-planning and fusion
 // rules; tests/test_inference.cpp pins the equivalences.
 //
@@ -266,27 +266,24 @@ InferenceSession::InferenceSession(const UNet& net, int height, int width,
 }
 
 void InferenceSession::prepack_weights() {
-  // Snapshot every conv block with a backend packed form into one panel
-  // buffer.  Runs once at compile time on the then-active backend; run()
-  // only hands the panels to that backend's packed entry point, whose
-  // contract makes them bitwise-neutral (same decomposition, same bytes the
-  // in-loop packer would have produced).
-  Backend& be = backend();
+  // Snapshot every conv block with a packed weight form into one panel
+  // buffer, once at compile time; the fused kernel's contract makes them
+  // bitwise-neutral (same decomposition, same bytes the in-loop packer
+  // would have produced).
   std::size_t total = 0;
   std::vector<std::size_t> sizes(nodes_.size(), 0);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].kind != Node::Kind::kConvBlock) continue;
-    sizes[i] = be.conv_weight_pack_floats(nodes_[i].conv.geom);
+    sizes[i] = conv_weight_pack_floats(nodes_[i].conv.geom);
     total += sizes[i];
   }
   if (total == 0) return;
-  pack_backend_ = &be;
   float* base = packed_weights_.ensure(total);
   std::size_t offset = 0;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (sizes[i] == 0) continue;
-    be.conv_weight_pack(nodes_[i].conv.geom, nodes_[i].conv.weight,
-                        base + offset);
+    conv_weight_pack(nodes_[i].conv.geom, nodes_[i].conv.weight,
+                     base + offset);
     nodes_[i].conv.packed_offset = static_cast<std::ptrdiff_t>(offset);
     offset += sizes[i];
   }
@@ -393,6 +390,11 @@ float* InferenceSession::value_ptr(int vid, float* arena, int batch) const {
   return arena + values_[vid].offset * static_cast<std::size_t>(batch);
 }
 
+const float* InferenceSession::packed_panel(const ConvBlockSpec& c) const {
+  return c.packed_offset >= 0 ? packed_weights_.data() + c.packed_offset
+                              : nullptr;
+}
+
 void InferenceSession::run(const float* input, float* output,
                            int batch) const {
   NF_CHECK(batch >= 1, "InferenceSession::run: batch must be >= 1, got %d",
@@ -422,11 +424,6 @@ void InferenceSession::run(const float* input, float* output,
   }
   float* arena = thread_arena(need);
 
-  Backend& be = backend();
-  // Panels belong to the backend that packed them; after a backend swap the
-  // session silently falls back to the pack-per-call path (same results).
-  const float* packs =
-      (&be == pack_backend_) ? packed_weights_.data() : nullptr;
   for (const Node& node : nodes_) {
     const ValueSpec& in_spec = values_[node.in0];
     const float* in0 = in_spec.external
@@ -438,15 +435,12 @@ void InferenceSession::run(const float* input, float* output,
         Conv2dGeom g = node.conv.geom;
         g.batch = batch;
         if (fuse_) {
-          const float* pw = (packs != nullptr && node.conv.packed_offset >= 0)
-                                ? packs + node.conv.packed_offset
-                                : nullptr;
-          be.conv2d_gn_act_fwd_packed(g, node.conv.groups, node.conv.eps,
-                                      node.conv.act, node.conv.slope, in0,
-                                      node.conv.weight, pw, node.conv.bias,
-                                      node.conv.gamma, node.conv.beta, out);
+          conv2d_gn_act_fwd(g, node.conv.groups, node.conv.eps, node.conv.act,
+                            node.conv.slope, in0, node.conv.weight,
+                            packed_panel(node.conv), node.conv.bias,
+                            node.conv.gamma, node.conv.beta, out);
         } else {
-          be.conv2d_fwd(g, in0, node.conv.weight, node.conv.bias, out);
+          conv2d_fwd(g, in0, node.conv.weight, node.conv.bias, out);
           const std::int64_t numel = static_cast<std::int64_t>(batch) *
                                      g.out_channels * g.out_height *
                                      g.out_width;
@@ -458,33 +452,31 @@ void InferenceSession::run(const float* input, float* output,
             ng.width = g.out_width;
             ng.groups = node.conv.groups;
             ng.eps = node.conv.eps;
-            be.group_norm_fwd(ng, out, node.conv.gamma, node.conv.beta, out,
-                              nullptr, nullptr);
+            group_norm_fwd(ng, out, node.conv.gamma, node.conv.beta, out,
+                           nullptr, nullptr);
           }
           if (node.conv.act == ActKind::kRelu) {
-            be.unary_map(UnaryKind::kRelu, 0.0f, out, out, numel);
+            unary_map(UnaryKind::kRelu, 0.0f, out, out, numel);
           } else if (node.conv.act == ActKind::kLeakyRelu) {
-            be.unary_map(UnaryKind::kLeakyRelu, node.conv.slope, out, out,
-                         numel);
+            unary_map(UnaryKind::kLeakyRelu, node.conv.slope, out, out, numel);
           }
         }
         break;
       }
       case Node::Kind::kMaxPool:
-        be.maxpool2x2_fwd(
-            static_cast<std::int64_t>(batch) * in_spec.channels,
-            in_spec.height, in_spec.width, in0, out, nullptr);
+        maxpool2x2_fwd(static_cast<std::int64_t>(batch) * in_spec.channels,
+                       in_spec.height, in_spec.width, in0, out, nullptr);
         break;
       case Node::Kind::kUpsample:
-        be.upsample2x_fwd(static_cast<std::int64_t>(batch) * in_spec.channels,
-                          in_spec.height, in_spec.width, in0, out);
+        upsample2x_fwd(static_cast<std::int64_t>(batch) * in_spec.channels,
+                       in_spec.height, in_spec.width, in0, out);
         break;
       case Node::Kind::kConcat: {
         const ValueSpec& b_spec = values_[node.in1];
         const float* in1 = b_spec.external
                                ? input
                                : value_ptr(node.in1, arena, batch);
-        be.concat_channels_fwd(
+        concat_channels_fwd(
             batch, in_spec.channels, b_spec.channels,
             static_cast<std::int64_t>(in_spec.height) * in_spec.width, in0,
             in1, out);
@@ -511,9 +503,6 @@ void InferenceSession::run_saving(const float* input, float* output,
     return values_[vid].external ? input : value_ptr(vid, arena, 1);
   };
 
-  Backend& be = backend();
-  const float* packs =
-      (&be == pack_backend_) ? packed_weights_.data() : nullptr;
   for (const Node& node : nodes_) {
     const ValueSpec& in_spec = values_[node.in0];
     const float* in0 = in_at(node.in0);
@@ -521,25 +510,21 @@ void InferenceSession::run_saving(const float* input, float* output,
     switch (node.kind) {
       case Node::Kind::kConvBlock: {
         const ConvBlockSpec& c = node.conv;
-        const float* pw = (packs != nullptr && c.packed_offset >= 0)
-                              ? packs + c.packed_offset
-                              : nullptr;
+        const float* pw = packed_panel(c);
         const ValueSpec& out_spec = values_[node.out];
         const std::int64_t numel = static_cast<std::int64_t>(
             out_spec.channels) * out_spec.height * out_spec.width;
         if (c.groups == 0) {  // conv + bias + act: the fused block as is
-          be.conv2d_gn_act_fwd_packed(c.geom, 0, c.eps, c.act, c.slope, in0,
-                                      c.weight, pw, c.bias, nullptr, nullptr,
-                                      out);
+          conv2d_gn_act_fwd(c.geom, 0, c.eps, c.act, c.slope, in0, c.weight,
+                            pw, c.bias, nullptr, nullptr, out);
         } else {
           // Unfused around the normalization so the pre-norm output and the
           // group statistics land in the record; the same kernel chain the
           // fused block is pinned bitwise against.
           float* prenorm = saved + c.prenorm_offset;
           double* stats = reinterpret_cast<double*>(saved + c.stats_offset);
-          be.conv2d_gn_act_fwd_packed(c.geom, 0, c.eps, ActKind::kNone, 0.0f,
-                                      in0, c.weight, pw, c.bias, nullptr,
-                                      nullptr, prenorm);
+          conv2d_gn_act_fwd(c.geom, 0, c.eps, ActKind::kNone, 0.0f, in0,
+                            c.weight, pw, c.bias, nullptr, nullptr, prenorm);
           GroupNormGeom ng;
           ng.batch = 1;
           ng.channels = out_spec.channels;
@@ -547,10 +532,10 @@ void InferenceSession::run_saving(const float* input, float* output,
           ng.width = out_spec.width;
           ng.groups = c.groups;
           ng.eps = c.eps;
-          be.group_norm_fwd(ng, prenorm, c.gamma, c.beta, out, stats,
-                            stats + c.groups);
+          group_norm_fwd(ng, prenorm, c.gamma, c.beta, out, stats,
+                         stats + c.groups);
           if (c.act == ActKind::kRelu)
-            be.unary_map(UnaryKind::kRelu, 0.0f, out, out, numel);
+            unary_map(UnaryKind::kRelu, 0.0f, out, out, numel);
         }
         if (c.act == ActKind::kRelu) {
           auto* mask = reinterpret_cast<std::uint8_t*>(saved + c.mask_offset);
@@ -562,18 +547,17 @@ void InferenceSession::run_saving(const float* input, float* output,
         break;
       }
       case Node::Kind::kMaxPool:
-        be.maxpool2x2_fwd(in_spec.channels, in_spec.height, in_spec.width, in0,
-                          out,
-                          reinterpret_cast<std::int64_t*>(
-                              saved + node.argmax_offset));
+        maxpool2x2_fwd(
+            in_spec.channels, in_spec.height, in_spec.width, in0, out,
+            reinterpret_cast<std::int64_t*>(saved + node.argmax_offset));
         break;
       case Node::Kind::kUpsample:
-        be.upsample2x_fwd(in_spec.channels, in_spec.height, in_spec.width, in0,
-                          out);
+        upsample2x_fwd(in_spec.channels, in_spec.height, in_spec.width, in0,
+                       out);
         break;
       case Node::Kind::kConcat: {
         const ValueSpec& b_spec = values_[node.in1];
-        be.concat_channels_fwd(
+        concat_channels_fwd(
             1, in_spec.channels, b_spec.channels,
             static_cast<std::int64_t>(in_spec.height) * in_spec.width, in0,
             in_at(node.in1), out);
@@ -607,7 +591,6 @@ void InferenceSession::run_vjp(const float* saved, const float* d_output,
   };
   std::memset(d_input, 0, numel(values_[0]) * sizeof(float));  // the input
 
-  Backend& be = backend();
   for (std::size_t r = nodes_.size(); r-- > 0;) {
     const Node& node = nodes_[r];
     const ValueSpec& out = values_[node.out];
@@ -647,13 +630,11 @@ void InferenceSession::run_vjp(const float* saved, const float* d_output,
           ng.eps = c.eps;
           const double* stats =
               reinterpret_cast<const double*>(saved + c.stats_offset);
-          be.group_norm_bwd(ng, saved + c.prenorm_offset, stats,
-                            stats + c.groups, c.gamma, d_pre, d_norm, nullptr,
-                            nullptr);
+          group_norm_bwd(ng, saved + c.prenorm_offset, stats, stats + c.groups,
+                         c.gamma, d_pre, d_norm, nullptr, nullptr);
           d_pre = d_norm;
         }
-        be.conv2d_bwd(c.geom, nullptr, c.weight, d_pre, d_in0, nullptr,
-                      nullptr);
+        conv2d_bwd(c.geom, nullptr, c.weight, d_pre, d_in0, nullptr, nullptr);
         break;
       }
       case Node::Kind::kMaxPool: {

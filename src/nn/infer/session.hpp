@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/aligned.hpp"
-#include "nn/backend/backend.hpp"
+#include "nn/kernels.hpp"
 #include "nn/tensor.hpp"
 #include "nn/unet.hpp"
 
@@ -18,7 +18,7 @@
 // weights, planned at compile time.  Results are bitwise identical to the
 // autograd module evaluation and input gradient at any thread count
 // (pinned by tests/test_inference.cpp), because every kernel reproduces
-// the same accumulation orders through the same compute backend.
+// the same accumulation orders through the same nn/kernels.hpp functions.
 //
 // This directory is lint-enforced tape-free: nf_lint's infer-no-autograd
 // rule forbids the tape API surface here, so the engine can never silently
@@ -32,13 +32,13 @@ struct InferenceOptions {
   /// the aliasing-free reference the arena planner is tested against.
   bool reuse_buffers = true;
   /// Execute conv blocks through the fused conv+groupnorm+activation
-  /// kernel.  Off runs the unfused backend kernel chain in place — the
-  /// fusion-free reference path.
+  /// kernel.  Off runs the unfused kernel chain in place — the fusion-free
+  /// reference path.
   bool fuse = true;
-  /// Pre-pack constant conv weight panels at compile time through the
-  /// backend (Backend::conv_weight_pack), hoisting the GEMM's per-call A
-  /// packing out of every forward.  Results are bitwise identical either
-  /// way; off keeps the pack-per-call reference path.
+  /// Pre-pack constant conv weight panels at compile time
+  /// (nn::conv_weight_pack), hoisting the per-call weight packing out of
+  /// every forward.  Results are bitwise identical either way; off keeps
+  /// the pack-per-call reference path.
   bool prepack_weights = true;
   /// Plan the per-thread arena for at least this batch size on the first
   /// run(), so a session that alternates batch sizes up to `max_batch`
@@ -53,7 +53,7 @@ class InferenceSession {
   /// Compiles `net` for inputs of spatial extent height x width (each must
   /// be positive and divisible by 2^depth).  Parameter storage is shared
   /// with (and kept alive independently of) `net`.  Weights are treated as
-  /// constant from compile time on: layers with a backend packed form are
+  /// constant from compile time on: layers with a packed weight form are
   /// snapshotted into pre-packed panels here (InferenceOptions::
   /// prepack_weights), so mutating parameters after construction is
   /// unsupported — rebuild the session after weight updates.
@@ -83,7 +83,7 @@ class InferenceSession {
   /// Vector-Jacobian product of the compiled graph with frozen weights:
   /// d_input = (d output / d input)^T d_output for the record of one
   /// run_saving() call.  Input cotangents only (no weight adjoints), through
-  /// the same backend kernels in the same accumulation order as the autograd
+  /// the same kernels in the same accumulation order as the autograd
   /// reverse sweep, so d_input is bitwise the autograd input gradient.
   /// Cotangents live in a liveness-planned per-thread arena: thread-safe,
   /// no steady-state allocation.
@@ -155,16 +155,15 @@ class InferenceSession {
   void plan_reverse();
   void prepack_weights();
   float* value_ptr(int vid, float* arena, int batch) const;
+  /// The block's compile-time weight panel, or null when it has none.
+  const float* packed_panel(const ConvBlockSpec& c) const;
 
   std::vector<ValueSpec> values_;
   std::vector<Node> nodes_;
   std::vector<Tensor> keep_;  ///< shares ownership of the parameter storage
-  /// Compile-time weight panels (Backend::conv_weight_pack), one region per
-  /// conv block with a packed form; valid only on the backend that was
-  /// active at compile time (run() passes them only through that backend's
-  /// packed entry point, which ignores panels it did not produce).
+  /// Compile-time weight panels (nn::conv_weight_pack), one region per
+  /// conv block with a packed form.
   AlignedBuffer<float> packed_weights_;
-  Backend* pack_backend_ = nullptr;  ///< backend the panels were packed on
   std::size_t arena_floats_ = 0;
   std::size_t saved_floats_ = 0;  ///< run_saving() record
   std::size_t cot_floats_ = 0;    ///< run_vjp() cotangent arena

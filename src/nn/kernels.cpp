@@ -1,4 +1,4 @@
-#include "nn/backend/cpu_backend.hpp"
+#include "nn/kernels.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -9,8 +9,7 @@
 
 #include "common/aligned.hpp"
 #include "common/check.hpp"
-#include "nn/backend/gemm_internal.hpp"
-#include "nn/gemm.hpp"
+#include "nn/gemm_internal.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
@@ -529,24 +528,8 @@ void map_binary(const float* a, const float* b, float* y, std::int64_t n,
 
 }  // namespace
 
-void CpuBackend::gemm(GemmKind kind, int M, int N, int K, const float* A,
-                      const float* B, float* C, bool accumulate) {
-  switch (kind) {
-    case GemmKind::kNN:
-      gemm_nn(M, N, K, A, B, C, accumulate);
-      return;
-    case GemmKind::kNT:
-      gemm_nt(M, N, K, A, B, C, accumulate);
-      return;
-    case GemmKind::kTN:
-      gemm_tn(M, N, K, A, B, C, accumulate);
-      return;
-  }
-  NF_CHECK(false, "gemm: unknown kind %d", static_cast<int>(kind));
-}
-
-void CpuBackend::conv2d_fwd(const Conv2dGeom& g, const float* x,
-                            const float* w, const float* bias, float* y) {
+void conv2d_fwd(const Conv2dGeom& g, const float* x, const float* w,
+                const float* bias, float* y) {
   NF_TRACE_SPAN("nn.conv2d");
   const int C = g.in_channels, H = g.height, W = g.width;
   const int O = g.out_channels, kh = g.kernel_h, kw = g.kernel_w;
@@ -612,9 +595,8 @@ void CpuBackend::conv2d_fwd(const Conv2dGeom& g, const float* x,
       });
 }
 
-void CpuBackend::conv2d_bwd(const Conv2dGeom& g, const float* x,
-                            const float* w, const float* gy, float* gx,
-                            float* gw, float* gb) {
+void conv2d_bwd(const Conv2dGeom& g, const float* x, const float* w,
+                const float* gy, float* gx, float* gw, float* gb) {
   NF_TRACE_SPAN("nn.conv2d_backward");
   const int C = g.in_channels, H = g.height, W = g.width;
   const int O = g.out_channels, kh = g.kernel_h, kw = g.kernel_w;
@@ -698,8 +680,8 @@ void CpuBackend::conv2d_bwd(const Conv2dGeom& g, const float* x,
   }
 }
 
-void CpuBackend::unary_map(UnaryKind op, float p, const float* x, float* y,
-                           std::int64_t n) {
+void unary_map(UnaryKind op, float p, const float* x, float* y,
+               std::int64_t n) {
   switch (op) {
     case UnaryKind::kAddScalar:
       map_unary(x, y, n, [p](float v) { return v + p; });
@@ -707,24 +689,11 @@ void CpuBackend::unary_map(UnaryKind op, float p, const float* x, float* y,
     case UnaryKind::kMulScalar:
       map_unary(x, y, n, [p](float v) { return v * p; });
       return;
-    case UnaryKind::kNeg:
-      map_unary(x, y, n, [](float v) { return v * -1.0f; });
-      return;
     case UnaryKind::kRelu:
       map_unary(x, y, n, [](float v) { return v > 0.0f ? v : 0.0f; });
       return;
     case UnaryKind::kLeakyRelu:
       map_unary(x, y, n, [p](float v) { return v > 0.0f ? v : p * v; });
-      return;
-    case UnaryKind::kSigmoid:
-      map_unary(x, y, n, [](float v) {
-        // Numerically stable logistic.
-        return v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
-                         : std::exp(v) / (1.0f + std::exp(v));
-      });
-      return;
-    case UnaryKind::kTanh:
-      map_unary(x, y, n, [](float v) { return std::tanh(v); });
       return;
     case UnaryKind::kExp:
       map_unary(x, y, n, [](float v) { return std::exp(v); });
@@ -754,8 +723,8 @@ void CpuBackend::unary_map(UnaryKind op, float p, const float* x, float* y,
   NF_CHECK(false, "unary_map: unknown op %d", static_cast<int>(op));
 }
 
-void CpuBackend::binary_map(BinaryKind op, const float* a, const float* b,
-                            float* y, std::int64_t n) {
+void binary_map(BinaryKind op, const float* a, const float* b, float* y,
+                std::int64_t n) {
   switch (op) {
     case BinaryKind::kAdd:
       map_binary(a, b, y, n, [](float u, float v) { return u + v; });
@@ -773,7 +742,7 @@ void CpuBackend::binary_map(BinaryKind op, const float* a, const float* b,
   NF_CHECK(false, "binary_map: unknown op %d", static_cast<int>(op));
 }
 
-double CpuBackend::reduce_sum(const float* x, std::int64_t n) {
+double reduce_sum(const float* x, std::int64_t n) {
   // Deterministic blocked reduction: the per-block partials are combined in
   // block order, so the value is bitwise identical at every thread count.
   return runtime::parallel_reduce(
@@ -787,9 +756,9 @@ double CpuBackend::reduce_sum(const float* x, std::int64_t n) {
       [](double a, double b) { return a + b; });
 }
 
-void CpuBackend::group_norm_fwd(const GroupNormGeom& g, const float* x,
-                                const float* gamma, const float* beta,
-                                float* y, double* mean_out, double* istd_out) {
+void group_norm_fwd(const GroupNormGeom& g, const float* x, const float* gamma,
+                    const float* beta, float* y, double* mean_out,
+                    double* istd_out) {
   const int N = g.batch, C = g.channels, H = g.height, W = g.width;
   const int groups = g.groups;
   NF_CHECK(groups > 0 && C % groups == 0,
@@ -832,8 +801,8 @@ void CpuBackend::group_norm_fwd(const GroupNormGeom& g, const float* x,
 // Contraction is off for this function only: the kernel TUs build with
 // -march=native, and fusing the double multiply-adds below into FMAs would
 // move the input gradient's low bits away from the portable build's (and
-// from every fill produced before this kernel moved into the backend).
-__attribute__((optimize("fp-contract=off"))) void CpuBackend::group_norm_bwd(
+// from every fill produced before this kernel moved out of the autograd op).
+__attribute__((optimize("fp-contract=off"))) void group_norm_bwd(
     const GroupNormGeom& g, const float* x, const double* mean,
     const double* istd, const float* gamma, const float* gy, float* gx,
     float* ggamma, float* gbeta) {
@@ -886,9 +855,8 @@ __attribute__((optimize("fp-contract=off"))) void CpuBackend::group_norm_bwd(
   }
 }
 
-void CpuBackend::maxpool2x2_fwd(std::int64_t planes, int height, int width,
-                                const float* x, float* y,
-                                std::int64_t* argmax) {
+void maxpool2x2_fwd(std::int64_t planes, int height, int width, const float* x,
+                    float* y, std::int64_t* argmax) {
   const int H = height, W = width;
   NF_CHECK(H % 2 == 0 && W % 2 == 0, "maxpool2x2_fwd: odd extent %dx%d", H, W);
   const int Ho = H / 2, Wo = W / 2;
@@ -914,8 +882,8 @@ void CpuBackend::maxpool2x2_fwd(std::int64_t planes, int height, int width,
   }
 }
 
-void CpuBackend::upsample2x_fwd(std::int64_t planes, int height, int width,
-                                const float* x, float* y) {
+void upsample2x_fwd(std::int64_t planes, int height, int width, const float* x,
+                    float* y) {
   const int H = height, W = width;
   for (std::int64_t nc = 0; nc < planes; ++nc) {
     const float* sp = x + nc * H * W;
@@ -933,9 +901,9 @@ void CpuBackend::upsample2x_fwd(std::int64_t planes, int height, int width,
   }
 }
 
-void CpuBackend::concat_channels_fwd(int batch, int channels_a, int channels_b,
-                                     std::int64_t plane, const float* a,
-                                     const float* b, float* y) {
+void concat_channels_fwd(int batch, int channels_a, int channels_b,
+                         std::int64_t plane, const float* a, const float* b,
+                         float* y) {
   const std::int64_t Ca = channels_a, Cb = channels_b;
   for (int n = 0; n < batch; ++n) {
     std::copy(a + n * Ca * plane, a + (n + 1) * Ca * plane,
@@ -957,12 +925,12 @@ constexpr int kConvBatchGemmMaxWidth = 2;
 /// only), stride-1 convs only at batch > 1 and only on the narrowest
 /// outputs; a single stride-1 sample always runs direct.  Geometry-only —
 /// batch-independent — so it also selects the conv's one packed weight
-/// form (conv_weight_pack); conv2d_gn_act_fwd_packed consumes it directly.
+/// form (conv_weight_pack); conv2d_gn_act_fwd consumes it directly.
 static bool fused_conv_uses_gemm(const Conv2dGeom& g) {
   return g.stride != 1 || g.out_width <= kConvBatchGemmMaxWidth;
 }
 
-std::size_t CpuBackend::conv_weight_pack_floats(const Conv2dGeom& g) {
+std::size_t conv_weight_pack_floats(const Conv2dGeom& g) {
   // GEMM convs consume a gemm_pack_a A panel (a single stride-1 sample of
   // such a conv runs direct on the raw filters instead).  Direct-kernel
   // convs consume the filters transposed to [k][o] in kConvOr-channel blocks:
@@ -979,8 +947,7 @@ std::size_t CpuBackend::conv_weight_pack_floats(const Conv2dGeom& g) {
          static_cast<std::size_t>(K);
 }
 
-void CpuBackend::conv_weight_pack(const Conv2dGeom& g, const float* w,
-                                  float* dst) {
+void conv_weight_pack(const Conv2dGeom& g, const float* w, float* dst) {
   const int O = g.out_channels;
   const int K = g.in_channels * g.kernel_h * g.kernel_w;
   if (fused_conv_uses_gemm(g)) {
@@ -993,19 +960,10 @@ void CpuBackend::conv_weight_pack(const Conv2dGeom& g, const float* w,
         *dst++ = w[static_cast<std::size_t>(ob + i) * K + k];
 }
 
-void CpuBackend::conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps,
-                                   ActKind act, float slope, const float* x,
-                                   const float* w, const float* bias,
-                                   const float* gamma, const float* beta,
-                                   float* y) {
-  conv2d_gn_act_fwd_packed(g, groups, eps, act, slope, x, w, nullptr, bias,
-                           gamma, beta, y);
-}
-
-void CpuBackend::conv2d_gn_act_fwd_packed(
-    const Conv2dGeom& g, int groups, float eps, ActKind act, float slope,
-    const float* x, const float* w, const float* packed_w, const float* bias,
-    const float* gamma, const float* beta, float* y) {
+void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps, ActKind act,
+                       float slope, const float* x, const float* w,
+                       const float* packed_w, const float* bias,
+                       const float* gamma, const float* beta, float* y) {
   NF_TRACE_SPAN("nn.conv2d_fused");
   const int C = g.in_channels, H = g.height, W = g.width;
   const int O = g.out_channels, kh = g.kernel_h, kw = g.kernel_w;

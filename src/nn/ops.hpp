@@ -5,13 +5,11 @@
 namespace neurfill::nn {
 
 // Autograd tensor ops.  These are the TRAINING-PATH entry points: every op
-// allocates its output tensor, records a tape closure, and dispatches its
-// arithmetic through the active compute backend (nn/backend/backend.hpp).
-// Inference-only callers should not build networks out of these —
-// nn/infer/session.hpp compiles the same arithmetic into a static graph
-// with fused kernels and a planned arena, and is the supported fast path
-// (docs/inference.md).  Direct kernel entry points (nn/gemm.hpp) are
-// implementation-internal to the CPU backend.
+// allocates its output tensor, records a tape closure, and runs its
+// arithmetic on the kernels of nn/kernels.hpp.  Inference-only callers
+// should not build networks out of these — nn/infer/session.hpp compiles
+// the same arithmetic into a static graph with fused kernels and a planned
+// arena, and is the supported fast path (docs/inference.md).
 
 /// Elementwise binary ops with numpy-style broadcasting (dims aligned from
 /// the right; each pair must match or one must be 1).
@@ -25,11 +23,7 @@ Tensor add_scalar(const Tensor& a, float s);
 Tensor mul_scalar(const Tensor& a, float s);
 
 /// Elementwise unary ops.
-Tensor neg(const Tensor& a);
 Tensor relu(const Tensor& a);
-Tensor leaky_relu(const Tensor& a, float slope = 0.01f);
-Tensor sigmoid(const Tensor& a);
-Tensor tanh_op(const Tensor& a);
 Tensor exp_op(const Tensor& a);
 Tensor log_op(const Tensor& a);
 Tensor abs_op(const Tensor& a);  ///< |x|; subgradient 0 at x == 0
@@ -43,19 +37,9 @@ Tensor sum(const Tensor& a);   ///< scalar
 Tensor mean(const Tensor& a);  ///< scalar
 /// Reduce one axis, keeping it with extent 1 (so results broadcast back).
 Tensor sum_axis(const Tensor& a, int axis);
-Tensor mean_axis(const Tensor& a, int axis);
-/// Population variance over all elements (scalar).
-Tensor variance(const Tensor& a);
 
-/// Shape ops.  `reshape` copies (identity backward); numel must match.
-Tensor reshape(const Tensor& a, std::vector<int> shape);
 /// Concatenate two 4-D tensors along the channel axis (dim 1).
 Tensor concat_channels(const Tensor& a, const Tensor& b);
-
-/// Linear algebra: (M,K) x (K,N) -> (M,N).
-Tensor matmul(const Tensor& a, const Tensor& b);
-/// Fully-connected: x (N,K) * w^T (K,O) + b (O).
-Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b);
 
 /// 2-D convolution on NCHW tensors.  weight is (O, C, kh, kw); bias (O) or
 /// undefined.  Symmetric zero padding.
@@ -72,8 +56,7 @@ Tensor upsample_nearest2x(const Tensor& x);
 Tensor group_norm(const Tensor& x, int groups, const Tensor& gamma,
                   const Tensor& beta, float eps = 1e-5f);
 
-/// Losses.
-Tensor mse_loss(const Tensor& pred, const Tensor& target);  ///< mean (p-t)^2
-Tensor l1_loss(const Tensor& pred, const Tensor& target);   ///< mean |p-t|
+/// Mean squared error loss: mean (p-t)^2.
+Tensor mse_loss(const Tensor& pred, const Tensor& target);
 
 }  // namespace neurfill::nn

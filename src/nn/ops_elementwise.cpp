@@ -3,15 +3,14 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/check.hpp"
-#include "nn/backend/backend.hpp"
+#include "nn/kernels.hpp"
 #include "nn/ops.hpp"
 #include "runtime/parallel.hpp"
 
-// Elementwise ops and reductions.  Forward arithmetic dispatches through
-// the active compute backend (nn/backend/backend.hpp); this layer keeps the
-// shape/broadcast logic and the autograd gradient loops, whose per-element
-// derivative formulas stay local lambdas.
+// Elementwise ops and reductions.  Forward arithmetic runs on the kernels
+// of nn/kernels.hpp; this layer keeps the shape/broadcast logic and the
+// autograd gradient loops, whose per-element derivative formulas stay
+// local lambdas.
 
 namespace neurfill::nn {
 
@@ -83,7 +82,7 @@ BroadcastPlan make_plan(const Tensor& a, const Tensor& b) {
   return p;
 }
 
-/// Generic broadcasting binary op.  `kind` selects the backend map for the
+/// Generic broadcasting binary op.  `kind` selects the kernel map for the
 /// same-shape fast path; `f(x, y)` computes the value in the broadcast
 /// fallback; `dfa` and `dfb` compute d out / d a and d out / d b at (x, y).
 template <typename F, typename DFA, typename DFB>
@@ -91,7 +90,7 @@ Tensor binary_op(const Tensor& a, const Tensor& b, BinaryKind kind, F f,
                  DFA dfa, DFB dfb) {
   if (same_shape(a, b)) {  // fast path: flat loops, no index math
     Tensor out(a.shape());
-    backend().binary_map(kind, a.data(), b.data(), out.data(), a.numel());
+    binary_map(kind, a.data(), b.data(), out.data(), a.numel());
     Tensor::attach_backward(out, {a, b}, [a, b, out = out.impl().get(), dfa, dfb]() mutable {
       const float* ga_src = out->grad.data();
       const float* pa2 = a.data();
@@ -160,13 +159,13 @@ Tensor binary_op(const Tensor& a, const Tensor& b, BinaryKind kind, F f,
   return out;
 }
 
-/// Generic elementwise unary op; forward via the backend map (`p` is the
+/// Generic elementwise unary op; forward via the kernel map (`p` is the
 /// UnaryKind parameter), derivative expressed in terms of input x and
 /// output y.
 template <typename DF>
 Tensor unary_op(const Tensor& a, UnaryKind kind, float p, DF df) {
   Tensor out(a.shape());
-  backend().unary_map(kind, p, a.data(), out.data(), a.numel());
+  unary_map(kind, p, a.data(), out.data(), a.numel());
   Tensor::attach_backward(out, {a}, [a, out = out.impl().get(), df]() mutable {
     const float* go = out->grad.data();
     const float* pa2 = a.data();
@@ -219,27 +218,9 @@ Tensor mul_scalar(const Tensor& a, float s) {
                   [s](float, float) { return s; });
 }
 
-Tensor neg(const Tensor& a) { return mul_scalar(a, -1.0f); }
-
 Tensor relu(const Tensor& a) {
   return unary_op(a, UnaryKind::kRelu, 0.0f,
                   [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; });
-}
-
-Tensor leaky_relu(const Tensor& a, float slope) {
-  return unary_op(a, UnaryKind::kLeakyRelu, slope, [slope](float x, float) {
-    return x > 0.0f ? 1.0f : slope;
-  });
-}
-
-Tensor sigmoid(const Tensor& a) {
-  return unary_op(a, UnaryKind::kSigmoid, 0.0f,
-                  [](float, float y) { return y * (1.0f - y); });
-}
-
-Tensor tanh_op(const Tensor& a) {
-  return unary_op(a, UnaryKind::kTanh, 0.0f,
-                  [](float, float y) { return 1.0f - y * y; });
 }
 
 Tensor exp_op(const Tensor& a) {
@@ -279,10 +260,10 @@ Tensor softplus(const Tensor& a, float eta) {
 
 Tensor sum(const Tensor& a) {
   Tensor out({1});
-  // Deterministic blocked reduction (Backend::reduce_sum): partials are
+  // Deterministic blocked reduction (nn::reduce_sum): partials are
   // combined in block order, so the value is bitwise identical at every
   // thread count.
-  out.data()[0] = static_cast<float>(backend().reduce_sum(a.data(), a.numel()));
+  out.data()[0] = static_cast<float>(reduce_sum(a.data(), a.numel()));
   Tensor::attach_backward(out, {a}, [a, out = out.impl().get()]() mutable {
     const float g = out->grad[0];
     float* ga = a.grad();
@@ -333,36 +314,6 @@ Tensor sum_axis(const Tensor& a, int axis) {
   return out;
 }
 
-Tensor mean_axis(const Tensor& a, int axis) {
-  const int ax = axis < 0 ? axis + a.ndim() : axis;
-  if (ax < 0 || ax >= a.ndim())
-    throw std::invalid_argument("mean_axis: axis out of range");
-  return mul_scalar(sum_axis(a, ax),
-                    1.0f / static_cast<float>(a.dim(ax)));
-}
-
-Tensor variance(const Tensor& a) {
-  const Tensor centered = sub(a, mean(a));
-  return mean(square(centered));
-}
-
-Tensor reshape(const Tensor& a, std::vector<int> shape) {
-  Tensor out(shape);
-  if (out.numel() != a.numel())
-    throw std::invalid_argument("reshape: numel mismatch");
-  NF_CHECK(out.numel() == static_cast<std::int64_t>(out.impl()->data.size()),
-           "reshape: output storage %zu does not match numel %lld",
-           out.impl()->data.size(), static_cast<long long>(out.numel()));
-  std::copy(a.data(), a.data() + a.numel(), out.data());
-  Tensor::attach_backward(out, {a}, [a, out = out.impl().get()]() mutable {
-    const float* go = out->grad.data();
-    float* ga = a.grad();
-    const std::int64_t n = a.numel();
-    for (std::int64_t i = 0; i < n; ++i) ga[i] += go[i];
-  });
-  return out;
-}
-
 Tensor concat_channels(const Tensor& a, const Tensor& b) {
   if (a.ndim() != 4 || b.ndim() != 4)
     throw std::invalid_argument("concat_channels: need 4-D tensors");
@@ -372,8 +323,7 @@ Tensor concat_channels(const Tensor& a, const Tensor& b) {
             W = a.dim(3);
   Tensor out({N, Ca + Cb, H, W});
   const std::int64_t plane = static_cast<std::int64_t>(H) * W;
-  backend().concat_channels_fwd(N, Ca, Cb, plane, a.data(), b.data(),
-                                out.data());
+  concat_channels_fwd(N, Ca, Cb, plane, a.data(), b.data(), out.data());
   Tensor::attach_backward(out, {a, b}, [a, b, out = out.impl().get(), N, Ca, Cb, plane]() mutable {
     const float* go = out->grad.data();
     for (int n = 0; n < N; ++n) {
@@ -394,10 +344,6 @@ Tensor concat_channels(const Tensor& a, const Tensor& b) {
 
 Tensor mse_loss(const Tensor& pred, const Tensor& target) {
   return mean(square(sub(pred, target)));
-}
-
-Tensor l1_loss(const Tensor& pred, const Tensor& target) {
-  return mean(abs_op(sub(pred, target)));
 }
 
 }  // namespace neurfill::nn

@@ -4,35 +4,9 @@
 
 namespace neurfill::nn {
 
-void Optimizer::zero_grad() {
-  for (auto& p : params_) p.zero_grad();
-}
-
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.resize(params_.size());
-  for (std::size_t i = 0; i < params_.size(); ++i)
-    velocity_[i].assign(static_cast<std::size_t>(params_[i].numel()), 0.0f);
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Tensor& p = params_[i];
-    if (!p.has_grad()) continue;
-    const float* g = p.grad();
-    float* d = p.data();
-    float* v = velocity_[i].data();
-    const std::int64_t n = p.numel();
-    for (std::int64_t k = 0; k < n; ++k) {
-      v[k] = momentum_ * v[k] + g[k];
-      d[k] -= lr_ * v[k];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
            float eps)
-    : Optimizer(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
+    : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
       eps_(eps) {
   m_.resize(params_.size());
   v_.resize(params_.size());
@@ -40,6 +14,10 @@ Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
     m_[i].assign(static_cast<std::size_t>(params_[i].numel()), 0.0f);
     v_[i].assign(static_cast<std::size_t>(params_[i].numel()), 0.0f);
   }
+}
+
+void Adam::zero_grad() {
+  for (auto& p : params_) p.zero_grad();
 }
 
 void Adam::step() {

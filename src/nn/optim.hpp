@@ -6,38 +6,15 @@
 
 namespace neurfill::nn {
 
-/// Optimizer base: owns handles to the parameter tensors and updates their
-/// data in place from the accumulated gradients.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  virtual void step() = 0;
-  void zero_grad();
-
- protected:
-  std::vector<Tensor> params_;
-};
-
-/// SGD with classical momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f);
-  void step() override;
-  void set_learning_rate(float lr) { lr_ = lr; }
-
- private:
-  float lr_, momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-/// Adam [Kingma & Ba 2015] with bias correction.
-class Adam : public Optimizer {
+/// Adam [Kingma & Ba 2015] with bias correction.  Owns handles to the
+/// parameter tensors and updates their data in place from the accumulated
+/// gradients.
+class Adam {
  public:
   Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
        float beta2 = 0.999f, float eps = 1e-8f);
-  void step() override;
+  void step();
+  void zero_grad();
   void set_learning_rate(float lr) { lr_ = lr; }
   float learning_rate() const { return lr_; }
 
@@ -61,6 +38,7 @@ class Adam : public Optimizer {
   }
 
  private:
+  std::vector<Tensor> params_;
   float lr_, beta1_, beta2_, eps_;
   std::int64_t t_ = 0;
   std::vector<std::vector<float>> m_, v_;

@@ -1,7 +1,6 @@
 #include "surrogate/cmp_network.hpp"
 
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
@@ -144,130 +143,11 @@ CmpNetwork::CmpNetwork(std::shared_ptr<const CmpSurrogate> surrogate,
   // repeated constructions over the same frozen surrogate and plane size
   // (the fullchip tile loop) share one compiled session and its pre-packed
   // weight panels.
-  if (surrogate_->fast_inference_enabled())
-    fast_ = acquire_surrogate_inference(*surrogate_, static_[0].padded_rows,
-                                        static_[0].padded_cols);
+  inference_ = acquire_surrogate_inference(
+      *surrogate_, static_[0].padded_rows, static_[0].padded_cols);
 }
 
 CmpNetwork::~CmpNetwork() = default;
-
-nn::Tensor CmpNetwork::make_fill_tensor(const GridD& x,
-                                        bool requires_grad) const {
-  const int pr = static_[0].padded_rows, pc = static_[0].padded_cols;
-  std::vector<float> data(static_cast<std::size_t>(pr) * pc, 0.0f);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j)
-      data[i * static_cast<std::size_t>(pc) + j] =
-          static_cast<float>(x(i, j));
-  return nn::Tensor::from_data({1, 1, pr, pc}, std::move(data), requires_grad);
-}
-
-CmpNetwork::Eval CmpNetwork::evaluate(const std::vector<GridD>& x,
-                                      bool with_grad) const {
-  using nn::Tensor;
-  if (x.size() != static_.size())
-    throw std::invalid_argument("CmpNetwork::evaluate: layer count mismatch");
-  // The compiled path serves values and gradients tape-free; the autograd
-  // pipeline below is the reference it is pinned against bitwise
-  // (tests/test_inference.cpp), reached only with fast inference disabled.
-  if (fast_) return evaluate_fast(x, with_grad);
-
-  // A gradient sweep accumulates into the shared UNet's parameter
-  // gradients, so reference evaluations with gradients run one at a time
-  // (concurrent MSP starts would otherwise race on them).
-  static std::mutex reference_mutex;
-  std::unique_lock<std::mutex> lock(reference_mutex, std::defer_lock);
-  if (with_grad) lock.lock();
-  std::vector<Tensor> fills;
-  fills.reserve(x.size());
-  for (const GridD& g : x) fills.push_back(make_fill_tensor(g, with_grad));
-  const std::vector<Tensor> heights =
-      surrogate_->forward_heights(static_, fills);
-
-  // Validity mask: metrics are computed over the un-padded N x M region.
-  const int pr = static_[0].padded_rows, pc = static_[0].padded_cols;
-  std::vector<float> mask_data(static_cast<std::size_t>(pr) * pc, 0.0f);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j)
-      mask_data[i * static_cast<std::size_t>(pc) + j] = 1.0f;
-  const Tensor mask = Tensor::from_data({1, 1, pr, pc}, std::move(mask_data));
-  const float count = static_cast<float>(rows_ * cols_);
-
-  // Objective layers (Eqs. 10a-c), masked to the valid region.
-  Tensor sigma_total = Tensor::scalar(0.0f);
-  Tensor sigma_star_total = Tensor::scalar(0.0f);
-  Tensor ol_total = Tensor::scalar(0.0f);
-  for (const Tensor& h : heights) {
-    const Tensor hm = nn::mul(h, mask);
-    const Tensor mean_h = nn::mul_scalar(nn::sum(hm), 1.0f / count);
-    const Tensor dev = nn::mul(nn::sub(h, mean_h), mask);
-    const Tensor var = nn::mul_scalar(nn::sum(nn::square(dev)), 1.0f / count);
-    sigma_total = nn::add(sigma_total, var);
-    // Line deviation: per-column mean over the valid rows.
-    const Tensor col_mean =
-        nn::mul_scalar(nn::sum_axis(hm, 2), 1.0f / static_cast<float>(rows_));
-    const Tensor col_dev = nn::mul(nn::sub(h, col_mean), mask);
-    sigma_star_total = nn::add(sigma_star_total, nn::sum(nn::abs_op(col_dev)));
-    // Outliers: smooth max(0, H - (mean + 3*sigma_l)).
-    const Tensor sig_l = nn::sqrt_op(nn::add_scalar(var, 1e-6f));
-    const Tensor threshold = nn::add(mean_h, nn::mul_scalar(sig_l, 3.0f));
-    const Tensor excess = nn::sub(h, threshold);
-    const Tensor smooth = nn::softplus(
-        excess, static_cast<float>(surrogate_->config().outlier_eta));
-    ol_total = nn::add(ol_total, nn::sum(nn::mul(smooth, mask)));
-  }
-
-  // Simulator-anchored log-space corrections (identity unless calibrated):
-  // corrected = exp(a) * (raw + eps)^b, computed differentiably.
-  const auto apply_cal = [](const Tensor& t, const MetricCalibration& c) {
-    if (c.a == 0.0 && c.b == 1.0) return t;
-    const Tensor log_t = nn::log_op(nn::add_scalar(t, 1e-6f));
-    return nn::exp_op(nn::add_scalar(
-        nn::mul_scalar(log_t, static_cast<float>(c.b)),
-        static_cast<float>(c.a)));
-  };
-  sigma_total = apply_cal(sigma_total, cal_sigma_);
-  sigma_star_total = apply_cal(sigma_star_total, cal_sigma_star_);
-  ol_total = apply_cal(ol_total, cal_ol_);
-
-  // Merging layer (Eq. 5b) with the Eq. 6 score function (relu = max(0,.)).
-  const auto score_term = [](const Tensor& t, double alpha, double beta) {
-    return nn::mul_scalar(
-        nn::relu(nn::add_scalar(nn::mul_scalar(t, -1.0f / static_cast<float>(beta)),
-                                1.0f)),
-        static_cast<float>(alpha));
-  };
-  Tensor s_plan =
-      nn::add(score_term(sigma_total, coeffs_.alpha_sigma, coeffs_.beta_sigma),
-              nn::add(score_term(sigma_star_total, coeffs_.alpha_sigma_star,
-                                 coeffs_.beta_sigma_star),
-                      score_term(ol_total, coeffs_.alpha_ol, coeffs_.beta_ol)));
-
-  Eval out;
-  out.s_plan = s_plan.item();
-  out.sigma = sigma_total.item();
-  out.sigma_star = sigma_star_total.item();
-  out.outliers = ol_total.item();
-  out.heights.reserve(heights.size());
-  for (const Tensor& h : heights)
-    out.heights.push_back(
-        crop_to_grid(h, static_cast<int>(rows_), static_cast<int>(cols_)));
-
-  if (with_grad) {
-    s_plan.backward();
-    out.grad.reserve(fills.size());
-    for (const Tensor& f : fills) {
-      GridD g(rows_, cols_, 0.0);
-      if (f.has_grad()) {
-        for (std::size_t i = 0; i < rows_; ++i)
-          for (std::size_t j = 0; j < cols_; ++j)
-            g(i, j) = f.grad()[i * static_cast<std::size_t>(pc) + j];
-      }
-      out.grad.push_back(std::move(g));
-    }
-  }
-  return out;
-}
 
 void CmpNetwork::set_calibration(const MetricCalibration& sigma,
                                  const MetricCalibration& sigma_star,
@@ -280,7 +160,7 @@ void CmpNetwork::set_calibration(const MetricCalibration& sigma,
 namespace {
 
 /// Pads a fill grid into a flat padded plane (zeros outside the valid
-/// region — the same layout make_fill_tensor produces).
+/// region).
 void fill_to_plane(const GridD& x, std::size_t rows, std::size_t cols, int pc,
                    std::vector<float>& plane) {
   for (std::size_t i = 0; i < rows; ++i)
@@ -318,8 +198,10 @@ ObjectiveHead CmpNetwork::objective_head() const {
   return head;
 }
 
-CmpNetwork::Eval CmpNetwork::evaluate_fast(const std::vector<GridD>& x,
-                                           bool with_grad) const {
+CmpNetwork::Eval CmpNetwork::evaluate(const std::vector<GridD>& x,
+                                      bool with_grad) const {
+  if (x.size() != static_.size())
+    throw std::invalid_argument("CmpNetwork::evaluate: layer count mismatch");
   const int pr = static_[0].padded_rows, pc = static_[0].padded_cols;
   const std::size_t n = static_cast<std::size_t>(pr) * pc;
 
@@ -333,11 +215,11 @@ CmpNetwork::Eval CmpNetwork::evaluate_fast(const std::vector<GridD>& x,
   }
   std::vector<std::vector<float>> heights;
   if (!with_grad) {
-    fast_->predict_heights(static_, fill_ptrs, heights);
+    inference_->predict_heights(static_, fill_ptrs, heights);
     return make_eval(heights, nullptr);
   }
   std::vector<std::vector<float>> d_fills;
-  const ObjectiveValue v = fast_->evaluate_with_vjp(
+  const ObjectiveValue v = inference_->evaluate_with_vjp(
       static_, fill_ptrs, objective_head(), heights, d_fills);
   Eval out = make_eval(heights, &v);
   out.grad.reserve(d_fills.size());
@@ -371,12 +253,6 @@ std::vector<CmpNetwork::Eval> CmpNetwork::evaluate_batch(
     if (x.size() != static_.size())
       throw std::invalid_argument(
           "CmpNetwork::evaluate_batch: layer count mismatch");
-  if (!fast_) {
-    // Autograd reference (fast inference disabled): same values, one
-    // candidate at a time through the tape.
-    for (std::size_t b = 0; b < xs.size(); ++b) out[b] = evaluate(xs[b], false);
-    return out;
-  }
 
   const int pc = static_[0].padded_cols;
   const std::size_t n =
@@ -399,7 +275,7 @@ std::vector<CmpNetwork::Eval> CmpNetwork::evaluate_batch(
   // One batched session run per layer for all candidates; each candidate's
   // height planes are byte-identical to a solo predict_heights.
   std::vector<std::vector<std::vector<float>>> heights;
-  fast_->predict_heights_batch(static_, fill_ptrs, heights);
+  inference_->predict_heights_batch(static_, fill_ptrs, heights);
 
   // Candidates score independently (per-thread scratch); roughly 20 ns per
   // plane element across the metric passes.
@@ -416,17 +292,7 @@ std::vector<GridD> CmpNetwork::predict_heights(
     const std::vector<GridD>& x) const {
   // One value evaluation's heights; scoring them costs a few plane passes
   // next to the UNet forward.
-  if (fast_) return evaluate_fast(x, false).heights;
-  std::vector<nn::Tensor> fills;
-  fills.reserve(x.size());
-  for (const GridD& g : x) fills.push_back(make_fill_tensor(g, false));
-  const auto heights = surrogate_->forward_heights(static_, fills);
-  std::vector<GridD> out;
-  out.reserve(heights.size());
-  for (const auto& h : heights)
-    out.push_back(
-        crop_to_grid(h, static_cast<int>(rows_), static_cast<int>(cols_)));
-  return out;
+  return evaluate(x, false).heights;
 }
 
 }  // namespace neurfill

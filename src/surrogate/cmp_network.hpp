@@ -67,20 +67,9 @@ class CmpSurrogate {
   /// planes from simulator labels.
   nn::Tensor incoming_from_height(const nn::Tensor& height_ang) const;
 
-  /// Whether CmpNetwork's evaluations (values and gradients), predictions
-  /// and the surrogate accuracy eval run through the graph-compiled
-  /// InferenceSession and its reverse pass (docs/inference.md) — the
-  /// default and the only production path — or through the autograd tape.
-  /// The tape path is the reference the differential tests and
-  /// bench_inference compare the compiled path against, bitwise; nothing
-  /// else clears this switch.
-  void set_fast_inference(bool enabled) { fast_inference_ = enabled; }
-  bool fast_inference_enabled() const { return fast_inference_; }
-
  private:
   SurrogateConfig config_;
   std::shared_ptr<nn::UNet> unet_;
-  bool fast_inference_ = true;
 };
 
 /// Saves/loads the surrogate as <path>.meta (text config) + <path>.weights
@@ -97,7 +86,10 @@ class CmpSurrogate {
 /// coefficient set: extraction layer -> pre-trained UNet -> objective layers
 /// (Eqs. 10a-c) -> merging layer (Eq. 5b).  evaluate() runs the forward pass
 /// for S_plan and, when requested, one backward propagation for
-/// grad(S_plan) (Eq. 11) — the paper's 8134x-speedup path.
+/// grad(S_plan) (Eq. 11) — the paper's 8134x-speedup path.  Every
+/// evaluation runs tape-free through the graph-compiled InferenceSession
+/// and its reverse pass (docs/inference.md); the autograd pipeline it is
+/// pinned against bitwise lives in surrogate/network_reference.hpp.
 class CmpNetwork {
  public:
   CmpNetwork(std::shared_ptr<const CmpSurrogate> surrogate,
@@ -113,6 +105,10 @@ class CmpNetwork {
     std::vector<GridD> grad;     ///< d S_plan / d x, filled when requested
   };
 
+  /// S_plan, the relaxed metrics and the predicted heights of fill `x`
+  /// (one grid per layer) and, with `with_grad`, dS_plan/dx.  The value is
+  /// bitwise the same with and without gradients (the SQP line search mixes
+  /// both).  Thread-safe.
   Eval evaluate(const std::vector<GridD>& x, bool with_grad) const;
 
   /// Value-only evaluation of B candidate fill solutions in one call: the
@@ -120,10 +116,9 @@ class CmpNetwork {
   /// layer and the UNet runs a single batched session forward, then the
   /// objective terms (Eqs. 10a-c) fan back out per candidate.  Each
   /// returned Eval (gradients never filled) is byte-identical to
-  /// evaluate(xs[b], false) — and therefore to the autograd path — at any
+  /// evaluate(xs[b], false) — and therefore to reference_evaluate — at any
   /// thread count, so batched and serial evaluations mix freely inside one
-  /// optimization.  Falls back to per-candidate evaluation when the fast
-  /// path is disabled.
+  /// optimization.
   std::vector<Eval> evaluate_batch(const std::vector<std::vector<GridD>>& xs) const;
 
   /// Predicted heights only (a cheap forward; used by quality callbacks).
@@ -150,18 +145,16 @@ class CmpNetwork {
   const MetricCalibration& outlier_calibration() const { return cal_ol_; }
 
   const ScoreCoefficients& coefficients() const { return coeffs_; }
+  const CmpSurrogate& surrogate() const { return *surrogate_; }
+  /// The extraction's fill-independent planes, padded for the UNet.
+  const std::vector<StaticLayerFeatures>& static_features() const {
+    return static_;
+  }
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t num_layers() const { return static_.size(); }
 
  private:
-  nn::Tensor make_fill_tensor(const GridD& x, bool requires_grad) const;
-  /// Tape-free evaluate: SurrogateInference heights, the flat-plane
-  /// objective layers and, with gradients, their compiled vector-Jacobian
-  /// product; bitwise equal to the autograd pipeline in value and gradient
-  /// (the SQP line search mixes evaluations, so "within tolerance" would
-  /// not be enough).
-  Eval evaluate_fast(const std::vector<GridD>& x, bool with_grad) const;
   /// This network's objective layers (coefficients, calibration, region).
   ObjectiveHead objective_head() const;
   /// Eval from one candidate's predicted height planes, scoring them unless
@@ -175,10 +168,10 @@ class CmpNetwork {
   ScoreCoefficients coeffs_;
   std::size_t rows_ = 0, cols_ = 0;
   MetricCalibration cal_sigma_, cal_sigma_star_, cal_ol_;
-  /// Compiled fast path; null when disabled.  Shared through the process-
-  /// wide session cache (surrogate/infer.hpp), so tile solves over the same
-  /// surrogate and plane size reuse one compiled session.
-  std::shared_ptr<const SurrogateInference> fast_;
+  /// The compiled surrogate, shared through the process-wide session cache
+  /// (surrogate/infer.hpp), so tile solves over the same surrogate and
+  /// plane size reuse one compiled session.
+  std::shared_ptr<const SurrogateInference> inference_;
 };
 
 }  // namespace neurfill

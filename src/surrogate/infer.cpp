@@ -11,7 +11,7 @@
 
 #include "common/aligned.hpp"
 #include "common/check.hpp"
-#include "nn/backend/backend.hpp"
+#include "nn/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
@@ -50,14 +50,13 @@ ExtractConsts make_consts(const FeatureConstants& fc, double topo_transfer,
 /// Extraction layer (assemble_layer_input) for ONE candidate layer: fills
 /// the 7 feature planes of `input` from the static features, the candidate
 /// fill, and the chained incoming plane.  Chained elementwise steps go
-/// through the backend maps with materialized intermediates — the same
+/// through the kernel maps with materialized intermediates — the same
 /// kernels, in the same order, as the autograd ops, so each plane is
 /// rounded identically (no re-association or fused-multiply-add
 /// differences between the paths).  `tmp` is one n-float scratch plane.
-void assemble_input_planes(nn::Backend& be, const StaticLayerFeatures& layer,
-                           const float* fill, const float* incoming,
-                           float* input, float* tmp, std::size_t n,
-                           const ExtractConsts& c) {
+void assemble_input_planes(const StaticLayerFeatures& layer, const float* fill,
+                           const float* incoming, float* input, float* tmp,
+                           std::size_t n, const ExtractConsts& c) {
   const std::int64_t n64 = static_cast<std::int64_t>(n);
   float* density = input;
   float* perim = input + n;
@@ -67,23 +66,23 @@ void assemble_input_planes(nn::Backend& be, const StaticLayerFeatures& layer,
   float* global_plane = input + 5 * n;
   float* pressure = input + 6 * n;
   // density = rho + fill
-  be.binary_map(nn::BinaryKind::kAdd, layer.wire_density.data(), fill, density,
-                n64);
+  nn::binary_map(nn::BinaryKind::kAdd, layer.wire_density.data(), fill,
+                 density, n64);
   // perim = perim0 + fill * dperim
-  be.unary_map(nn::UnaryKind::kMulScalar, c.dperim, fill, perim, n64);
-  be.binary_map(nn::BinaryKind::kAdd, layer.perimeter.data(), perim, perim,
-                n64);
+  nn::unary_map(nn::UnaryKind::kMulScalar, c.dperim, fill, perim, n64);
+  nn::binary_map(nn::BinaryKind::kAdd, layer.perimeter.data(), perim, perim,
+                 n64);
   // width = (wnum0 + fill * wdum) / (density + 1e-3)
-  be.unary_map(nn::UnaryKind::kMulScalar, c.wdum, fill, width, n64);
-  be.binary_map(nn::BinaryKind::kAdd, layer.width_blend_num.data(), width,
-                width, n64);
-  be.unary_map(nn::UnaryKind::kAddScalar, 1e-3f, density, tmp, n64);
-  be.binary_map(nn::BinaryKind::kDiv, width, tmp, width, n64);
+  nn::unary_map(nn::UnaryKind::kMulScalar, c.wdum, fill, width, n64);
+  nn::binary_map(nn::BinaryKind::kAdd, layer.width_blend_num.data(), width,
+                 width, n64);
+  nn::unary_map(nn::UnaryKind::kAddScalar, 1e-3f, density, tmp, n64);
+  nn::binary_map(nn::BinaryKind::kDiv, width, tmp, width, n64);
   std::memcpy(chan_incoming, incoming, n * sizeof(float));
   std::memcpy(chan_slack, layer.slack.data(), n * sizeof(float));
   // Global mean density, broadcast (ones * mean is exactly the mean).
   const float global_mean =
-      static_cast<float>(be.reduce_sum(density, n64)) * c.inv_n;
+      static_cast<float>(nn::reduce_sum(density, n64)) * c.inv_n;
   for (std::size_t i = 0; i < n; ++i) global_plane[i] = global_mean;
   for (std::size_t i = 0; i < n; ++i) pressure[i] = 1.0f;
 }
@@ -92,20 +91,19 @@ void assemble_input_planes(nn::Backend& be, const StaticLayerFeatures& layer,
 /// (forward_heights' arithmetic), then — when `incoming` is non-null —
 /// write the next layer's chained incoming plane:
 /// incoming_{l+1} = (h_ang - mean(h_ang)) * topo_transfer/scale.
-void postprocess_heights(nn::Backend& be, const float* h_norm, float* h_ang,
-                         float* incoming, std::size_t n,
-                         const ExtractConsts& c) {
+void postprocess_heights(const float* h_norm, float* h_ang, float* incoming,
+                         std::size_t n, const ExtractConsts& c) {
   const std::int64_t n64 = static_cast<std::int64_t>(n);
-  const float mean_h = static_cast<float>(be.reduce_sum(h_norm, n64)) * c.inv_n;
+  const float mean_h = static_cast<float>(nn::reduce_sum(h_norm, n64)) * c.inv_n;
   for (std::size_t i = 0; i < n; ++i) h_ang[i] = h_norm[i] - mean_h;
-  be.unary_map(nn::UnaryKind::kMulScalar, c.height_scale, h_ang, h_ang, n64);
-  be.unary_map(nn::UnaryKind::kAddScalar, c.height_offset, h_ang, h_ang, n64);
+  nn::unary_map(nn::UnaryKind::kMulScalar, c.height_scale, h_ang, h_ang, n64);
+  nn::unary_map(nn::UnaryKind::kAddScalar, c.height_offset, h_ang, h_ang, n64);
   if (incoming != nullptr) {
     const float mean_ang =
-        static_cast<float>(be.reduce_sum(h_ang, n64)) * c.inv_n;
+        static_cast<float>(nn::reduce_sum(h_ang, n64)) * c.inv_n;
     for (std::size_t i = 0; i < n; ++i) incoming[i] = h_ang[i] - mean_ang;
-    be.unary_map(nn::UnaryKind::kMulScalar, c.chain_k, incoming, incoming,
-                 n64);
+    nn::unary_map(nn::UnaryKind::kMulScalar, c.chain_k, incoming, incoming,
+                  n64);
   }
 }
 
@@ -146,7 +144,7 @@ float* build_mask(const ObjectiveHead& head, int pc, std::size_t n,
 
 /// Objective layers over flat planes, optionally recording the forward
 /// intermediates for the adjoints.  Every chained multiply-add is either a
-/// backend kernel call or split into single-operation statements, so no
+/// kernel call or split into single-operation statements, so no
 /// re-association or fused multiply-add can change the rounding relative
 /// to the op-by-op autograd evaluation.
 ObjectiveValue score_planes(const ObjectiveHead& head, int pr, int pc,
@@ -154,7 +152,6 @@ ObjectiveValue score_planes(const ObjectiveHead& head, int pr, int pc,
                             ObjectiveTrace* trace) {
   const std::size_t n = static_cast<std::size_t>(pr) * pc;
   const std::int64_t n64 = static_cast<std::int64_t>(n);
-  nn::Backend& be = nn::backend();
 
   // Per-thread scratch: evaluate_batch scores candidates concurrently, and
   // repeated calls must not allocate in steady state.
@@ -172,15 +169,15 @@ ObjectiveValue score_planes(const ObjectiveHead& head, int pr, int pc,
   float total[3] = {0.0f, 0.0f, 0.0f};
   for (std::size_t l = 0; l < heights.size(); ++l) {
     const float* h = heights[l].data();
-    be.binary_map(nn::BinaryKind::kMul, h, mask, hm, n64);
+    nn::binary_map(nn::BinaryKind::kMul, h, mask, hm, n64);
     const float mean_h =
-        static_cast<float>(be.reduce_sum(hm, n64)) * inv_count;
+        static_cast<float>(nn::reduce_sum(hm, n64)) * inv_count;
     // var = sum(((h - mean) * mask)^2) / count
     for (std::size_t i = 0; i < n; ++i) work[i] = h[i] - mean_h;
-    be.binary_map(nn::BinaryKind::kMul, work, mask, work, n64);
-    be.unary_map(nn::UnaryKind::kSquare, 0.0f, work, work, n64);
+    nn::binary_map(nn::BinaryKind::kMul, work, mask, work, n64);
+    nn::unary_map(nn::UnaryKind::kSquare, 0.0f, work, work, n64);
     const float var =
-        static_cast<float>(be.reduce_sum(work, n64)) * inv_count;
+        static_cast<float>(nn::reduce_sum(work, n64)) * inv_count;
     total[0] = total[0] + var;
     // Line deviation: per-column mean over the valid rows (sum_axis is a
     // serial double accumulation per column, in row order).
@@ -197,18 +194,18 @@ ObjectiveValue score_planes(const ObjectiveHead& head, int pr, int pc,
             static_cast<std::size_t>(i) * pc + static_cast<std::size_t>(j);
         work[k] = h[k] - col[static_cast<std::size_t>(j)];
       }
-    be.binary_map(nn::BinaryKind::kMul, work, mask, work, n64);
-    be.unary_map(nn::UnaryKind::kAbs, 0.0f, work, work, n64);
-    total[1] = total[1] + static_cast<float>(be.reduce_sum(work, n64));
+    nn::binary_map(nn::BinaryKind::kMul, work, mask, work, n64);
+    nn::unary_map(nn::UnaryKind::kAbs, 0.0f, work, work, n64);
+    total[1] = total[1] + static_cast<float>(nn::reduce_sum(work, n64));
     // Outliers: smooth max(0, H - (mean + 3*sigma_l)).
     const float var_eps = var + 1e-6f;
     const float sig_l = std::sqrt(var_eps);
     const float three_sig = sig_l * 3.0f;
     const float threshold = mean_h + three_sig;
     for (std::size_t i = 0; i < n; ++i) work[i] = h[i] - threshold;
-    be.unary_map(nn::UnaryKind::kSoftplus, head.eta, work, work, n64);
-    be.binary_map(nn::BinaryKind::kMul, work, mask, work, n64);
-    total[2] = total[2] + static_cast<float>(be.reduce_sum(work, n64));
+    nn::unary_map(nn::UnaryKind::kSoftplus, head.eta, work, work, n64);
+    nn::binary_map(nn::BinaryKind::kMul, work, mask, work, n64);
+    total[2] = total[2] + static_cast<float>(nn::reduce_sum(work, n64));
     if (trace) {
       ObjectiveTrace::Layer& t = trace->layers[l];
       t.mean_h = mean_h;
@@ -297,20 +294,19 @@ void SurrogateInference::predict_heights(
   std::memset(incoming, 0, n * sizeof(float));  // bottom layer sees a plane
 
   heights.resize(layers.size());  // re-used capacity on repeated calls
-  nn::Backend& be = nn::backend();
   for (std::size_t l = 0; l < layers.size(); ++l) {
     const StaticLayerFeatures& layer = layers[l];
     NF_CHECK(layer.padded_rows == rows_ && layer.padded_cols == cols_,
              "SurrogateInference: layer %zu padded to %dx%d, session compiled "
              "for %dx%d",
              l, layer.padded_rows, layer.padded_cols, rows_, cols_);
-    assemble_input_planes(be, layer, fills[l], incoming, input, tmp, n, c);
+    assemble_input_planes(layer, fills[l], incoming, input, tmp, n, c);
 
     session_.run(input, h_norm, /*batch=*/1);
 
     std::vector<float>& h_ang = heights[l];
     h_ang.resize(n);
-    postprocess_heights(be, h_norm, h_ang.data(),
+    postprocess_heights(h_norm, h_ang.data(),
                         l + 1 < layers.size() ? incoming : nullptr, n, c);
   }
 }
@@ -348,7 +344,6 @@ void SurrogateInference::predict_heights_batch(
 
   for (std::size_t b = 0; b < B; ++b) heights[b].resize(layers.size());
 
-  nn::Backend& be = nn::backend();
   // Extraction costs ~10 ns per element across the seven channel passes.
   const std::size_t cand_grain =
       runtime::grain_for_cost(10.0 * static_cast<double>(n), B);
@@ -367,7 +362,7 @@ void SurrogateInference::predict_heights_batch(
       static thread_local AlignedBuffer<float> tls_tmp;
       float* tmp = tls_tmp.ensure(n);
       for (std::size_t b = b0; b < b1; ++b)
-        assemble_input_planes(be, layer, fills[b][l], incoming_all + b * n,
+        assemble_input_planes(layer, fills[b][l], incoming_all + b * n,
                               input_all + b * in_stride, tmp, n, c);
     });
 
@@ -382,7 +377,7 @@ void SurrogateInference::predict_heights_batch(
       for (std::size_t b = b0; b < b1; ++b) {
         std::vector<float>& h_ang = heights[b][l];
         h_ang.resize(n);
-        postprocess_heights(be, h_norm_all + b * n, h_ang.data(),
+        postprocess_heights(h_norm_all + b * n, h_ang.data(),
                             chain ? incoming_all + b * n : nullptr, n, c);
       }
     });
@@ -403,7 +398,6 @@ ObjectiveValue SurrogateInference::evaluate_with_vjp(
   const std::size_t pc = static_cast<std::size_t>(cols_);
   const std::size_t in_floats = FeatureConstants::kInChannels * n;
   const ExtractConsts c = make_consts(features_, topo_transfer_, n);
-  nn::Backend& be = nn::backend();
 
   // Grow-only per-thread scratch: one reverse-pass record per layer (all
   // are live until the top-down sweep reaches that layer), the forward's
@@ -433,10 +427,10 @@ ObjectiveValue SurrogateInference::evaluate_with_vjp(
              "SurrogateInference: layer %zu padded to %dx%d, session compiled "
              "for %dx%d",
              l, layers[l].padded_rows, layers[l].padded_cols, rows_, cols_);
-    assemble_input_planes(be, layers[l], fills[l], incoming, input, tmp, n, c);
+    assemble_input_planes(layers[l], fills[l], incoming, input, tmp, n, c);
     session_.run_saving(input, h_norm, records + l * rec);
     heights[l].resize(n);
-    postprocess_heights(be, h_norm, heights[l].data(),
+    postprocess_heights(h_norm, heights[l].data(),
                         l + 1 < L ? incoming : nullptr, n, c);
   }
   static thread_local ObjectiveTrace tls_trace;

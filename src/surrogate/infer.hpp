@@ -37,8 +37,8 @@ ObjectiveValue score_height_planes(const ObjectiveHead& head, int padded_rows,
 
 /// Tape-free surrogate evaluation: CmpSurrogate::forward_heights without
 /// the autograd tensors.  The extraction-layer arithmetic (density /
-/// perimeter / width / global-mean planes) runs as backend elementwise
-/// kernels over flat planes, and the UNet runs through a graph-compiled
+/// perimeter / width / global-mean planes) runs as nn/kernels.hpp
+/// elementwise maps over flat planes, and the UNet runs through a graph-compiled
 /// nn::InferenceSession, so a forward pass allocates nothing in steady
 /// state and returns heights bitwise identical to the autograd path
 /// (pinned by tests/test_inference.cpp — every float operation replicates

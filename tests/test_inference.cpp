@@ -1,8 +1,9 @@
 // Tests for the tape-free inference engine (docs/inference.md): the
 // InferenceSession must match the autograd module evaluation bitwise —
 // fused or unfused, arena-reused or private-buffered, batched or looped,
-// at any thread count — because the fill optimizer mixes both paths
-// mid-line-search and relies on exact value equality.
+// at any thread count — and CmpNetwork must match reference_evaluate in
+// values and gradients, because the fill optimizer mixes batched,
+// value-only and gradient evaluations and relies on exact value equality.
 
 #include <cmath>
 #include <cstdint>
@@ -15,14 +16,15 @@
 
 #include "common/rng.hpp"
 #include "geom/designs.hpp"
-#include "nn/backend/backend.hpp"
 #include "nn/infer/session.hpp"
+#include "nn/kernels.hpp"
 #include "nn/tensor.hpp"
 #include "nn/unet.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/parallel.hpp"
 #include "surrogate/cmp_network.hpp"
 #include "surrogate/infer.hpp"
+#include "surrogate/network_reference.hpp"
 
 namespace neurfill {
 namespace {
@@ -268,7 +270,7 @@ TEST(InferenceSession, BitwiseDeterministicAcrossThreadCounts) {
   runtime::set_thread_count(0);  // restore the environment default
 }
 
-TEST(Backend, Conv1x1FastPathMatchesNaive) {
+TEST(Kernels, Conv1x1FastPathMatchesNaive) {
   // padding==0 && stride==1 1x1 convs skip im2col and feed the input
   // directly to the GEMM; the result must still be a correct convolution.
   const int B = 2, Ci = 5, Co = 3, H = 7, W = 9;
@@ -289,7 +291,7 @@ TEST(Backend, Conv1x1FastPathMatchesNaive) {
   g.out_height = H;
   g.out_width = W;
   std::vector<float> y(static_cast<std::size_t>(B) * Co * H * W);
-  nn::backend().conv2d_fwd(g, x.data(), w.data(), bias.data(), y.data());
+  nn::conv2d_fwd(g, x.data(), w.data(), bias.data(), y.data());
 
   for (int b = 0; b < B; ++b) {
     for (int co = 0; co < Co; ++co) {
@@ -307,7 +309,7 @@ TEST(Backend, Conv1x1FastPathMatchesNaive) {
   }
 }
 
-TEST(Backend, InputGradientOnlyConvBackwardMatchesFullCall) {
+TEST(Kernels, InputGradientOnlyConvBackwardMatchesFullCall) {
   // A frozen-weight reverse pass asks conv2d_bwd for gx alone, with no saved
   // input: that call skips the im2col unfold (which only the weight
   // gradient reads) and must reproduce the full call's gx bit for bit, for
@@ -337,10 +339,10 @@ TEST(Backend, InputGradientOnlyConvBackwardMatchesFullCall) {
       runtime::set_thread_count(threads);
       std::vector<float> gx_full(nx, 0.25f), gx_only(nx, 0.25f);
       std::vector<float> gw(w.size(), 0.0f), gb(static_cast<std::size_t>(sh.O));
-      nn::backend().conv2d_bwd(g, x.data(), w.data(), gy.data(),
-                               gx_full.data(), gw.data(), gb.data());
-      nn::backend().conv2d_bwd(g, nullptr, w.data(), gy.data(), gx_only.data(),
-                               nullptr, nullptr);
+      nn::conv2d_bwd(g, x.data(), w.data(), gy.data(), gx_full.data(),
+                     gw.data(), gb.data());
+      nn::conv2d_bwd(g, nullptr, w.data(), gy.data(), gx_only.data(), nullptr,
+                     nullptr);
       EXPECT_TRUE(bitwise_equal(gx_full.data(), gx_only.data(), nx))
           << "k=" << sh.k << " threads=" << threads;
     }
@@ -348,7 +350,7 @@ TEST(Backend, InputGradientOnlyConvBackwardMatchesFullCall) {
   runtime::set_thread_count(0);
 }
 
-TEST(Backend, FusedConvMatchesUnfusedChainAtEveryWidth) {
+TEST(Kernels, FusedConvMatchesUnfusedChainAtEveryWidth) {
   // Differential sweep of the fused block's kernel dispatch — wide-row
   // vector tiles with their flush tail, row pairing, quad packing, the
   // narrow-plane lanes and the whole-batch GEMM — against the unfused
@@ -366,7 +368,6 @@ TEST(Backend, FusedConvMatchesUnfusedChainAtEveryWidth) {
   constexpr nn::ActKind kActs[] = {nn::ActKind::kNone, nn::ActKind::kRelu,
                                    nn::ActKind::kLeakyRelu};
   constexpr int kBatch = 3;
-  nn::Backend& be = nn::backend();
   for (const int threads : {1, 4}) {
     runtime::set_thread_count(threads);
     Rng rng(20261018);
@@ -398,9 +399,9 @@ TEST(Backend, FusedConvMatchesUnfusedChainAtEveryWidth) {
             const auto beta = random_input(static_cast<std::size_t>(O),
                                            rng.next_u64());
             g.batch = 1;
-            std::vector<float> packed(be.conv_weight_pack_floats(g));
+            std::vector<float> packed(nn::conv_weight_pack_floats(g));
             if (!packed.empty())
-              be.conv_weight_pack(g, w.data(), packed.data());
+              nn::conv_weight_pack(g, w.data(), packed.data());
             for (const bool gn : {false, true}) {
               const int groups = gn ? (O % 4 == 0 ? 4 : 1) : 0;
               const nn::ActKind act = kActs[rng.uniform_index(3)];
@@ -409,7 +410,7 @@ TEST(Backend, FusedConvMatchesUnfusedChainAtEveryWidth) {
               // Unfused reference over the whole batch.
               g.batch = kBatch;
               std::vector<float> ref(kBatch * out_plane);
-              be.conv2d_fwd(g, x.data(), w.data(), b, ref.data());
+              nn::conv2d_fwd(g, x.data(), w.data(), b, ref.data());
               if (gn) {
                 nn::GroupNormGeom ng;
                 ng.batch = kBatch;
@@ -418,22 +419,22 @@ TEST(Backend, FusedConvMatchesUnfusedChainAtEveryWidth) {
                 ng.width = Wout;
                 ng.groups = groups;
                 const std::vector<float> prenorm = ref;
-                be.group_norm_fwd(ng, prenorm.data(), gamma.data(),
-                                  beta.data(), ref.data(), nullptr, nullptr);
+                nn::group_norm_fwd(ng, prenorm.data(), gamma.data(),
+                                   beta.data(), ref.data(), nullptr, nullptr);
               }
               const auto n_ref = static_cast<std::int64_t>(ref.size());
               if (act == nn::ActKind::kRelu)
-                be.unary_map(nn::UnaryKind::kRelu, 0.0f, ref.data(),
-                             ref.data(), n_ref);
+                nn::unary_map(nn::UnaryKind::kRelu, 0.0f, ref.data(),
+                              ref.data(), n_ref);
               else if (act == nn::ActKind::kLeakyRelu)
-                be.unary_map(nn::UnaryKind::kLeakyRelu, slope, ref.data(),
-                             ref.data(), n_ref);
+                nn::unary_map(nn::UnaryKind::kLeakyRelu, slope, ref.data(),
+                              ref.data(), n_ref);
               for (const int batch : {1, kBatch})
                 for (const bool prepacked : {false, true}) {
                   if (prepacked && packed.empty()) continue;
                   g.batch = batch;
                   std::vector<float> out(batch * out_plane);
-                  be.conv2d_gn_act_fwd_packed(
+                  nn::conv2d_gn_act_fwd(
                       g, groups, 1e-5f, act, slope, x.data(), w.data(),
                       prepacked ? packed.data() : nullptr, b, gamma.data(),
                       beta.data(), out.data());
@@ -450,36 +451,32 @@ TEST(Backend, FusedConvMatchesUnfusedChainAtEveryWidth) {
   runtime::set_thread_count(0);
 }
 
-TEST(CmpNetworkFast, EvaluateMatchesModulePathBitwise) {
-  // The surrogate fast path and the autograd path must agree exactly on
-  // the no-grad objective: the SQP line search evaluates trials through
-  // the fast path and then re-evaluates the accepted trial with gradients
-  // through the module path, assuming both see the same value.
+TEST(CmpNetworkFast, EvaluateMatchesAutogradReferenceBitwise) {
+  // The compiled network and the autograd reference must agree exactly on
+  // the objective, the heights and the gradient, and the compiled value
+  // must not depend on whether gradients were requested: the SQP line
+  // search evaluates trials value-only and then re-evaluates the accepted
+  // trial with gradients, assuming both see the same value.
   const Layout layout = make_design('a', 8, 100.0, 3);
   const WindowExtraction ext = extract_windows(layout);
   SurrogateConfig cfg;
   cfg.unet.base_channels = 4;
   cfg.unet.depth = 2;
-  auto fast_s = std::make_shared<CmpSurrogate>(cfg, 7);
-  auto slow_s = std::make_shared<CmpSurrogate>(cfg, 7);  // same weights
-  slow_s->set_fast_inference(false);
-  ASSERT_TRUE(fast_s->fast_inference_enabled());
-  ASSERT_FALSE(slow_s->fast_inference_enabled());
+  auto surrogate = std::make_shared<CmpSurrogate>(cfg, 7);
 
   ScoreCoefficients coeffs;
   coeffs.beta_sigma = 1000.0;
   coeffs.beta_sigma_star = 1e5;
   coeffs.beta_ol = 100.0;
-  CmpNetwork fast_net(fast_s, ext, coeffs);
-  CmpNetwork slow_net(slow_s, ext, coeffs);
+  const CmpNetwork net(surrogate, ext, coeffs);
 
   std::vector<GridD> x(3, GridD(8, 8, 0.0));
   Rng rng(17);
   for (auto& g : x)
     for (auto& v : g) v = rng.uniform(0.0, 0.3);
 
-  const auto ef = fast_net.evaluate(x, false);
-  const auto es = slow_net.evaluate(x, false);
+  const auto ef = net.evaluate(x, false);
+  const auto es = reference_evaluate(net, x, false);
   EXPECT_EQ(ef.s_plan, es.s_plan);
   EXPECT_EQ(ef.sigma, es.sigma);
   EXPECT_EQ(ef.sigma_star, es.sigma_star);
@@ -490,21 +487,20 @@ TEST(CmpNetworkFast, EvaluateMatchesModulePathBitwise) {
       for (std::size_t j = 0; j < ef.heights[l].cols(); ++j)
         EXPECT_EQ(ef.heights[l](i, j), es.heights[l](i, j));
 
-  // predict_heights routes through the same fast path.
-  const auto hf = fast_net.predict_heights(x);
-  const auto hs = slow_net.predict_heights(x);
-  ASSERT_EQ(hf.size(), hs.size());
+  // predict_heights returns the same value evaluation's heights.
+  const auto hf = net.predict_heights(x);
+  ASSERT_EQ(hf.size(), es.heights.size());
   for (std::size_t l = 0; l < hf.size(); ++l)
     for (std::size_t i = 0; i < hf[l].rows(); ++i)
       for (std::size_t j = 0; j < hf[l].cols(); ++j)
-        EXPECT_EQ(hf[l](i, j), hs[l](i, j));
+        EXPECT_EQ(hf[l](i, j), es.heights[l](i, j));
 
-  // With gradients requested the fast network runs the compiled reverse
-  // pass and the reference network the autograd sweep.
-  const auto gf = fast_net.evaluate(x, true);
-  const auto gs = slow_net.evaluate(x, true);
+  // With gradients requested the network runs the compiled reverse pass
+  // and the reference the autograd sweep.
+  const auto gf = net.evaluate(x, true);
+  const auto gs = reference_evaluate(net, x, true);
   EXPECT_EQ(gf.s_plan, gs.s_plan);
-  EXPECT_EQ(gf.s_plan, ef.s_plan);  // mixed-path consistency
+  EXPECT_EQ(gf.s_plan, ef.s_plan);  // value-only vs gradient consistency
   ASSERT_EQ(gf.grad.size(), gs.grad.size());
   for (std::size_t l = 0; l < gf.grad.size(); ++l)
     for (std::size_t i = 0; i < gf.grad[l].rows(); ++i)
@@ -514,7 +510,7 @@ TEST(CmpNetworkFast, EvaluateMatchesModulePathBitwise) {
 
 TEST(CmpNetworkFast, GradientMatchesAutogradAcrossRandomConfigs) {
   // Differential contract of the compiled reverse pass: over randomized
-  // architectures (depth 1-3, base 4-8, GroupNorm on/off), square and
+  // architectures (depth 1-4, base 4-16, GroupNorm on/off), square and
   // non-square padded planes, 1-3 layers, identity and fitted calibrations
   // and 1/2/4 threads, the compiled value and gradient equal the autograd
   // reference in every entry — no tolerance, since fills must stay
@@ -524,8 +520,8 @@ TEST(CmpNetworkFast, GradientMatchesAutogradAcrossRandomConfigs) {
   int active = 0;
   for (int k = 0; k < kConfigs; ++k) {
     SurrogateConfig cfg;
-    cfg.unet.depth = 1 + static_cast<int>(rng.next_u64() % 3);
-    cfg.unet.base_channels = 4 + static_cast<int>(rng.next_u64() % 5);
+    cfg.unet.depth = 1 + static_cast<int>(rng.next_u64() % 4);
+    cfg.unet.base_channels = 4 + static_cast<int>(rng.next_u64() % 13);
     cfg.unet.use_group_norm = rng.uniform(0.0, 1.0) < 0.7;
     const int wx = 3 + static_cast<int>(rng.next_u64() % 8);
     const int wy = k % 4 == 0 ? wx : 3 + static_cast<int>(rng.next_u64() % 8);
@@ -536,25 +532,20 @@ TEST(CmpNetworkFast, GradientMatchesAutogradAcrossRandomConfigs) {
         : which == 'b' ? make_design_b(100.0 * wx, 100.0 * wy, layers, 5 + k)
                        : make_design_c(100.0 * wx, 100.0 * wy, layers, 5 + k);
     const WindowExtraction ext = extract_windows(layout);
-    const std::uint64_t seed = rng.next_u64();
-    auto fast_s = std::make_shared<CmpSurrogate>(cfg, seed);
-    auto ref_s = std::make_shared<CmpSurrogate>(cfg, seed);  // same weights
-    ref_s->set_fast_inference(false);
+    auto surrogate = std::make_shared<CmpSurrogate>(cfg, rng.next_u64());
 
     ScoreCoefficients coeffs;
     coeffs.beta_sigma = rng.uniform(1e2, 1e4);
     coeffs.beta_sigma_star = rng.uniform(1e3, 1e5);
     coeffs.beta_ol = rng.uniform(10.0, 1e3);
-    CmpNetwork fast_net(fast_s, ext, coeffs);
-    CmpNetwork ref_net(ref_s, ext, coeffs);
+    CmpNetwork net(surrogate, ext, coeffs);
     if (k % 2 == 1) {  // fitted log-space calibration on every metric
       CmpNetwork::MetricCalibration cal[3];
       for (auto& c : cal) {
         c.a = rng.uniform(-1.0, 1.0);
         c.b = rng.uniform(0.5, 2.0);
       }
-      fast_net.set_calibration(cal[0], cal[1], cal[2]);
-      ref_net.set_calibration(cal[0], cal[1], cal[2]);
+      net.set_calibration(cal[0], cal[1], cal[2]);
     }
 
     std::vector<GridD> x;
@@ -566,8 +557,8 @@ TEST(CmpNetworkFast, GradientMatchesAutogradAcrossRandomConfigs) {
     }
     const int threads = 1 << (k % 3);
     runtime::set_thread_count(threads);
-    const CmpNetwork::Eval ef = fast_net.evaluate(x, true);
-    const CmpNetwork::Eval er = ref_net.evaluate(x, true);
+    const CmpNetwork::Eval ef = net.evaluate(x, true);
+    const CmpNetwork::Eval er = reference_evaluate(net, x, true);
     runtime::set_thread_count(0);
     const std::string where =
         "config " + std::to_string(k) + " (depth " +

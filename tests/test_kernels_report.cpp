@@ -10,7 +10,7 @@
 #include "fill/report.hpp"
 #include "geom/designs.hpp"
 #include "geom/glf_io.hpp"
-#include "nn/gemm.hpp"
+#include "nn/kernels.hpp"
 
 namespace neurfill {
 namespace {

@@ -19,6 +19,7 @@
 #include "fill/report.hpp"
 #include "geom/designs.hpp"
 #include "runtime/parallel.hpp"
+#include "surrogate/network_reference.hpp"
 #include "surrogate/trainer.hpp"
 
 namespace neurfill {
@@ -54,26 +55,22 @@ class NeurFillPipeline : public ::testing::Test {
     topt.grid_rows = topt.grid_cols = 16;
     topt.learning_rate = 3e-3f;
     train_surrogate(*surrogate, gen, topt);
-    surrogate_ = new std::shared_ptr<CmpSurrogate>(surrogate);
     network_ = new CmpNetwork(surrogate, ext, coeffs);
     calibrate_network(*network_, *problem_);
   }
   static void TearDownTestSuite() {
     delete network_;
-    delete surrogate_;
     delete problem_;
     delete layout_;
   }
 
   static Layout* layout_;
   static FillProblem* problem_;
-  static std::shared_ptr<CmpSurrogate>* surrogate_;
   static CmpNetwork* network_;
 };
 
 Layout* NeurFillPipeline::layout_ = nullptr;
 FillProblem* NeurFillPipeline::problem_ = nullptr;
-std::shared_ptr<CmpSurrogate>* NeurFillPipeline::surrogate_ = nullptr;
 CmpNetwork* NeurFillPipeline::network_ = nullptr;
 
 TEST_F(NeurFillPipeline, TrainedSurrogateTracksSimulator) {
@@ -159,47 +156,104 @@ TEST_F(NeurFillPipeline, MmAtLeastMatchesSurrogateObjectiveOfPkb) {
   EXPECT_LE(f_mm, f_pkb + 1e-6);
 }
 
-TEST_F(NeurFillPipeline, BatchedMmMatchesAutogradPathAcrossThreadCounts) {
+TEST_F(NeurFillPipeline, MmIsIdenticalAcrossThreadCounts) {
   // Full-drive determinism gate for the compiled surrogate path: the MM flow
   // (batched NMMSO move evaluations, batched PKB sweep, prepacked session
   // weights, compiled reverse-pass gradients, MSP starts running
-  // concurrently on the pool) must produce byte-identical fills to the
-  // autograd reference path, at 1, 2, 4 and 8 threads.
+  // concurrently on the pool) must produce byte-identical fills and equal
+  // evaluation counts at 1, 2, 4 and 8 threads.
   NeurFillOptions opt;
   opt.sqp.max_iterations = 4;
   opt.pkb_steps = 4;
   opt.nmmso.max_evaluations = 30;
   opt.mm_starts = 2;
 
-  (*surrogate_)->set_fast_inference(false);
-  CmpNetwork slow(*surrogate_, problem_->extraction(),
-                  problem_->coefficients());
-  (*surrogate_)->set_fast_inference(true);
-  slow.set_calibration(network_->sigma_calibration(),
-                       network_->sigma_star_calibration(),
-                       network_->outlier_calibration());
-
-  std::vector<VecD> fills;
-  long fast_evals = 0, slow_evals = 0;
+  std::vector<FillRunResult> runs;
   for (const int threads : {1, 2, 4, 8}) {
     runtime::set_thread_count(threads);
-    const FillRunResult fast_res = neurfill_mm(*problem_, *network_, opt);
-    const FillRunResult slow_res = neurfill_mm(*problem_, slow, opt);
-    fast_evals = fast_res.objective_evaluations;
-    slow_evals = slow_res.objective_evaluations;
-    fills.push_back(problem_->flatten(fast_res.x));
-    fills.push_back(problem_->flatten(slow_res.x));
+    runs.push_back(neurfill_mm(*problem_, *network_, opt));
   }
   runtime::set_thread_count(0);  // restore the environment default
 
-  // Batched and serial paths must also agree on the evaluation count (the
-  // batch accounts one evaluation per candidate).
-  EXPECT_EQ(fast_evals, slow_evals);
-  for (std::size_t r = 1; r < fills.size(); ++r) {
-    ASSERT_EQ(fills[0].size(), fills[r].size());
-    for (std::size_t i = 0; i < fills[0].size(); ++i)
-      ASSERT_EQ(fills[0][i], fills[r][i]) << "run " << r << " var " << i;
+  const VecD first = problem_->flatten(runs[0].x);
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    EXPECT_EQ(runs[r].objective_evaluations, runs[0].objective_evaluations)
+        << "run " << r;
+    const VecD fill = problem_->flatten(runs[r].x);
+    ASSERT_EQ(fill.size(), first.size());
+    for (std::size_t i = 0; i < first.size(); ++i)
+      ASSERT_EQ(fill[i], first[i]) << "run " << r << " var " << i;
   }
+}
+
+TEST_F(NeurFillPipeline, SearchAndSqpMatchAutogradReference) {
+  // Drive-level differential of the compiled surrogate against the autograd
+  // reference (surrogate/network_reference.hpp): NMMSO scoring its move
+  // batches through network_batch_quality, as neurfill_mm sets it up, and
+  // NMMSO scoring every point one at a time through the reference find the
+  // same modes with the same evaluation count; SQP from the best mode then
+  // takes the same iterates on either objective.
+  const FillProblem& problem = *problem_;
+  const CmpNetwork& network = *network_;
+  const ObjectiveFn compiled = make_network_objective(problem, network);
+  const ObjectiveFn reference = [&](const VecD& v, VecD* grad) -> double {
+    const std::vector<GridD> x = problem.unflatten(v);
+    const CmpNetwork::Eval net = reference_evaluate(network, x, grad != nullptr);
+    const PdScore pd =
+        pd_score_and_gradient(problem.extraction(), x, problem.coefficients());
+    if (grad) {
+      grad->assign(v.size(), 0.0);
+      std::size_t k = 0;
+      for (std::size_t l = 0; l < net.grad.size(); ++l)
+        for (std::size_t w = 0; w < net.grad[l].size(); ++w, ++k)
+          (*grad)[k] = -(net.grad[l][w] + pd.grad[l][w]);
+    }
+    return -(net.s_plan + pd.s_pd);
+  };
+  const auto maximize = [](const ObjectiveFn& f) {
+    return [f](const VecD& v, VecD*) { return -f(v, nullptr); };
+  };
+
+  NmmsoOptions nopt;
+  nopt.max_evaluations = 40;
+  Nmmso batched(maximize(compiled), problem.bounds(), nopt);
+  batched.set_batch_objective([&](const std::vector<VecD>& vs) {
+    std::vector<std::vector<GridD>> xs;
+    for (const VecD& v : vs) xs.push_back(problem.unflatten(v));
+    return network_batch_quality(problem, network, xs);
+  });
+  Nmmso serial(maximize(reference), problem.bounds(), nopt);
+  const std::vector<Mode> modes = batched.run();
+  const std::vector<Mode> ref_modes = serial.run();
+  EXPECT_EQ(batched.evaluations_used(), serial.evaluations_used());
+  ASSERT_FALSE(modes.empty());
+  ASSERT_EQ(modes.size(), ref_modes.size());
+  for (std::size_t m = 0; m < modes.size(); ++m) {
+    EXPECT_EQ(modes[m].value, ref_modes[m].value) << "mode " << m;
+    ASSERT_EQ(modes[m].x, ref_modes[m].x) << "mode " << m;
+  }
+
+  SqpOptions sopt;
+  sopt.max_iterations = 6;
+  std::vector<SqpState> trail, ref_trail;
+  sopt.checkpoint_hook = [&trail](const SqpState& st) { trail.push_back(st); };
+  const SqpResult res =
+      sqp_minimize(compiled, modes[0].x, problem.bounds(), sopt);
+  sopt.checkpoint_hook = [&ref_trail](const SqpState& st) {
+    ref_trail.push_back(st);
+  };
+  const SqpResult ref =
+      sqp_minimize(reference, modes[0].x, problem.bounds(), sopt);
+  ASSERT_EQ(trail.size(), ref_trail.size());
+  EXPECT_GT(trail.size(), 1u);
+  for (std::size_t k = 0; k < trail.size(); ++k) {
+    EXPECT_EQ(trail[k].f, ref_trail[k].f) << "iteration " << k;
+    ASSERT_EQ(trail[k].x, ref_trail[k].x) << "iteration " << k;
+    ASSERT_EQ(trail[k].g, ref_trail[k].g) << "iteration " << k;
+  }
+  EXPECT_EQ(res.x, ref.x);
+  EXPECT_EQ(res.f, ref.f);
+  EXPECT_EQ(res.function_evaluations, ref.function_evaluations);
 }
 
 TEST_F(NeurFillPipeline, ReportScoresAreAssembled) {

@@ -119,19 +119,6 @@ TEST(UNet, RejectsIndivisibleSize) {
                std::invalid_argument);
 }
 
-TEST(Optim, SgdConvergesOnQuadratic) {
-  // minimize ||x - c||^2
-  Tensor x = Tensor::zeros({4}, true);
-  Tensor c = Tensor::from_data({4}, {1.0f, -2.0f, 0.5f, 3.0f});
-  Sgd opt({x}, 0.1f, 0.5f);
-  for (int i = 0; i < 200; ++i) {
-    opt.zero_grad();
-    mse_loss(x, c).backward();
-    opt.step();
-  }
-  for (int i = 0; i < 4; ++i) EXPECT_NEAR(x.data()[i], c.data()[i], 1e-3);
-}
-
 TEST(Optim, AdamConvergesOnQuadratic) {
   Tensor x = Tensor::zeros({4}, true);
   Tensor c = Tensor::from_data({4}, {1.0f, -2.0f, 0.5f, 3.0f});

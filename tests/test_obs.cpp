@@ -4,12 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cctype>
 #include <cstddef>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -17,109 +17,6 @@
 
 namespace neurfill {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal JSON syntax validator (recursive descent).  Exporter output must
-// load in chrome://tracing, so the tests insist on strictly valid JSON, not
-// just "looks like JSON".
-
-class JsonValidator {
- public:
-  explicit JsonValidator(const std::string& text) : s_(text) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-      }
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;
-    return true;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-'))
-      ++pos_;
-    return pos_ > start;
-  }
-  bool literal(const char* word) {
-    const std::string w(word);
-    if (s_.compare(pos_, w.size(), w) != 0) return false;
-    pos_ += w.size();
-    return true;
-  }
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])) != 0)
-      ++pos_;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 
 // With -DNEURFILL_ENABLE_TRACING=OFF the NF_* macros evaluate nothing, so
 // tests that assert on recorded data skip themselves (the exporters and
@@ -261,7 +158,10 @@ TEST_F(ObsTest, SpanStatsAggregateDurations) {
   EXPECT_TRUE(found);
 }
 
+// Exporter output must load in chrome://tracing, so the tests parse it
+// strictly (common/json.hpp) and assert on the parsed values.
 TEST_F(ObsTest, ChromeTraceExportIsValidJson) {
+  const std::string quoted = "test.inner_with_\"quotes\"_and_\\slashes";
   {
     NF_TRACE_SPAN("test.outer");
     NF_TRACE_SPAN("test.inner_with_\"quotes\"_and_\\slashes");
@@ -269,11 +169,22 @@ TEST_F(ObsTest, ChromeTraceExportIsValidJson) {
   std::ostringstream os;
   obs::write_chrome_trace(os);
   const std::string text = os.str();
-  EXPECT_TRUE(JsonValidator(text).valid()) << text;
-  EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
+  const Expected<JsonValue> doc = json_parse(text);
+  ASSERT_TRUE(doc.ok()) << doc.error().to_string() << "\n" << text;
+  EXPECT_EQ(doc->get_string("displayTimeUnit"), "ms");
+  ASSERT_TRUE(doc->has("traceEvents")) << text;
+  const JsonValue& events = doc->object.at("traceEvents");
+  ASSERT_EQ(events.kind, JsonValue::Kind::kArray);
 #if !defined(NEURFILL_DISABLE_TRACING)
-  EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(text.find("test.outer"), std::string::npos);
+  int outer = 0, inner = 0;
+  for (const JsonValue& e : events.array) {
+    if (e.get_string("ph") != "X") continue;
+    EXPECT_GE(e.get_number("dur", -1.0), 0.0);
+    outer += e.get_string("name") == "test.outer" ? 1 : 0;
+    inner += e.get_string("name") == quoted ? 1 : 0;
+  }
+  EXPECT_EQ(outer, 1) << text;
+  EXPECT_EQ(inner, 1) << text;  // escaping round-trips
 #endif
 }
 
@@ -286,13 +197,20 @@ TEST_F(ObsTest, MetricsJsonExportIsValidJson) {
   std::ostringstream os;
   obs::write_metrics_json(os);
   const std::string text = os.str();
-  EXPECT_TRUE(JsonValidator(text).valid()) << text;
+  const Expected<JsonValue> doc = json_parse(text);
+  ASSERT_TRUE(doc.ok()) << doc.error().to_string() << "\n" << text;
+  for (const char* key : {"counters", "gauges", "spans"}) {
+    ASSERT_TRUE(doc->has(key)) << key << ": " << text;
+    EXPECT_EQ(doc->object.at(key).kind, JsonValue::Kind::kObject) << key;
+  }
 #if !defined(NEURFILL_DISABLE_TRACING)
-  EXPECT_NE(text.find("\"test.count\":7"), std::string::npos) << text;
+  EXPECT_EQ(doc->object.at("counters").get_number("test.count"), 7.0) << text;
+  EXPECT_EQ(doc->object.at("gauges").get_number("test.gauge"), 0.25) << text;
+  const JsonValue& spans = doc->object.at("spans");
+  ASSERT_TRUE(spans.has("test.span")) << text;
+  EXPECT_EQ(spans.object.at("test.span").get_number("count"), 1.0);
+  EXPECT_GE(spans.object.at("test.span").get_number("total_s", -1.0), 0.0);
 #endif
-  EXPECT_NE(text.find("\"counters\""), std::string::npos);
-  EXPECT_NE(text.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(text.find("\"spans\""), std::string::npos);
 }
 
 TEST_F(ObsTest, SpanTimerMatchesTraceEvent) {

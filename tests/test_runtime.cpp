@@ -13,7 +13,7 @@
 
 #include "cmp/contact_solver.hpp"
 #include "common/rng.hpp"
-#include "nn/gemm.hpp"
+#include "nn/kernels.hpp"
 #include "nn/ops.hpp"
 #include "nn/tensor.hpp"
 #include "runtime/parallel.hpp"

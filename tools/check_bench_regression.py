@@ -37,8 +37,9 @@ Gated keys, lower is better:
   unet_infer_ms_1t        -- absolute single-thread latency of the compiled
                              inference session on the bench shape
   unet_infer_b8_ms_per_sample -- per-sample latency of a batch-8 session
-                             run; keeps cross-candidate batching from ever
-                             costing more per sample than batch-1
+                             run (the NMMSO move batches' shape), gated
+                             against its own baseline only: nothing here
+                             compares it with the batch-1 latency
   unet_infer_w24_pixel_ratio -- per-pixel latency of the session on the
                              24x24 plane a default full-chip tile compiles
                              over per-pixel latency on the 64x64 bench

@@ -79,12 +79,12 @@ void add(std::vector<Finding>& out, const char* rule, const SourceFile& f,
 // the sanctioned homes for the exceptions.
 
 bool numeric_scope(const std::string& rel) {
-  // src/nn/backend and src/nn/infer are subsumed by src/nn/, but they are
-  // named explicitly: the backend primitives and the compiled inference
-  // session carry the bitwise-at-any-thread-count contract directly
+  // src/nn/infer is subsumed by src/nn/, but it is named explicitly: the
+  // kernels (src/nn/kernels.*, gemm.*) and the compiled inference session
+  // carry the bitwise-at-any-thread-count contract directly
   // (docs/inference.md), and the scope list is the place that says so.
   static const char* kPrefixes[] = {"src/cmp/",  "src/nn/",     "src/opt/",
-                                    "src/nn/backend/", "src/nn/infer/",
+                                    "src/nn/infer/",
                                     "src/fill/", "src/surrogate/",
                                     "src/geom/", "src/layout/",
                                     "src/fullchip/", "src/serve/"};
@@ -141,8 +141,8 @@ void rule_determinism(const Project& proj, std::vector<Finding>& out) {
 //
 // src/nn/infer is the tape-free inference fast path: a compiled graph that
 // re-derives everything it needs from Module weights at build time and then
-// runs pure Backend primitives.  src/surrogate/infer.* wraps it with the
-// extraction, objective and merge layers — values and their hand-derived
+// runs pure nn/kernels.hpp primitives.  src/surrogate/infer.* wraps it with
+// the extraction, objective and merge layers — values and their hand-derived
 // vector-Jacobian products — and is the surrogate's production path.  Any
 // autograd API appearing in either — the tape-building Module::forward,
 // TensorImpl, or the grad accessors — reintroduces per-op allocation and
@@ -169,7 +169,7 @@ void rule_infer_no_autograd(const Project& proj, std::vector<Finding>& out) {
               "'" + t[i].text +
                   "' is autograd tape API; src/nn/infer and "
                   "src/surrogate/infer.* are the tape-free fast path — go "
-                  "through the Backend primitives instead");
+                  "through the nn/kernels.hpp primitives instead");
         }
       }
     }
