@@ -7,7 +7,9 @@
 # Supported: address, undefined, leak, thread.  ThreadSanitizer cannot be
 # combined with AddressSanitizer or LeakSanitizer.  UBSan is configured with
 # -fno-sanitize-recover so any report aborts the process and fails ctest
-# instead of scrolling past.
+# instead of scrolling past.  "undefined" also turns on float-cast-overflow,
+# which GCC leaves out of -fsanitize=undefined: an out-of-range
+# float-to-integer cast is undefined behaviour all the same.
 
 set(NEURFILL_SANITIZE "" CACHE STRING
     "Semicolon-separated sanitizer list: address, undefined, leak, thread")
@@ -27,6 +29,9 @@ if(NEURFILL_SANITIZE)
           "(expected address, undefined, leak, or thread)")
     endif()
     list(APPEND _nf_san_flags "-fsanitize=${_nf_san}")
+    if(_nf_san STREQUAL "undefined")
+      list(APPEND _nf_san_flags "-fsanitize=float-cast-overflow")
+    endif()
   endforeach()
 
   if(_nf_san_thread AND _nf_san_addr_or_leak)

@@ -20,11 +20,17 @@ class Deadline {
   /// Infinite: never expires.
   Deadline() = default;
 
+  /// Expires `seconds` from now.  A budget now() cannot take (NaN, or half
+  /// the clock's range, about 146 years, or more) means no deadline.
   static Deadline after_seconds(double seconds) {
+    using Clock = std::chrono::steady_clock;
+    if (!(seconds <
+          std::chrono::duration<double>(Clock::duration::max()).count() / 2))
+      return Deadline();
     Deadline d;
     d.infinite_ = false;
-    d.at_ = std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+    d.at_ = Clock::now() +
+            std::chrono::duration_cast<Clock::duration>(
                 std::chrono::duration<double>(seconds));
     return d;
   }

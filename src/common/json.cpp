@@ -230,11 +230,14 @@ void render_to(const JsonValue& v, std::string& out) {
       out += v.boolean ? "true" : "false";
       break;
     case JsonValue::Kind::kNumber: {
+      if (!std::isfinite(v.number)) {  // JSON has no NaN or infinity
+        out += "null";
+        break;
+      }
       char buf[32];
       // Integral values render without a fraction so ids/counters stay
       // readable; everything else gets round-trippable precision.
-      if (v.number == static_cast<double>(static_cast<long long>(v.number)) &&
-          std::abs(v.number) < 1e15) {
+      if (std::abs(v.number) < 1e15 && v.number == std::trunc(v.number)) {
         std::snprintf(buf, sizeof(buf), "%lld",
                       static_cast<long long>(v.number));
       } else {

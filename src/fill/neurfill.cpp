@@ -186,19 +186,15 @@ MspDrive drive_msp(const FillProblem& problem, const CmpNetwork& network,
     if (rec.state == State::kRunning) so.resume = &rec.sqp;
     if (snapshots || options.interrupt) {
       so.checkpoint_hook = [&, i](const SqpState& st) {
-        const bool interrupted =
-            options.interrupt &&
-            options.interrupt->load(std::memory_order_relaxed);
         if (snapshots) {
           std::lock_guard<std::mutex> lock(mu);
           records[i].state = State::kRunning;
           records[i].evaluations = count;
           records[i].sqp = st;
-          if (interrupted || options.snapshot_every <= 1 ||
-              st.iteration % options.snapshot_every == 0)
-            persist_locked();
+          persist_locked();
         }
-        if (interrupted)
+        if (options.interrupt &&
+            options.interrupt->load(std::memory_order_relaxed))
           throw ErrorException(Error(
               ErrorCode::kInterrupted, "fill",
               snapshots ? "interrupt acknowledged; snapshot saved to '" +

@@ -23,10 +23,9 @@ struct NeurFillOptions {
   /// FillRunResult::timed_out set.
   Deadline deadline;
   /// When non-empty, the MSP drive state is snapshotted here (atomically,
-  /// CRC-checksummed) at every completed start and every snapshot_every-th
-  /// SQP iteration, so a killed run can continue with --resume.
+  /// CRC-checksummed) at every completed start and every SQP iteration, so
+  /// a killed run can continue with --resume.
   std::string snapshot_path;
-  int snapshot_every = 1;  ///< SQP iterations between mid-start snapshots
   /// Continue from snapshot_path (missing file = fresh run; a mismatched
   /// method/dimension or corrupt snapshot throws ErrorException).  Resumed
   /// runs produce bitwise-identical fills to uninterrupted ones.

@@ -1,7 +1,5 @@
 #include "fullchip/driver.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
 #include <utility>
@@ -137,12 +135,10 @@ TileRecord solve_tile(const PassContext& ctx, const TileRegion& tile,
   request.neurfill = opt.fill;
   request.neurfill.deadline = opt.deadline;
   request.neurfill.interrupt = opt.interrupt;
-  request.neurfill.snapshot_path =
-      ctx.store.tile_snapshot_path(ctx.pass, tile.ti, tile.tj);
-  // A leftover snapshot means this exact tile solve was killed mid-way;
-  // a missing one is simply a fresh solve.  Either way the result is
-  // bitwise-identical to an uninterrupted solve (docs/robustness.md).
-  request.neurfill.resume = true;
+  // The tile record is the run's only checkpoint: a tile killed mid-solve
+  // re-solves from its start on resume, to the same bytes.
+  request.neurfill.snapshot_path.clear();
+  request.neurfill.resume = false;
   request.surrogate = ctx.surrogate;
   FillRunResult run = run_fill(problem, request);
   record.x = std::move(run.x);
@@ -186,10 +182,6 @@ std::vector<TileOutcome> run_pass(const PassContext& ctx) {
                    "for this tile",
                    saved.error().to_string().c_str());
       }
-      // The mid-solve snapshot is superseded by the durable tile record
-      // (or by a finished load); drop it either way.
-      ::unlink(ctx.store.tile_snapshot_path(ctx.pass, tile.ti, tile.tj)
-                   .c_str());
     }
   });
   return outcomes;
@@ -230,9 +222,9 @@ TileGrid tile_grid(const GlfRegionIndex& index,
       options.halo_windows >= 0
           ? options.halo_windows
           : auto_halo_windows(options.process.char_length_um, w);
-  return TileGrid(static_cast<std::size_t>(std::ceil(index.height_um() / w)),
-                  static_cast<std::size_t>(std::ceil(index.width_um() / w)),
-                  options.tile_windows, halo, w);
+  return TileGrid(window_count(index.height_um(), w),
+                  window_count(index.width_um(), w), options.tile_windows,
+                  halo, w);
 }
 
 FullChipResult fullchip_fill(const GlfRegionIndex& index,

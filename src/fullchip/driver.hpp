@@ -57,8 +57,9 @@ struct FullChipOptions {
   /// uninterrupted run.
   bool resume = false;
   Deadline deadline;
-  /// Per-tile solve budgets (deadline/snapshot/interrupt fields are managed
-  /// by the driver; set sqp/nmmso/pkb knobs here).
+  /// Per-tile solve budgets (set sqp/nmmso/pkb knobs here).  The driver
+  /// sets the deadline and interrupt fields, and tile solves never
+  /// snapshot: the tile record is the run's only checkpoint.
   NeurFillOptions fill;
   /// Called once per pkb/mm fullchip_fill; the instance it returns serves
   /// every tile solve, concurrently (surrogate evaluation, gradients

@@ -69,8 +69,8 @@ bool manifests_equal(const StoreManifest& a, const StoreManifest& b) {
          a.max_stitch_passes == b.max_stitch_passes;
 }
 
-/// Removes every store artifact (tile records, snapshots, manifest, stray
-/// temp files) so a fresh run cannot pick up records from an earlier one.
+/// Removes every store artifact (tile records, the manifest, stray temp
+/// files) so a fresh run cannot pick up records from an earlier one.
 [[nodiscard]] Expected<void> clear_store(const std::string& dir) {
   DIR* d = ::opendir(dir.c_str());
   if (!d) return store_error(ErrorCode::kIo, dir, "opendir failed: " + errno_text());
@@ -135,12 +135,6 @@ std::string TileStore::tile_path(int pass, std::size_t ti,
                                  std::size_t tj) const {
   return dir_ + "/tile_p" + std::to_string(pass) + "_r" + std::to_string(ti) +
          "_c" + std::to_string(tj) + ".nfcp";
-}
-
-std::string TileStore::tile_snapshot_path(int pass, std::size_t ti,
-                                          std::size_t tj) const {
-  return dir_ + "/tile_p" + std::to_string(pass) + "_r" + std::to_string(ti) +
-         "_c" + std::to_string(tj) + ".snap";
 }
 
 [[nodiscard]] Expected<void> TileStore::save_tile(

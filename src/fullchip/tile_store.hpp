@@ -65,10 +65,6 @@ class TileStore {
                                     bool resume);
 
   std::string tile_path(int pass, std::size_t ti, std::size_t tj) const;
-  /// Mid-solve MSP snapshot for a tile (plugs the per-tile solve into the
-  /// PR-5 snapshot machinery); removed once the tile record is durable.
-  std::string tile_snapshot_path(int pass, std::size_t ti,
-                                 std::size_t tj) const;
 
   [[nodiscard]] Expected<void> save_tile(int pass, std::size_t ti,
                                          std::size_t tj,

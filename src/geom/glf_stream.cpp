@@ -28,7 +28,8 @@ bool parse_rect_line(const std::string& line, char* tag, Rect* out) {
   double v[4];
   for (double& x : v) {
     x = std::strtod(cur, &end);
-    if (end == cur) return false;
+    // strtod reads "nan" and "inf" too; read_glf refuses them.
+    if (end == cur || !std::isfinite(x)) return false;
     cur = end;
   }
   if (v[2] < v[0] || v[3] < v[1]) return false;
@@ -56,8 +57,6 @@ std::size_t GlfRegionIndex::bucket_of(double v, double extent) const {
 
 GlfRegionIndex GlfRegionIndex::build(const std::string& path,
                                      double bucket_um) {
-  NF_CHECK(bucket_um > 0.0, "GlfRegionIndex: bucket_um %g must be positive",
-           bucket_um);
   std::ifstream is(path, std::ios::binary);
   if (!is) bad("cannot open for read: " + path);
 
@@ -108,10 +107,10 @@ GlfRegionIndex GlfRegionIndex::build(const std::string& path,
     if (nlayers > 1024) bad("implausible layer count");
   }
 
-  index.nbx_ = static_cast<std::size_t>(
-      std::ceil(index.width_um_ / bucket_um));
-  index.nby_ = static_cast<std::size_t>(
-      std::ceil(index.height_um_ / bucket_um));
+  // The pitch derives from a user's window: window_count refuses one that
+  // is not positive or too fine for the extents.
+  index.nbx_ = window_count(index.width_um_, bucket_um);
+  index.nby_ = window_count(index.height_um_, bucket_um);
   if (index.nbx_ == 0) index.nbx_ = 1;
   if (index.nby_ == 0) index.nby_ = 1;
 

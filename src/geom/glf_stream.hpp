@@ -33,7 +33,8 @@ namespace neurfill {
 
 /// Spatial index over one GLF file.  Build once (single sequential pass),
 /// then issue any number of region loads.  All methods throw
-/// std::runtime_error on malformed input, matching read_glf.
+/// std::runtime_error on malformed input, matching read_glf; build throws
+/// std::invalid_argument for a bucket pitch window_count refuses.
 class GlfRegionIndex {
  public:
   /// Indexes `path`, bucketing record offsets on a `bucket_um`-pitch grid.

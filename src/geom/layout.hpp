@@ -34,4 +34,10 @@ struct Layout {
   double total_wire_area() const;
 };
 
+/// ceil(extent_um / window_um): the windows (or index buckets) one axis of
+/// a layout spans.  Throws std::invalid_argument for a window that is not
+/// positive, or for a count of 2^31 or more (a window too small for its
+/// extent).
+std::size_t window_count(double extent_um, double window_um);
+
 }  // namespace neurfill

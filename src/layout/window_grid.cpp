@@ -20,20 +20,20 @@ void accumulate_rects(const std::vector<Rect>& rects, double window_um,
                       std::size_t rows, std::size_t cols, GridD& density,
                       GridD* perimeter) {
   const double inv_area = 1.0 / (window_um * window_um);
+  // Window indices clamp to the grid before the cast: a GLF may hold rects
+  // far outside its extent.
+  const auto cell = [](double v, std::size_t n) {
+    return static_cast<std::size_t>(
+        std::clamp(v, 0.0, static_cast<double>(n)));
+  };
   for (const Rect& r : rects) {
     if (r.empty()) continue;
-    const auto j0 = static_cast<std::size_t>(
-        std::max(0.0, std::floor(r.x0 / window_um)));
-    const auto i0 = static_cast<std::size_t>(
-        std::max(0.0, std::floor(r.y0 / window_um)));
+    const std::size_t j0 = cell(std::floor(r.x0 / window_um), cols);
+    const std::size_t i0 = cell(std::floor(r.y0 / window_um), rows);
     // Closed-open rects: a rect ending exactly on a boundary does not touch
     // the next window.
-    const auto j1 = std::min(
-        cols - 1,
-        static_cast<std::size_t>(std::max(0.0, std::ceil(r.x1 / window_um) - 1.0)));
-    const auto i1 = std::min(
-        rows - 1,
-        static_cast<std::size_t>(std::max(0.0, std::ceil(r.y1 / window_um) - 1.0)));
+    const std::size_t j1 = cell(std::ceil(r.x1 / window_um) - 1.0, cols - 1);
+    const std::size_t i1 = cell(std::ceil(r.y1 / window_um) - 1.0, rows - 1);
     for (std::size_t i = i0; i <= i1; ++i) {
       for (std::size_t j = j0; j <= j1; ++j) {
         const double wx = static_cast<double>(j) * window_um;
@@ -52,15 +52,13 @@ void accumulate_rects(const std::vector<Rect>& rects, double window_um,
 
 WindowExtraction extract_windows(const Layout& layout,
                                  const ExtractOptions& opt) {
-  if (opt.window_um <= 0.0)
-    throw std::invalid_argument("extract_windows: window_um must be positive");
   if (layout.width_um <= 0.0 || layout.height_um <= 0.0)
     throw std::invalid_argument("extract_windows: layout has no extent");
 
   WindowExtraction ext;
   ext.window_um = opt.window_um;
-  ext.cols = static_cast<std::size_t>(std::ceil(layout.width_um / opt.window_um));
-  ext.rows = static_cast<std::size_t>(std::ceil(layout.height_um / opt.window_um));
+  ext.cols = window_count(layout.width_um, opt.window_um);
+  ext.rows = window_count(layout.height_um, opt.window_um);
   ext.layers.resize(layout.num_layers());
 
   const std::size_t L = layout.num_layers();

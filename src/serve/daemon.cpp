@@ -1,5 +1,6 @@
 #include "serve/daemon.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "common/log.hpp"
@@ -90,6 +91,11 @@ bool Daemon::done() const {
 }
 
 std::string Daemon::handle_submit(const JsonValue& req) {
+  const double max_attempts = req.get_number("max_attempts", 0.0);
+  if (!(max_attempts >= 0.0 && max_attempts < 0x1p31 &&
+        max_attempts == std::floor(max_attempts)))
+    return error_reply(Error(ErrorCode::kInvalidArgument, "serve.admission",
+                             "'max_attempts' must be an integer in [0, 2^31)"));
   JobSpec spec;
   spec.design = req.get_string("design");
   spec.out = req.get_string("out");
@@ -97,7 +103,7 @@ std::string Daemon::handle_submit(const JsonValue& req) {
   spec.surrogate = req.get_string("surrogate");
   spec.window_um = req.get_number("window", 100.0);
   spec.deadline_s = req.get_number("deadline_s", 0.0);
-  spec.max_attempts = static_cast<int>(req.get_number("max_attempts", 0.0));
+  spec.max_attempts = static_cast<int>(max_attempts);
   Expected<std::string> id = scheduler_->submit(std::move(spec));
   if (!id.ok()) return error_reply(id.error());
   JsonValue v = json_object();

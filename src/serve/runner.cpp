@@ -50,7 +50,6 @@ namespace neurfill::serve {
       if (!surrogate.ok()) return surrogate.error();
       request.surrogate = std::move(*surrogate);
       request.neurfill.snapshot_path = snapshot_path;
-      request.neurfill.snapshot_every = opts_.snapshot_every;
       request.neurfill.interrupt = interrupt;
       if (!snapshot_path.empty()) {
         // Resume from an earlier attempt's snapshot when one exists; a

@@ -72,6 +72,9 @@ void Scheduler::persist_or_warn(const JobRecord& rec) {
   if (spec.design.empty() || spec.out.empty())
     return Error(ErrorCode::kInvalidArgument, "serve.admission",
                  "job spec requires non-empty 'design' and 'out' paths");
+  if (!(spec.window_um > 0.0))
+    return Error(ErrorCode::kInvalidArgument, "serve.admission",
+                 "job spec 'window' must be positive");
   if (queue_.size() >= opts_.queue_capacity) {
     NF_COUNTER_ADD("serve.jobs_rejected", 1);
     return Error(ErrorCode::kOverloaded, "serve.admission",

@@ -258,14 +258,13 @@ ObjectiveValue score_height_planes(
 }
 
 SurrogateInference::SurrogateInference(const CmpSurrogate& surrogate,
-                                       int padded_rows, int padded_cols,
-                                       int max_batch)
+                                       int padded_rows, int padded_cols)
     : features_(surrogate.config().features),
       topo_transfer_(surrogate.config().topo_transfer),
       session_(surrogate.unet(), padded_rows, padded_cols,
                nn::InferenceOptions{/*reuse_buffers=*/true, /*fuse=*/true,
                                     /*prepack_weights=*/true,
-                                    /*max_batch=*/max_batch}),
+                                    /*max_batch=*/kDefaultMaxBatch}),
       rows_(padded_rows),
       cols_(padded_cols) {
   if (surrogate.config().unet.in_channels != FeatureConstants::kInChannels)
@@ -605,8 +604,7 @@ std::uint64_t double_bits(double v) {
 /// Every input that shapes a compiled session, flattened to integers; the
 /// lexicographic std::map order is the cache order.
 std::vector<std::uint64_t> make_cache_key(const CmpSurrogate& surrogate,
-                                          int padded_rows, int padded_cols,
-                                          int max_batch) {
+                                          int padded_rows, int padded_cols) {
   const SurrogateConfig& cfg = surrogate.config();
   std::uint64_t wh = 1469598103934665603ull;  // FNV offset basis
   for (const nn::Tensor& p : surrogate.unet().parameters()) {
@@ -630,7 +628,6 @@ std::vector<std::uint64_t> make_cache_key(const CmpSurrogate& surrogate,
       double_bits(cfg.topo_transfer),
       static_cast<std::uint64_t>(padded_rows),
       static_cast<std::uint64_t>(padded_cols),
-      static_cast<std::uint64_t>(max_batch),
   };
 }
 
@@ -648,10 +645,9 @@ SessionCache& session_cache() {
 }  // namespace
 
 std::shared_ptr<const SurrogateInference> acquire_surrogate_inference(
-    const CmpSurrogate& surrogate, int padded_rows, int padded_cols,
-    int max_batch) {
+    const CmpSurrogate& surrogate, int padded_rows, int padded_cols) {
   std::vector<std::uint64_t> key =
-      make_cache_key(surrogate, padded_rows, padded_cols, max_batch);
+      make_cache_key(surrogate, padded_rows, padded_cols);
   SessionCache& cache = session_cache();
   {
     std::lock_guard<std::mutex> lock(cache.mu);
@@ -667,7 +663,7 @@ std::shared_ptr<const SurrogateInference> acquire_surrogate_inference(
   // the loser's session just serves its own caller — identical bytes either
   // way, since compilation is a pure function of the key.
   auto session = std::make_shared<const SurrogateInference>(
-      surrogate, padded_rows, padded_cols, max_batch);
+      surrogate, padded_rows, padded_cols);
   NF_COUNTER_ADD("surrogate.session_cache_misses", 1);
   std::lock_guard<std::mutex> lock(cache.mu);
   auto [it, inserted] = cache.entries.emplace(std::move(key), std::move(session));

@@ -58,7 +58,7 @@ class SurrogateInference {
   /// parameter storage; weights are snapshotted at compile time (packed
   /// panels) — rebuild after weight updates.
   SurrogateInference(const CmpSurrogate& surrogate, int padded_rows,
-                     int padded_cols, int max_batch = kDefaultMaxBatch);
+                     int padded_cols);
 
   int padded_rows() const { return rows_; }
   int padded_cols() const { return cols_; }
@@ -116,7 +116,7 @@ class SurrogateInference {
 
 /// Process-wide cache of compiled SurrogateInference sessions, keyed by the
 /// surrogate's architecture + extraction constants, a hash of its parameter
-/// bytes, the padded plane size, and max_batch.  Compiling a session packs
+/// bytes, and the padded plane size.  Compiling a session packs
 /// every constant conv weight panel, which is pure overhead to repeat when
 /// the fullchip driver solves hundreds of equally-sized tiles against one
 /// frozen surrogate — with the cache they all share one compiled session
@@ -124,8 +124,7 @@ class SurrogateInference {
 /// safe; a weight update changes the hash and naturally misses.  Emits
 /// surrogate.session_cache_hits / surrogate.session_cache_misses counters.
 std::shared_ptr<const SurrogateInference> acquire_surrogate_inference(
-    const CmpSurrogate& surrogate, int padded_rows, int padded_cols,
-    int max_batch = SurrogateInference::kDefaultMaxBatch);
+    const CmpSurrogate& surrogate, int padded_rows, int padded_cols);
 
 /// Number of cached sessions (tests/diagnostics).
 std::size_t surrogate_inference_cache_size();

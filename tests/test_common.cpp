@@ -1,12 +1,15 @@
-// Unit tests for the common substrate: Grid2D, Rng, FFT, statistics.
+// Unit tests for the common substrate: Grid2D, Rng, FFT, statistics,
+// deadlines.
 
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/deadline.hpp"
 #include "common/error.hpp"
 #include "common/fft.hpp"
 #include "common/grid2d.hpp"
@@ -262,6 +265,21 @@ TEST(Stats, HistogramClampsAndCounts) {
   EXPECT_EQ(h.counts.front(), 2u);
   EXPECT_EQ(h.counts.back(), 2u);
   EXPECT_NEAR(h.fraction_below(0.5), 0.5, 1e-12);
+}
+
+TEST(Deadline, BudgetPastTheClockRangeIsNoDeadline) {
+  // nf_fill --deadline-s and a submit's deadline_s reach after_seconds
+  // unchecked; the chrono cast must never see these.
+  for (const double s : {1e300, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    const Deadline d = Deadline::after_seconds(s);
+    EXPECT_TRUE(d.is_infinite()) << s;
+    EXPECT_FALSE(d.expired()) << s;
+  }
+  const Deadline hour = Deadline::after_seconds(3600.0);
+  EXPECT_FALSE(hour.is_infinite());
+  EXPECT_FALSE(hour.expired());
+  EXPECT_TRUE(Deadline::after_seconds(0.0).expired());
 }
 
 }  // namespace

@@ -374,24 +374,38 @@ TEST_F(FullChipDriver, PkbTilesShareOneSurrogateAcrossThreadCounts) {
 }
 
 TEST_F(FullChipDriver, ResumeLoadsTilesAndReproducesBitwise) {
-  const FullChipOptions opt = options("fc_resume");
-  const FullChipResult fresh = fullchip_fill(index_, opt);
-  EXPECT_EQ(fresh.tiles_solved, 6u);
+  // lin solves each tile once; pkb runs SQP in every tile and stitches.
+  SurrogateConfig cfg;
+  cfg.unet.base_channels = 4;
+  cfg.unet.depth = 1;
+  const auto surrogate = std::make_shared<const CmpSurrogate>(cfg, 3);
+  for (const std::string method : {"lin", "pkb"}) {
+    SCOPED_TRACE(method);
+    FullChipOptions opt = options("fc_resume_" + method);
+    opt.method = method;
+    opt.fill.sqp.max_iterations = 3;
+    opt.fill.pkb_steps = 3;
+    opt.surrogate_factory = [&surrogate] { return surrogate; };
+    const FullChipResult fresh = fullchip_fill(index_, opt);
+    const std::size_t solves =
+        6 * static_cast<std::size_t>(fresh.stitch_passes + 1);
+    EXPECT_EQ(fresh.tiles_solved, solves);
 
-  FullChipOptions ropt = opt;
-  ropt.resume = true;
-  const FullChipResult resumed = fullchip_fill(index_, ropt);
-  EXPECT_EQ(resumed.tiles_solved, 0u);
-  EXPECT_EQ(resumed.tiles_loaded, 6u);
-  expect_bitwise_equal(fresh, resumed);
+    FullChipOptions ropt = opt;
+    ropt.resume = true;
+    const FullChipResult resumed = fullchip_fill(index_, ropt);
+    EXPECT_EQ(resumed.tiles_solved, 0u);
+    EXPECT_EQ(resumed.tiles_loaded, solves);
+    expect_bitwise_equal(fresh, resumed);
 
-  // A lost tile record is simply re-solved, to the identical result.
-  const TileStore store(opt.store_dir);
-  ASSERT_EQ(::unlink(store.tile_path(0, 0, 1).c_str()), 0);
-  const FullChipResult partial = fullchip_fill(index_, ropt);
-  EXPECT_EQ(partial.tiles_solved, 1u);
-  EXPECT_EQ(partial.tiles_loaded, 5u);
-  expect_bitwise_equal(fresh, partial);
+    // A lost tile record is simply re-solved, to the identical result.
+    const TileStore store(opt.store_dir);
+    ASSERT_EQ(::unlink(store.tile_path(0, 0, 1).c_str()), 0);
+    const FullChipResult partial = fullchip_fill(index_, ropt);
+    EXPECT_EQ(partial.tiles_solved, 1u);
+    EXPECT_EQ(partial.tiles_loaded, solves - 1);
+    expect_bitwise_equal(fresh, partial);
+  }
 }
 
 TEST_F(FullChipDriver, CorruptTileRecordIsResolvedDeterministically) {

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -95,7 +96,8 @@ JobRecord sample_record() {
 
 TEST(ServeProtocol, ParseRenderRoundTrip) {
   const std::string text =
-      R"({"a":[1,2.5,-3],"b":{"c":"x\ny","d":true,"e":null},"f":"ué"})";
+      R"({"a":[1,2.5,-3],"b":{"c":"x\ny","d":true,"e":null},"f":"ué",)"
+      R"("g":1e300})";
   Expected<JsonValue> v = json_parse(text);
   ASSERT_TRUE(v.ok()) << v.error().to_string();
   EXPECT_EQ(v->object.at("a").array.size(), 3u);
@@ -104,12 +106,17 @@ TEST(ServeProtocol, ParseRenderRoundTrip) {
   EXPECT_TRUE(v->object.at("b").object.at("d").boolean);
   EXPECT_EQ(v->object.at("b").object.at("e").kind, JsonValue::Kind::kNull);
   EXPECT_EQ(v->object.at("f").string, "u\xc3\xa9");
+  EXPECT_EQ(v->object.at("g").number, 1e300);
   // Render -> parse -> render is a fixed point (sorted keys, stable
   // number formatting).
   const std::string once = json_render(*v);
   Expected<JsonValue> again = json_parse(once);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(json_render(*again), once);
+  EXPECT_EQ(again->object.at("g").number, 1e300);
+  // JSON has no NaN or infinity.
+  EXPECT_EQ(json_render(json_number(std::nan(""))), "null");
+  EXPECT_EQ(json_render(json_number(-HUGE_VAL)), "null");
 }
 
 TEST(ServeProtocol, TypedAccessorsFallBack) {
@@ -827,6 +834,34 @@ TEST(ServeDaemon, EndToEndOverLoopbackSocket) {
   worker.join();
   transport.join();
   EXPECT_TRUE(d.done());
+}
+
+TEST(ServeDaemon, RejectsOutOfRangeSubmitFieldsAtAdmission) {
+  const std::string dir = test_dir("daemon_admission");
+  ASSERT_TRUE(JobJournal::open(dir).ok());  // parent of the journal dir
+  Expected<std::unique_ptr<Daemon>> daemon =
+      Daemon::create(fast_daemon_opts(), dir + "/journal");
+  ASSERT_TRUE(daemon.ok()) << daemon.error().to_string();
+  Daemon& d = **daemon;
+  const std::string submit =
+      R"({"op":"submit","design":"in.glf","out":"out.glf",)";
+  for (const char* field :
+       {R"("max_attempts":1e300})", R"("max_attempts":-1})",
+        R"("max_attempts":2.5})", R"("max_attempts":2147483648})",
+        R"("window":0})", R"("window":-100})"}) {
+    SCOPED_TRACE(field);
+    const std::string reply = d.handle_line(submit + field);
+    EXPECT_NE(reply.find("\"ok\":false"), std::string::npos) << reply;
+    EXPECT_NE(reply.find("\"code\":\"invalid_argument\""), std::string::npos)
+        << reply;
+    const std::string pong = d.handle_line(R"({"op":"ping"})");
+    EXPECT_NE(pong.find("\"ok\":true"), std::string::npos) << pong;
+  }
+  EXPECT_EQ(d.scheduler().stats().queued, 0u);
+  // A deadline past the clock's range is no deadline: admitted as is.
+  const std::string far = d.handle_line(submit + R"("deadline_s":1e300})");
+  EXPECT_NE(far.find("\"ok\":true"), std::string::npos) << far;
+  EXPECT_EQ(d.scheduler().stats().queued, 1u);
 }
 
 TEST(ServeDaemon, TransportFaultSitesDropOneConnectionNotTheDaemon) {

@@ -203,6 +203,32 @@ TEST(WindowExtraction, RejectsBadOptions) {
   EXPECT_THROW(extract_windows(l, opt), std::invalid_argument);
   Layout empty;
   EXPECT_THROW(extract_windows(empty), std::invalid_argument);
+  // 200 um over 1e-300 um windows is 2e302 per axis: out of size_t's range.
+  opt.window_um = 1e-300;
+  EXPECT_THROW(extract_windows(l, opt), std::invalid_argument);
+}
+
+TEST(WindowExtraction, WindowCountBounds) {
+  EXPECT_EQ(window_count(1000.0, 100.0), 10u);
+  EXPECT_EQ(window_count(1001.0, 100.0), 11u);
+  EXPECT_EQ(window_count(2147483647.0, 1.0), 2147483647u);
+  EXPECT_THROW(window_count(2147483648.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(window_count(10.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(window_count(10.0, -1.0), std::invalid_argument);
+}
+
+TEST(WindowExtraction, RectsReachingFarPastTheExtentStayOnTheGrid) {
+  // read_glf accepts any finite coordinates; the window indices of these
+  // rects are far out of size_t's range before clamping.
+  Layout l = single_rect_layout(Rect(1e300, 1e300, 2e300, 2e300));
+  const WindowExtraction none = extract_windows(l);
+  ASSERT_EQ(none.layers[0].wire_density.size(), 4u);
+  for (std::size_t k = 0; k < 4; ++k)
+    EXPECT_EQ(none.layers[0].wire_density[k], 0.0) << k;
+  l.layers[0].wires.emplace_back(-1e300, -1e300, 1e300, 1e300);
+  const WindowExtraction all = extract_windows(l);
+  for (std::size_t k = 0; k < 4; ++k)
+    EXPECT_DOUBLE_EQ(all.layers[0].wire_density[k], 1.0) << k;
 }
 
 }  // namespace

@@ -64,7 +64,6 @@ struct RunFlags {
   bool drc = false;
   double deadline_s = 0.0;  ///< 0 = no deadline
   std::string snapshot_path;
-  int snapshot_every = 1;
   bool resume = false;
 };
 
@@ -83,7 +82,6 @@ int run(const std::string& in_path, const std::string& out_path,
     request.surrogate =
         obtain_surrogate(surrogate_prefix, ext, problem.simulator());
     request.neurfill.snapshot_path = flags.snapshot_path;
-    request.neurfill.snapshot_every = flags.snapshot_every;
     request.neurfill.resume = flags.resume;
     request.neurfill.interrupt = &g_interrupt;
   }
@@ -203,9 +201,6 @@ int main(int argc, char** argv) {
                     "checkpoint the pkb/mm optimization state to PATH "
                     "(atomic, CRC-checksummed)",
                     &flags.snapshot_path);
-  parser.add_int("--snapshot-every", "N",
-                 "SQP iterations between mid-start snapshots (default 1)",
-                 &flags.snapshot_every);
   parser.add_flag("--resume",
                   "continue from --snapshot PATH; the resumed run's fill is "
                   "bitwise identical to an uninterrupted one",
@@ -256,7 +251,8 @@ int main(int argc, char** argv) {
     if (flags.report || flags.drc || !flags.snapshot_path.empty()) {
       std::fprintf(stderr,
                    "nf_fill: --tiled is incompatible with --report/--drc/"
-                   "--snapshot (tile snapshots live in the tile store)\n");
+                   "--snapshot (the tile store is the tiled run's "
+                   "checkpoint)\n");
       return 2;
     }
     if (fopt.tile_windows < 1 || fopt.max_stitch_passes < 0 ||
@@ -268,10 +264,6 @@ int main(int argc, char** argv) {
     }
   } else if (flags.resume && flags.snapshot_path.empty()) {
     std::fprintf(stderr, "nf_fill: --resume requires --snapshot PATH\n");
-    return 2;
-  }
-  if (flags.snapshot_every < 1) {
-    std::fprintf(stderr, "nf_fill: --snapshot-every must be >= 1\n");
     return 2;
   }
   if (!flags.snapshot_path.empty() && !is_model_based(method))

@@ -89,9 +89,6 @@ int main(int argc, char** argv) {
                     "surrogate weight prefix for jobs that name none "
                     "(default data/unet_cmp)",
                     &dopt.runner.default_surrogate);
-  parser.add_int("--snapshot-every", "N",
-                 "SQP iterations between mid-start snapshots (default 1)",
-                 &dopt.runner.snapshot_every);
   parser.add_int("--sqp-iters", "N",
                  "override SQP iteration budget, 0 = default (tests/bench)",
                  &dopt.runner.sqp_max_iterations);
@@ -110,12 +107,11 @@ int main(int argc, char** argv) {
   if (!apply_common_options(common, std::cerr)) return 2;
   if (queue_cap < 1 || max_records < 1 ||
       dopt.scheduler.default_max_attempts < 1 ||
-      dopt.runner.snapshot_every < 1 ||
       !(dopt.scheduler.backoff_base_s >= 0.0) ||
       !(dopt.scheduler.backoff_cap_s >= 0.0)) {
     std::fprintf(stderr,
-                 "nf_serve: --queue-cap/--max-records/--max-attempts/"
-                 "--snapshot-every must be >= 1, backoff times >= 0\n");
+                 "nf_serve: --queue-cap/--max-records/--max-attempts must "
+                 "be >= 1, backoff times >= 0\n");
     return 2;
   }
   dopt.scheduler.queue_capacity = static_cast<std::size_t>(queue_cap);
