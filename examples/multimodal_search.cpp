@@ -5,7 +5,9 @@
 // Usage: multimodal_search
 
 #include <cstdio>
+#include <limits>
 #include <memory>
+#include <utility>
 
 #include "fill/neurfill.hpp"
 #include "geom/designs.hpp"
@@ -79,11 +81,13 @@ int main() {
     }, q, 1e-5);
     return f;
   };
-  std::vector<VecD> starts;
-  for (std::size_t m = 0; m < modes.size() && m < 3; ++m)
-    starts.push_back(modes[m].x);
-  const auto refined = msp_sqp_minimize(neg, starts, box2);
+  SqpResult best;
+  best.f = std::numeric_limits<double>::infinity();
+  for (std::size_t m = 0; m < modes.size() && m < 3; ++m) {
+    SqpResult refined = sqp_minimize(neg, modes[m].x, box2);
+    if (refined.f < best.f) best = std::move(refined);
+  }
   std::printf("\nafter MSP-SQP refinement, best quality = %.4f at (%.3f, %.3f)\n",
-              -refined.front().f, refined.front().x[0], refined.front().x[1]);
+              -best.f, best.x[0], best.x[1]);
   return 0;
 }

@@ -118,11 +118,6 @@ class [[nodiscard]] Expected {
 
   const Error& error() const { return std::get<Error>(v_); }
 
-  /// Moves the value out, or returns `fallback` on error.
-  T value_or(T fallback) && {
-    return ok() ? std::move(std::get<T>(v_)) : std::move(fallback);
-  }
-
  private:
   std::variant<T, Error> v_;
 };

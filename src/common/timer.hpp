@@ -14,7 +14,6 @@ class Timer {
   double elapsed_seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-  double elapsed_ms() const { return elapsed_seconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -49,7 +49,11 @@ FillRunResult tao_rule_sqp(const FillProblem& problem,
 struct CaiOptions {
   int pkb_steps = 5;
   SqpOptions sqp;  ///< keep max_iterations small; gradients cost n sims each
-  CaiOptions() { sqp.max_iterations = 6; }
+  CaiOptions() {
+    sqp.max_iterations = 6;
+    // A rejected first trial would cost n wasted simulations.
+    sqp.gradient_at_first_trial = false;
+  }
 };
 FillRunResult cai_model_fill(const FillProblem& problem,
                              const CaiOptions& options = CaiOptions());

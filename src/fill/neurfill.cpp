@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
+#include <functional>
+#include <iterator>
 #include <mutex>
 #include <utility>
 
@@ -71,8 +74,7 @@ ObjectiveFn make_network_objective(const FillProblem& problem,
 
 std::vector<double> network_batch_quality(
     const FillProblem& problem, const CmpNetwork& network,
-    const std::vector<std::vector<GridD>>& xs, long* eval_counter) {
-  if (eval_counter) *eval_counter += static_cast<long>(xs.size());
+    const std::vector<std::vector<GridD>>& xs) {
   const std::vector<CmpNetwork::Eval> nets = network.evaluate_batch(xs);
   std::vector<double> q(xs.size());
   for (std::size_t b = 0; b < xs.size(); ++b) {
@@ -85,6 +87,10 @@ std::vector<double> network_batch_quality(
 
 namespace {
 
+/// Fill levels of mm's target-density starts, as fractions of the way from
+/// each layer's mean density to its fullest window.
+constexpr double kTargetLevels[] = {0.25, 0.55, 0.85};
+
 void persist_snapshot(const FillSnapshot& snap, const std::string& path) {
   const Expected<void> res = save_fill_snapshot(snap, path);
   // A failed snapshot must not kill the optimization it protects.
@@ -92,12 +98,14 @@ void persist_snapshot(const FillSnapshot& snap, const std::string& path) {
     LOG_WARN("fill snapshot failed: %s", res.error().to_string().c_str());
 }
 
-/// Loads + validates a resume snapshot for `method`; returns false (fresh
-/// run) when the file does not exist.  A corrupt or mismatched snapshot is
-/// a hard error: silently recomputing would violate the byte-identical
-/// resume contract.
+/// Loads + validates a resume snapshot for `method`, whose drive has
+/// `n_indep` starts that need no NMMSO and up to `n_modes` mode starts;
+/// returns false (fresh run) when the file does not exist.  A corrupt or
+/// mismatched snapshot is a hard error: silently recomputing would violate
+/// the byte-identical resume contract.
 bool load_resume_snapshot(const NeurFillOptions& options,
                           const std::string& method, std::size_t dims,
+                          std::size_t n_indep, std::size_t n_modes,
                           FillSnapshot* snap) {
   if (!options.resume) return false;
   if (options.snapshot_path.empty())
@@ -123,63 +131,85 @@ bool load_resume_snapshot(const NeurFillOptions& options,
         "'" + options.snapshot_path + "' has " +
             std::to_string(loaded->dims) + " variables, the problem has " +
             std::to_string(dims)));
+  // The records must match the drive's start layout: the independent
+  // starts, then one per stored mode (mm, once the search finished).
+  if ((loaded->search_pending && method != "mm") ||
+      loaded->modes.size() > n_modes ||
+      loaded->records.size() != n_indep + loaded->modes.size())
+    throw ErrorException(Error(
+        ErrorCode::kCorrupt, "fill.snapshot",
+        "'" + options.snapshot_path +
+            "': start records do not match the drive's starts"));
   *snap = std::move(*loaded);
   std::size_t done = 0, running = 0;
   for (const FillSnapshot::StartRecord& r : snap->records) {
     done += r.state == FillSnapshot::StartRecord::State::kDone ? 1 : 0;
     running += r.state == FillSnapshot::StartRecord::State::kRunning ? 1 : 0;
   }
-  LOG_INFO("resuming from '%s': %zu/%zu starts done, %zu mid-flight",
-           options.snapshot_path.c_str(), done, snap->starts.size(), running);
+  LOG_INFO("resuming from '%s': %zu/%zu starts done, %zu mid-flight%s",
+           options.snapshot_path.c_str(), done, snap->records.size(), running,
+           snap->search_pending ? ", NMMSO pending" : "");
   return true;
 }
 
-struct MspDrive {
-  std::vector<SqpResult> results;  ///< sorted best (lowest f) first
-  long evaluations = 0;            ///< objective evaluations of all starts
-  bool timed_out = false;
-};
-
-/// Runs SQP from every MSP start with per-iteration snapshotting and a
-/// shared deadline; continues from `resumed` when non-null.  The starts run
-/// concurrently on the runtime pool (one start per block; the kernels
-/// inside a start nest serially), each with its own objective, evaluation
-/// counter and snapshot record, and the results are reduced in start order
-/// — so the outcome, and every snapshot a resume can start from, is
-/// independent of the thread count and of how the starts interleave.
-MspDrive drive_msp(const FillProblem& problem, const CmpNetwork& network,
-                   const std::string& method, const std::vector<VecD>& starts,
-                   long base_evaluations, const NeurFillOptions& options,
-                   const FillSnapshot* resumed) {
+/// Runs NeurFill `method` ("pkb" or "mm"), continuing from the resume
+/// snapshot when options ask for one, and returns the best start's fill.
+/// The whole drive is one pool job (docs/runtime.md, "The MM schedule").
+/// mm's blocks are NMMSO, the PKB start (its sweep included), the
+/// target-density starts, then one block per mode start, which waits until
+/// NMMSO finishes; pkb's only block is the PKB start.  Blocks are claimed
+/// in index order, so NMMSO is running before any block waits on it, and at
+/// one thread the blocks run in order.  Kernels inside a block nest
+/// serially (pkb's single block runs inline, so its kernels keep the
+/// pool).  Each start has its own objective, evaluation counter and
+/// snapshot record, and the results are put back in start order (modes,
+/// PKB, target-density fills) before they are sorted — so the outcome, and
+/// every snapshot a resume can start from, is independent of the thread
+/// count and of how the blocks interleave.
+FillRunResult drive_msp(const FillProblem& problem, const CmpNetwork& network,
+                        const std::string& method,
+                        const NeurFillOptions& options) {
   using State = FillSnapshot::StartRecord::State;
+  const bool mm = method == "mm";
   const Box box = problem.bounds();
-  const std::size_t n = starts.size();
-  std::vector<FillSnapshot::StartRecord> records(n);
-  if (resumed && !resumed->records.empty()) records = resumed->records;
-  std::vector<SqpResult> results(n);
-  std::mutex mu;  // guards `records` and serializes snapshot commits
-  const bool snapshots = !options.snapshot_path.empty();
-  const auto persist_locked = [&] {
-    FillSnapshot snap;
+  const std::size_t n_indep = mm ? 1 + std::size(kTargetLevels) : 1;
+  const std::size_t n_modes =
+      mm ? static_cast<std::size_t>(std::max(options.mm_starts, 0)) : 0;
+  const std::size_t n_blocks = (mm ? 1 : 0) + n_indep + n_modes;
+
+  // Guarded by `mu`, which also serializes snapshot commits.
+  FillSnapshot snap;
+  if (!load_resume_snapshot(options, method, box.size(), n_indep, n_modes,
+                            &snap)) {
     snap.method = method;
     snap.dims = box.size();
-    snap.evaluations = base_evaluations;
-    snap.starts = starts;
-    snap.records = records;
-    persist_snapshot(snap, options.snapshot_path);
-  };
+    snap.search_pending = mm;
+    snap.records.resize(n_indep);
+  }
+  bool search_timed_out = false;
+  // A block threw: waiting mode starts give up, since the cancelled job
+  // may never run (or finish) NMMSO.
+  bool failed = false;
+  std::mutex mu;
+  std::condition_variable search_done;
+  std::vector<SqpResult> results(n_indep + n_modes);
+  const bool snapshots = !options.snapshot_path.empty();
 
-  const auto run_start = [&](std::size_t i) {
+  // Runs start `i` from `first_point` (called only when the start has not
+  // begun; it may spend evaluations on `count`), or continues its record.
+  const auto run_start = [&](std::size_t i,
+                             const std::function<VecD(long*)>& first_point) {
     FillSnapshot::StartRecord rec;
     {
       std::lock_guard<std::mutex> lock(mu);
-      rec = records[i];
+      rec = snap.records[i];
     }
     if (rec.state == State::kDone) {
       results[i] = rec.result;
       return;
     }
     long count = rec.evaluations;
+    VecD x0 = rec.state == State::kRunning ? rec.sqp.x : first_point(&count);
     const ObjectiveFn obj = make_network_objective(problem, network, &count);
     SqpOptions so = options.sqp;
     so.deadline = options.deadline;
@@ -188,10 +218,10 @@ MspDrive drive_msp(const FillProblem& problem, const CmpNetwork& network,
       so.checkpoint_hook = [&, i](const SqpState& st) {
         if (snapshots) {
           std::lock_guard<std::mutex> lock(mu);
-          records[i].state = State::kRunning;
-          records[i].evaluations = count;
-          records[i].sqp = st;
-          persist_locked();
+          snap.records[i].state = State::kRunning;
+          snap.records[i].evaluations = count;
+          snap.records[i].sqp = st;
+          persist_snapshot(snap, options.snapshot_path);
         }
         if (options.interrupt &&
             options.interrupt->load(std::memory_order_relaxed))
@@ -202,105 +232,22 @@ MspDrive drive_msp(const FillProblem& problem, const CmpNetwork& network,
                         : std::string("interrupt acknowledged")));
       };
     }
-    results[i] = sqp_minimize(obj, starts[i], box, so);
+    results[i] = sqp_minimize(obj, std::move(x0), box, so);
     std::lock_guard<std::mutex> lock(mu);
-    records[i].state = State::kDone;
-    records[i].evaluations = count;
-    records[i].result = results[i];
-    if (snapshots) persist_locked();
+    snap.records[i].state = State::kDone;
+    snap.records[i].evaluations = count;
+    snap.records[i].result = results[i];
+    if (snapshots) persist_snapshot(snap, options.snapshot_path);
   };
-  runtime::parallel_for(1, n, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) run_start(i);
-  });
 
-  MspDrive out;
-  out.results = std::move(results);
-  for (const FillSnapshot::StartRecord& r : records)
-    out.evaluations += r.evaluations;
-  for (const SqpResult& r : out.results)
-    out.timed_out = out.timed_out || r.timed_out;
-  std::sort(out.results.begin(), out.results.end(),
-            [](const SqpResult& a, const SqpResult& b) { return a.f < b.f; });
-  return out;
-}
-
-/// Folds an MSP drive into the FillRunResult bookkeeping shared by the pkb
-/// and mm drivers.
-void fold_drive(const FillProblem& problem, const MspDrive& drive,
-                FillRunResult* res) {
-  res->x = problem.unflatten(drive.results.front().x);
-  res->iterations = 0;
-  res->timed_out = res->timed_out || drive.timed_out;
-  for (const SqpResult& r : drive.results) {
-    res->iterations += r.iterations;
-    res->numeric_recoveries += r.numeric_recoveries;
-    if (r.poisoned) res->degraded = true;
-  }
-  if (res->numeric_recoveries > 0) res->degraded = true;
-}
-
-}  // namespace
-
-FillRunResult neurfill_pkb(const FillProblem& problem,
-                           const CmpNetwork& network,
-                           const NeurFillOptions& options) {
-  // The method span doubles as the stopwatch: the reported runtime_s and
-  // the trace event come from the same clock reads (see obs::SpanTimer).
-  obs::SpanTimer timer("fill.neurfill_pkb");
-  long evals = 0;
-  FillSnapshot resumed;
-  const bool have_resume = load_resume_snapshot(
-      options, "pkb", problem.bounds().size(), &resumed);
-
-  std::vector<VecD> starts;
-  if (have_resume) {
-    // The snapshot stores the start list, so the PKB linear search (and its
-    // evaluation count) is not replayed.
-    starts = resumed.starts;
-    evals = resumed.evaluations;
-  } else {
-    // All `pkb_steps` sweep candidates are judged in one batched network
-    // evaluation; the chosen start (and the evaluation count) is identical
-    // to the serial sweep.
-    const std::vector<GridD> start = pkb_starting_point_batched(
-        problem.extraction(),
-        [&](const std::vector<std::vector<GridD>>& xs) {
-          return network_batch_quality(problem, network, xs, &evals);
-        },
-        options.pkb_steps);
-    starts.push_back(problem.flatten(start));
-  }
-
-  const MspDrive drive = drive_msp(problem, network, "pkb", starts, evals,
-                                   options, have_resume ? &resumed : nullptr);
-
-  FillRunResult res;
-  res.method = "NeurFill (PKB)";
-  fold_drive(problem, drive, &res);
-  evals += drive.evaluations;
-  res.objective_evaluations = evals;
-  NF_COUNTER_ADD("fill.objective_evaluations", evals);
-  res.runtime_s = timer.stop_seconds();
-  return res;
-}
-
-FillRunResult neurfill_mm(const FillProblem& problem, const CmpNetwork& network,
-                          const NeurFillOptions& options) {
-  obs::SpanTimer timer("fill.neurfill_mm");
-  long evals = 0;
-  FillSnapshot resumed;
-  const bool have_resume = load_resume_snapshot(
-      options, "mm", problem.bounds().size(), &resumed);
-
-  std::vector<VecD> starts;
-  bool explore_timed_out = false;
-  if (have_resume) {
-    // NMMSO is checkpointed only at phase completion (its mid-run state is
-    // not persisted), so a snapshot implies the start list is final.
-    starts = resumed.starts;
-    evals = resumed.evaluations;
-  } else {
-    // Multi-modal exploration maximizes the quality score (value only).
+  // Multi-modal exploration maximizes the quality score (value only).  Its
+  // mid-search state is not stored, so a resume that finds it pending runs
+  // the deterministic search again.
+  const auto run_search = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!snap.search_pending) return;
+    }
     const ObjectiveFn net_obj =
         make_network_objective(problem, network, nullptr);
     const ObjectiveFn explore = [&net_obj](const VecD& v, VecD*) -> double {
@@ -309,7 +256,7 @@ FillRunResult neurfill_mm(const FillProblem& problem, const CmpNetwork& network,
     NmmsoOptions nmmso_opt = options.nmmso;
     nmmso_opt.deadline = options.deadline;
     nmmso_opt.interrupt = options.interrupt;
-    Nmmso nmmso(explore, problem.bounds(), nmmso_opt);
+    Nmmso nmmso(explore, box, nmmso_opt);
     // Each iteration's move batch runs as one batched network evaluation;
     // out-of-batch evaluations (midpoints, hive-offs, immigrants) stay
     // scalar.  Values are bitwise identical either way, so the located
@@ -322,66 +269,126 @@ FillRunResult neurfill_mm(const FillProblem& problem, const CmpNetwork& network,
           return network_batch_quality(problem, network, xs);
         });
     const std::vector<Mode> modes = nmmso.run();
-    evals += nmmso.evaluations_used();
-    explore_timed_out = nmmso.timed_out();
-
-    // MSP-SQP over a diverse pool: the best NMMSO modes, the PKB start, and
-    // a spread of target-density fills (the structured corners of the
-    // landscape the paper's multi-modal search is meant to cover — distinct
-    // basins of the quality score reached from different fill levels).
-    for (const Mode& m : modes) {
-      if (static_cast<int>(starts.size()) >= options.mm_starts) break;
-      starts.push_back(m.x);
-    }
-    const std::vector<GridD> pkb = pkb_starting_point_batched(
-        problem.extraction(),
-        [&](const std::vector<std::vector<GridD>>& xs) {
-          return network_batch_quality(problem, network, xs, &evals);
-        },
-        options.pkb_steps);
-    starts.push_back(problem.flatten(pkb));
     {
-      const WindowExtraction& ext = problem.extraction();
-      std::vector<double> lo(ext.num_layers(), 1.0), hi(ext.num_layers(), 0.0);
-      for (std::size_t l = 0; l < ext.num_layers(); ++l) {
-        const auto& d = ext.layers[l];
-        double mean_rho = 0.0;
-        for (std::size_t k = 0; k < d.slack.size(); ++k) {
-          const double rho = d.wire_density[k] + d.dummy_density[k];
-          mean_rho += rho;
-          hi[l] = std::max(hi[l], rho + d.slack[k]);
-        }
-        lo[l] = mean_rho / static_cast<double>(d.slack.size());
-      }
-      for (const double t : {0.25, 0.55, 0.85}) {
-        std::vector<double> td(ext.num_layers());
-        for (std::size_t l = 0; l < td.size(); ++l)
-          td[l] = lo[l] + t * (hi[l] - lo[l]);
-        starts.push_back(problem.flatten(target_density_fill(ext, td)));
-      }
+      std::lock_guard<std::mutex> lock(mu);
+      for (std::size_t k = 0; k < modes.size() && k < n_modes; ++k)
+        snap.modes.push_back(modes[k].x);
+      snap.search_evaluations = nmmso.evaluations_used();
+      snap.search_pending = false;
+      snap.records.resize(n_indep + snap.modes.size());
+      search_timed_out = nmmso.timed_out();
+      if (snapshots) persist_snapshot(snap, options.snapshot_path);
     }
-    // Exploration phase complete: persist the start list so a later resume
-    // skips NMMSO entirely.
-    if (!options.snapshot_path.empty()) {
-      FillSnapshot snap;
-      snap.method = "mm";
-      snap.dims = problem.bounds().size();
-      snap.evaluations = evals;
-      snap.starts = starts;
-      persist_snapshot(snap, options.snapshot_path);
-    }
-  }
+    search_done.notify_all();
+  };
 
-  const MspDrive drive = drive_msp(problem, network, "mm", starts, evals,
-                                   options, have_resume ? &resumed : nullptr);
+  const auto run_block = [&](std::size_t b) {
+    if (mm && b == 0) return run_search();
+    const std::size_t i = b - (mm ? 1 : 0);  // start index in drive order
+    if (i == 0) {
+      // The sweep judges its candidates one at a time: a batched forward
+      // would grow the per-thread arena of whichever thread runs this
+      // block to the sweep's batch.
+      return run_start(i, [&](long* count) {
+        NF_TRACE_SPAN("fill.pkb_sweep");
+        const ObjectiveFn obj = make_network_objective(problem, network, count);
+        return problem.flatten(pkb_starting_point(
+            problem.extraction(),
+            [&](const std::vector<GridD>& x) {
+              return -obj(problem.flatten(x), nullptr);
+            },
+            options.pkb_steps));
+      });
+    }
+    if (i < n_indep) {
+      // A spread of target-density fills: the structured corners of the
+      // landscape the multi-modal search is meant to cover — distinct
+      // basins of the quality score reached from different fill levels.
+      return run_start(i, [&](long*) {
+        const WindowExtraction& ext = problem.extraction();
+        std::vector<double> td(ext.num_layers());
+        for (std::size_t l = 0; l < td.size(); ++l) {
+          const auto& d = ext.layers[l];
+          double mean_rho = 0.0, hi = 0.0;
+          for (std::size_t k = 0; k < d.slack.size(); ++k) {
+            const double rho = d.wire_density[k] + d.dummy_density[k];
+            mean_rho += rho;
+            hi = std::max(hi, rho + d.slack[k]);
+          }
+          const double lo = mean_rho / static_cast<double>(d.slack.size());
+          td[l] = lo + kTargetLevels[i - 1] * (hi - lo);
+        }
+        return problem.flatten(target_density_fill(ext, td));
+      });
+    }
+    const std::size_t k = i - n_indep;  // mode start: waits for NMMSO
+    VecD mode;
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      search_done.wait(lock, [&] { return !snap.search_pending || failed; });
+      if (failed || k >= snap.modes.size()) return;
+      mode = snap.modes[k];
+    }
+    run_start(i, [&mode](long*) { return mode; });
+  };
+  runtime::parallel_for(1, n_blocks, [&](std::size_t b0, std::size_t b1) {
+    for (std::size_t b = b0; b < b1; ++b) {
+      try {
+        run_block(b);
+      } catch (...) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          failed = true;
+        }
+        search_done.notify_all();
+        throw;
+      }
+    }
+  });
+
+  // The serial start order — modes, PKB, target-density fills — then the
+  // sort by objective.
+  results.resize(n_indep + snap.modes.size());
+  std::rotate(results.begin(), results.begin() + n_indep, results.end());
+  std::sort(results.begin(), results.end(),
+            [](const SqpResult& a, const SqpResult& b) { return a.f < b.f; });
 
   FillRunResult res;
+  res.x = problem.unflatten(results.front().x);
+  res.timed_out = search_timed_out;
+  for (const SqpResult& r : results) {
+    res.iterations += r.iterations;
+    res.numeric_recoveries += r.numeric_recoveries;
+    res.timed_out = res.timed_out || r.timed_out;
+    if (r.poisoned) res.degraded = true;
+  }
+  if (res.numeric_recoveries > 0) res.degraded = true;
+  res.objective_evaluations = snap.search_evaluations;
+  for (const FillSnapshot::StartRecord& r : snap.records)
+    res.objective_evaluations += r.evaluations;
+  NF_COUNTER_ADD("fill.objective_evaluations", res.objective_evaluations);
+  return res;
+}
+
+}  // namespace
+
+FillRunResult neurfill_pkb(const FillProblem& problem,
+                           const CmpNetwork& network,
+                           const NeurFillOptions& options) {
+  // The method span doubles as the stopwatch: the reported runtime_s and
+  // the trace event come from the same clock reads (see obs::SpanTimer).
+  obs::SpanTimer timer("fill.neurfill_pkb");
+  FillRunResult res = drive_msp(problem, network, "pkb", options);
+  res.method = "NeurFill (PKB)";
+  res.runtime_s = timer.stop_seconds();
+  return res;
+}
+
+FillRunResult neurfill_mm(const FillProblem& problem, const CmpNetwork& network,
+                          const NeurFillOptions& options) {
+  obs::SpanTimer timer("fill.neurfill_mm");
+  FillRunResult res = drive_msp(problem, network, "mm", options);
   res.method = "NeurFill (MM)";
-  res.timed_out = explore_timed_out;
-  fold_drive(problem, drive, &res);
-  evals += drive.evaluations;
-  res.objective_evaluations = evals;
-  NF_COUNTER_ADD("fill.objective_evaluations", evals);
   res.runtime_s = timer.stop_seconds();
   return res;
 }

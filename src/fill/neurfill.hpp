@@ -64,11 +64,10 @@ ObjectiveFn make_network_objective(const FillProblem& problem,
 /// fills: one CmpNetwork::evaluate_batch call (one batched UNet forward per
 /// layer) plus per-candidate analytic PD scores.  Each value is exactly the
 /// negation of make_network_objective's at the same point, so NMMSO's move
-/// batches and the PKB sweep mix it freely with scalar calls.
-/// `eval_counter` advances by B per call.
+/// batches mix it freely with scalar calls.
 std::vector<double> network_batch_quality(
     const FillProblem& problem, const CmpNetwork& network,
-    const std::vector<std::vector<GridD>>& xs, long* eval_counter = nullptr);
+    const std::vector<std::vector<GridD>>& xs);
 
 /// NeurFill (PKB): prior-knowledge-based starting point (judged by the
 /// network's quality) followed by SQP with backward-propagation gradients.

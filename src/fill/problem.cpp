@@ -219,34 +219,4 @@ std::vector<GridD> pkb_starting_point(
   return best;
 }
 
-std::vector<GridD> pkb_starting_point_batched(
-    const WindowExtraction& ext,
-    const std::function<
-        std::vector<double>(const std::vector<std::vector<GridD>>&)>&
-        quality_batch,
-    int steps) {
-  if (steps < 2)
-    throw std::invalid_argument("pkb_starting_point_batched: steps < 2");
-  std::vector<double> lo, hi;
-  pkb_density_range(ext, lo, hi);
-  std::vector<std::vector<GridD>> candidates;
-  candidates.reserve(static_cast<std::size_t>(steps));
-  for (int s = 0; s < steps; ++s)
-    candidates.push_back(pkb_candidate(ext, lo, hi, s, steps));
-  const std::vector<double> q = quality_batch(candidates);
-  if (q.size() != candidates.size())
-    throw std::invalid_argument(
-        "pkb_starting_point_batched: quality count mismatch");
-  // Same selection rule as the serial sweep: first strictly-better wins.
-  double best_q = -1e300;
-  std::size_t best = 0;
-  for (std::size_t s = 0; s < q.size(); ++s) {
-    if (q[s] > best_q) {
-      best_q = q[s];
-      best = s;
-    }
-  }
-  return std::move(candidates[best]);
-}
-
 }  // namespace neurfill

@@ -84,20 +84,6 @@ std::vector<GridD> pkb_starting_point(
     const std::function<double(const std::vector<GridD>&)>& quality,
     int steps = 9);
 
-/// Batched-quality variant of pkb_starting_point: all `steps` candidate
-/// fills are generated up front and judged in one `quality_batch` call (one
-/// batched surrogate inference), then the same linear-search selection runs
-/// over the returned values (first strictly-better candidate wins, in step
-/// order).  Given a quality_batch that returns exactly what the scalar
-/// quality would per candidate, the chosen start is identical to
-/// pkb_starting_point's.
-std::vector<GridD> pkb_starting_point_batched(
-    const WindowExtraction& ext,
-    const std::function<
-        std::vector<double>(const std::vector<std::vector<GridD>>&)>&
-        quality_batch,
-    int steps = 9);
-
 /// Eq. 18 for a fixed per-layer target density.
 std::vector<GridD> target_density_fill(const WindowExtraction& ext,
                                        const std::vector<double>& td);

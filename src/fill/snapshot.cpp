@@ -8,10 +8,12 @@ namespace neurfill {
 
 namespace {
 
-// Version 2: one record per start (concurrent MSP starts).  Version 1 held
-// a single mid-flight SqpState and cannot describe several starts in
-// flight, so it is refused rather than guessed at.
-constexpr std::uint32_t kVersion = 2;
+// Version 3: NMMSO runs beside the starts, so a snapshot can hold start
+// records while the search is still pending.  Version 2 stored the final
+// start list (NMMSO always finished first) and version 1 a single
+// mid-flight SqpState; neither describes this drive, so both are refused
+// rather than guessed at.
+constexpr std::uint32_t kVersion = 3;
 
 // SqpResult flag bits in a finished start's record.
 constexpr std::uint32_t kFlagConverged = 1u << 0;
@@ -92,14 +94,15 @@ void get_result(ByteReader& d, SqpResult* r) {
   meta.u32(kVersion);
   meta.str(snap.method);
   meta.u64(snap.dims);
-  meta.i64(snap.evaluations);
-  meta.u32(static_cast<std::uint32_t>(snap.starts.size()));
+  meta.u32(snap.search_pending ? 1 : 0);
+  meta.i64(snap.search_evaluations);
+  meta.u32(static_cast<std::uint32_t>(snap.modes.size()));
   meta.u32(static_cast<std::uint32_t>(snap.records.size()));
   w.add_section("meta", meta.take());
 
-  ByteWriter starts;
-  for (const VecD& s : snap.starts) starts.f64_vec(s);
-  w.add_section("starts", starts.take());
+  ByteWriter modes;
+  for (const VecD& m : snap.modes) modes.f64_vec(m);
+  w.add_section("modes", modes.take());
 
   ByteWriter records;
   for (const FillSnapshot::StartRecord& r : snap.records) {
@@ -129,30 +132,32 @@ void get_result(ByteReader& d, SqpResult* r) {
                              "); rerun without --resume");
   snap.method = meta.str();
   snap.dims = static_cast<std::size_t>(meta.u64());
-  snap.evaluations = static_cast<long>(meta.i64());
-  const std::uint32_t n_starts = meta.u32();
+  const std::uint32_t pending = meta.u32();
+  snap.search_evaluations = static_cast<long>(meta.i64());
+  const std::uint32_t n_modes = meta.u32();
   const std::uint32_t n_records = meta.u32();
-  if (!meta.ok() || !meta.at_end())
+  if (!meta.ok() || !meta.at_end() || pending > 1)
     return corrupt(path, "malformed 'meta' section");
-  if (n_records != 0 && n_records != n_starts)
-    return corrupt(path, "start records do not match the start list");
-  for (const char* name : {"starts", "records"})
+  snap.search_pending = pending == 1;
+  if (snap.search_pending && n_modes != 0)
+    return corrupt(path, "modes stored while the search is pending");
+  for (const char* name : {"modes", "records"})
     if (!reader->has_section(name))
       return corrupt(path, std::string("missing section '") + name + "'");
 
-  // Every start costs at least its 8-byte length and every record its
+  // Every mode costs at least its 8-byte length and every record its
   // 12-byte header, so a count the sections cannot hold is damage, caught
   // before it sizes an allocation.
-  const std::vector<char>& start_bytes = **reader->section("starts");
+  const std::vector<char>& mode_bytes = **reader->section("modes");
   const std::vector<char>& record_bytes = **reader->section("records");
-  if (start_bytes.size() / 8 < n_starts || record_bytes.size() / 12 < n_records)
+  if (mode_bytes.size() / 8 < n_modes || record_bytes.size() / 12 < n_records)
     return corrupt(path, "start count exceeds the stored sections");
 
-  ByteReader starts(start_bytes);
-  snap.starts.resize(n_starts);
-  for (auto& s : snap.starts) s = starts.f64_vec();
-  if (!starts.ok() || !starts.at_end())
-    return corrupt(path, "malformed 'starts' section");
+  ByteReader modes(mode_bytes);
+  snap.modes.resize(n_modes);
+  for (auto& m : snap.modes) m = modes.f64_vec();
+  if (!modes.ok() || !modes.at_end())
+    return corrupt(path, "malformed 'modes' section");
 
   ByteReader records(record_bytes);
   snap.records.resize(n_records);

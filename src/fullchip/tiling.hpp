@@ -34,8 +34,6 @@ struct TileRegion {
 
   std::size_t halo_rows() const { return halo_row1 - halo_row0; }
   std::size_t halo_cols() const { return halo_col1 - halo_col0; }
-  std::size_t core_rows() const { return core_row1 - core_row0; }
-  std::size_t core_cols() const { return core_col1 - core_col0; }
 
   /// True when chip window (row, col) lies in the halo but not the core —
   /// i.e. it is owned by a neighbouring tile.

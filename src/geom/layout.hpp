@@ -26,7 +26,6 @@ struct Layout {
   std::vector<Layer> layers;
 
   std::size_t num_layers() const { return layers.size(); }
-  Rect bbox() const { return Rect{0.0, 0.0, width_um, height_um}; }
 
   std::size_t total_wire_count() const;
   std::size_t total_dummy_count() const;

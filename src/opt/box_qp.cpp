@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace neurfill {
 
@@ -14,9 +15,9 @@ double dot(const VecD& a, const VecD& b) {
   return s;
 }
 
-double quad_value(const HessVec& B, const VecD& g, const VecD& d, VecD& tmp) {
-  B(d, tmp);
-  return 0.5 * dot(d, tmp) + dot(g, d);
+/// q(d) = 0.5 d'Bd + g'd from a known product Bd = B * d.
+double quad_value(const VecD& Bd, const VecD& g, const VecD& d) {
+  return 0.5 * dot(d, Bd) + dot(g, d);
 }
 
 }  // namespace
@@ -34,17 +35,20 @@ BoxQpResult solve_box_qp(const HessVec& B, const VecD& g, const Box& box,
   res.d.assign(n, 0.0);
   box.clamp(res.d);
 
-  VecD grad(n), tmp(n), pg(n);
+  VecD Bd(n), grad(n), Bpg(n), pg(n), trial(n), Btrial(n);
   VecD r(n), p(n), Bp(n);
   std::vector<bool> active(n, false);
+  // Bd holds B * res.d while bd_known: no vector is multiplied twice.
+  bool bd_known = false;
 
   const double gscale = std::max(1.0, std::sqrt(dot(g, g)));
 
   for (int outer = 0; outer < options.max_outer; ++outer) {
     res.outer_iterations = outer + 1;
     // Gradient of the quadratic at d.
-    B(res.d, grad);
-    for (std::size_t i = 0; i < n; ++i) grad[i] += g[i];
+    if (!bd_known) B(res.d, Bd);
+    bd_known = true;
+    for (std::size_t i = 0; i < n; ++i) grad[i] = Bd[i] + g[i];
     // Projected gradient: zero where the bound blocks descent.
     const double tol_b = 1e-12;
     for (std::size_t i = 0; i < n; ++i) {
@@ -56,18 +60,20 @@ BoxQpResult solve_box_qp(const HessVec& B, const VecD& g, const Box& box,
     if (pgnorm < options.tolerance * gscale) break;
 
     // --- Cauchy phase: projected steepest-descent step with backtracking.
-    B(pg, tmp);
-    const double curv = dot(pg, tmp);
+    B(pg, Bpg);
+    const double curv = dot(pg, Bpg);
     double alpha = curv > 0.0 ? dot(pg, pg) / curv : 1.0;
-    const double q0 = quad_value(B, g, res.d, tmp);
-    VecD trial(n);
+    const double q0 = quad_value(Bd, g, res.d);
     for (int bt = 0; bt < 20; ++bt) {
       for (std::size_t i = 0; i < n; ++i)
         trial[i] = std::clamp(res.d[i] - alpha * pg[i], box.lo[i], box.hi[i]);
-      if (quad_value(B, g, trial, tmp) < q0) break;
+      B(trial, Btrial);
+      if (quad_value(Btrial, g, trial) < q0) break;
       alpha *= 0.5;
     }
+    // The backtrack's last product is B times the Cauchy point.
     res.d = trial;
+    std::swap(Bd, Btrial);
 
     // --- Active set at the Cauchy point.
     for (std::size_t i = 0; i < n; ++i)
@@ -75,11 +81,11 @@ BoxQpResult solve_box_qp(const HessVec& B, const VecD& g, const Box& box,
                   (res.d[i] >= box.hi[i] - tol_b);
 
     // --- CG in the free subspace, truncated at the box boundary.
-    B(res.d, r);
-    for (std::size_t i = 0; i < n; ++i)
-      r[i] = active[i] ? 0.0 : -(r[i] + g[i]);  // residual = -grad on free set
+    for (std::size_t i = 0; i < n; ++i)  // residual = -grad on free set
+      r[i] = active[i] ? 0.0 : -(Bd[i] + g[i]);
     double rr = dot(r, r);
     if (rr < 1e-30) continue;
+    bd_known = false;  // CG moves d
     p = r;
     for (int cg = 0; cg < options.max_cg; ++cg) {
       B(p, Bp);
@@ -113,7 +119,8 @@ BoxQpResult solve_box_qp(const HessVec& B, const VecD& g, const Box& box,
     }
     box.clamp(res.d);
   }
-  res.objective = quad_value(B, g, res.d, tmp);
+  if (!bd_known) B(res.d, Bd);
+  res.objective = quad_value(Bd, g, res.d);
   return res;
 }
 

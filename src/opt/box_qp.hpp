@@ -25,8 +25,10 @@ struct BoxQpResult {
 /// Minimizes q(d) = 0.5 d'Bd + g'd subject to lo <= d <= hi using the
 /// More-Toraldo scheme: a projected-gradient (Cauchy point) phase fixes the
 /// active set, then conjugate gradients minimize in the free subspace;
-/// alternate until the projected gradient vanishes.  This is the QP
-/// subproblem solver of the SQP optimizer (Eq. 5d's bounds are the only
+/// alternate until the projected gradient vanishes.  No vector is
+/// multiplied by B twice: the product at the Cauchy point carries into CG's
+/// residual and, when CG does not move d, into the next round.  This is the
+/// QP subproblem solver of the SQP optimizer (Eq. 5d's bounds are the only
 /// constraints of the filling problem).
 BoxQpResult solve_box_qp(const HessVec& B, const VecD& g, const Box& box,
                          const BoxQpOptions& options = BoxQpOptions());

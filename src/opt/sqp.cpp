@@ -203,7 +203,11 @@ SqpResult sqp_minimize(const ObjectiveFn& f, VecD x0, const Box& box,
     const HessVec Bv = [&hessian](const VecD& v, VecD& out) {
       hessian.apply(v, out);
     };
-    const BoxQpResult qp = solve_box_qp(Bv, g, shifted, options.qp);
+    BoxQpResult qp;
+    {
+      NF_TRACE_SPAN("opt.box_qp");
+      qp = solve_box_qp(Bv, g, shifted, options.qp);
+    }
     const VecD& d = qp.d;
     const double gd = dot(g, d);
     double dnorm = 0.0;
@@ -214,28 +218,39 @@ SqpResult sqp_minimize(const ObjectiveFn& f, VecD x0, const Box& box,
       break;
     }
 
-    // Armijo backtracking along the (feasible) SQP direction.
+    // Armijo backtracking along the (feasible) SQP direction.  The first
+    // trial (alpha = 1, accepted almost every time) is evaluated with its
+    // gradient, so an accepted first trial needs no second evaluation; the
+    // value does not depend on whether a gradient was asked for, so the
+    // iterates are the same either way.  Later trials are value-only, and
+    // the point they accept is evaluated again for its gradient.
     double alpha = 1.0;
     double f_trial = fx;
     bool accepted = false;
-    for (int ls = 0; ls < options.max_line_search; ++ls) {
-      for (std::size_t i = 0; i < n; ++i) trial[i] = res.x[i] + alpha * d[i];
-      box.clamp(trial);  // guard rounding
-      f_trial = eval(trial, nullptr);
-      // A NaN trial value fails the Armijo comparison below, so a poisoned
-      // line-search evaluation already degrades to "shrink and retry" —
-      // just account for it.
-      if (!std::isfinite(f_trial)) ++res.numeric_recoveries;
-      if (f_trial <= fx + options.armijo_c1 * alpha * gd) {
-        accepted = true;
-        break;
+    bool have_grad = false;
+    {
+      NF_TRACE_SPAN("opt.line_search");
+      for (int ls = 0; ls < options.max_line_search; ++ls) {
+        for (std::size_t i = 0; i < n; ++i) trial[i] = res.x[i] + alpha * d[i];
+        box.clamp(trial);  // guard rounding
+        const bool with_grad = ls == 0 && options.gradient_at_first_trial;
+        f_trial = eval(trial, with_grad ? &g_new : nullptr);
+        // A NaN trial value fails the Armijo comparison below, so a poisoned
+        // line-search evaluation already degrades to "shrink and retry" —
+        // just account for it.
+        if (!std::isfinite(f_trial)) ++res.numeric_recoveries;
+        if (f_trial <= fx + options.armijo_c1 * alpha * gd) {
+          accepted = true;
+          have_grad = with_grad;
+          break;
+        }
+        alpha *= 0.5;
       }
-      alpha *= 0.5;
     }
     if (!accepted) break;  // line search failed: stationary to our accuracy
 
     const double f_old = fx;
-    double f_new = eval(trial, &g_new);
+    double f_new = have_grad ? f_trial : eval(trial, &g_new);
     NF_CHECK(g_new.size() == n, "sqp: gradient size %zu, expected %zu",
              g_new.size(), n);
     // Poisoned value/gradient mid-run: back off toward the last accepted
@@ -256,7 +271,7 @@ SqpResult sqp_minimize(const ObjectiveFn& f, VecD x0, const Box& box,
       res.poisoned = true;  // unrecoverable: keep the last good iterate
       break;
     }
-    // In a clean run f_new re-evaluates the accepted trial (deterministic,
+    // In a clean run f_new is the accepted trial's value (deterministic,
     // so <= f_old by Armijo); after poison shrinks the landing point can be
     // uphill, in which case stop at the best-so-far instead of accepting.
     if (f_new > f_old) break;
@@ -265,7 +280,10 @@ SqpResult sqp_minimize(const ObjectiveFn& f, VecD x0, const Box& box,
       s[i] = trial[i] - res.x[i];
       y[i] = g_new[i] - g[i];
     }
-    hessian.update(s, y);
+    {
+      NF_TRACE_SPAN("opt.lbfgs_update");
+      hessian.update(s, y);
+    }
     res.x = trial;
     g = g_new;
     if (std::fabs(f_old - fx) <
@@ -281,19 +299,6 @@ SqpResult sqp_minimize(const ObjectiveFn& f, VecD x0, const Box& box,
   res.f = fx;
   NF_COUNTER_ADD("opt.sqp_evaluations", res.function_evaluations);
   return res;
-}
-
-std::vector<SqpResult> msp_sqp_minimize(const ObjectiveFn& f,
-                                        const std::vector<VecD>& starts,
-                                        const Box& box,
-                                        const SqpOptions& options) {
-  std::vector<SqpResult> results;
-  results.reserve(starts.size());
-  for (const VecD& x0 : starts)
-    results.push_back(sqp_minimize(f, x0, box, options));
-  std::sort(results.begin(), results.end(),
-            [](const SqpResult& a, const SqpResult& b) { return a.f < b.f; });
-  return results;
 }
 
 }  // namespace neurfill

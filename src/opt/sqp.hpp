@@ -71,6 +71,11 @@ struct SqpOptions {
   int lbfgs_memory = 8;
   double armijo_c1 = 1e-4;
   int max_line_search = 30;
+  /// Evaluate the line search's first trial with its gradient, so an
+  /// accepted alpha = 1 costs one evaluation.  Turn it off when a gradient
+  /// costs many values (finite differences): a rejected first trial then
+  /// wastes a whole gradient.
+  bool gradient_at_first_trial = true;
   BoxQpOptions qp;
   /// Expiry returns the best-so-far iterate with timed_out set.
   Deadline deadline;
@@ -100,15 +105,10 @@ struct SqpResult {
 /// at each iterate a quadratic model with L-BFGS Hessian is minimized over
 /// the shifted box (the QP subproblem, Eq. 5d being the only constraints),
 /// followed by an Armijo backtracking line search.  Minimizes f; callers
-/// maximizing a score pass its negation.
+/// maximizing a score pass its negation.  f's value must not depend on
+/// whether a gradient is requested (see
+/// SqpOptions::gradient_at_first_trial).
 SqpResult sqp_minimize(const ObjectiveFn& f, VecD x0, const Box& box,
                        const SqpOptions& options = SqpOptions());
-
-/// Multiple-starting-points driver (the "MSP" of MSP-SQP): runs SQP from
-/// every start and returns the results sorted best (lowest f) first.
-std::vector<SqpResult> msp_sqp_minimize(const ObjectiveFn& f,
-                                        const std::vector<VecD>& starts,
-                                        const Box& box,
-                                        const SqpOptions& options = SqpOptions());
 
 }  // namespace neurfill

@@ -33,17 +33,17 @@ Daemon::Daemon(const DaemonOptions& options, JobJournal journal)
   Expected<JobJournal::Recovery> recovery = journal->recover();
   if (!recovery.ok()) return recovery.error();
   std::unique_ptr<Daemon> d(new Daemon(options, std::move(*journal)));
-  d->quarantined_ = recovery->quarantined;
+  std::size_t recovered = 0;
   for (JobRecord& rec : recovery->records) {
     const bool runnable = rec.state == JobState::kQueued ||
                           rec.state == JobState::kRunning;
-    if (runnable) ++d->recovered_;
+    if (runnable) ++recovered;
     d->scheduler_->restore(std::move(rec));
   }
-  if (d->recovered_ > 0 || d->quarantined_ > 0)
+  if (recovered > 0 || recovery->quarantined > 0)
     LOG_INFO("serve.daemon: recovered %zu pending job(s) from '%s' "
              "(%zu corrupt record(s) quarantined)",
-             d->recovered_, journal_dir.c_str(), d->quarantined_);
+             recovered, journal_dir.c_str(), recovery->quarantined);
   return d;
 }
 

@@ -58,10 +58,6 @@ class Daemon : public Handler {
   [[nodiscard]] static Expected<std::unique_ptr<Daemon>> create(
       const DaemonOptions& options, const std::string& journal_dir);
 
-  /// Jobs recovered into the queue by create() (logging/tests).
-  std::size_t recovered_jobs() const { return recovered_; }
-  std::size_t quarantined_records() const { return quarantined_; }
-
   /// Occupies the calling thread executing jobs until the drain (or
   /// stop()) completes.
   void run_worker();
@@ -100,8 +96,6 @@ class Daemon : public Handler {
   std::unique_ptr<JobJournal> journal_;
   JobRunner runner_;
   std::unique_ptr<Scheduler> scheduler_;
-  std::size_t recovered_ = 0;
-  std::size_t quarantined_ = 0;
   const std::atomic<bool>* drain_flag_ = nullptr;
   std::atomic<bool> draining_{false};
   std::atomic<bool> drain_escalated_{false};

@@ -26,11 +26,24 @@ namespace neurfill::serve {
                  "unknown method '" + spec.method +
                      "' (expected lin|tao|cai|pkb|mm)");
   try {
-    Layout layout = read_glf_file(spec.design);
-    ExtractOptions eopt;
-    eopt.window_um = spec.window_um;
-    const FillProblem problem =
-        make_fill_problem(layout, eopt, CmpProcessParams());
+    // A design that does not parse, or whose window grid cannot be built,
+    // fails the same way on every attempt: report it as bad input so the
+    // scheduler does not retry it.
+    Layout layout;
+    const FillProblem problem = [&] {
+      try {
+        layout = read_glf_file(spec.design);
+        ExtractOptions eopt;
+        eopt.window_um = spec.window_um;
+        return make_fill_problem(layout, eopt, CmpProcessParams());
+      } catch (const ErrorException&) {
+        throw;
+      } catch (const std::exception& e) {
+        throw ErrorException(
+            Error(ErrorCode::kInvalidArgument, "serve.runner",
+                  "design '" + spec.design + "': " + e.what()));
+      }
+    }();
 
     FillRequest request;
     request.method = spec.method;

@@ -45,7 +45,6 @@ class TrainingDataGenerator {
                                              std::size_t rows,
                                              std::size_t cols);
 
-  std::size_t num_sources() const { return sources_.size(); }
   const CmpSimulator& simulator() const { return sim_; }
 
  private:

@@ -455,8 +455,9 @@ TEST(CmpNetworkFast, EvaluateMatchesAutogradReferenceBitwise) {
   // The compiled network and the autograd reference must agree exactly on
   // the objective, the heights and the gradient, and the compiled value
   // must not depend on whether gradients were requested: the SQP line
-  // search evaluates trials value-only and then re-evaluates the accepted
-  // trial with gradients, assuming both see the same value.
+  // search evaluates its first trial with the gradient and any backtracked
+  // trials value-only, then re-evaluates a backtracked point with the
+  // gradient, and its Armijo test compares values from either path.
   const Layout layout = make_design('a', 8, 100.0, 3);
   const WindowExtraction ext = extract_windows(layout);
   SurrogateConfig cfg;
@@ -591,8 +592,8 @@ TEST(CmpNetworkFast, GradientMatchesAutogradAcrossRandomConfigs) {
 TEST(CmpNetworkFast, EvaluateBatchMatchesSerialBitwise) {
   // Cross-candidate batching: evaluate_batch must return, per candidate,
   // exactly the Eval that evaluate(x, false) returns — the NMMSO move
-  // batches and the PKB sweep rely on batched and serial evaluations being
-  // interchangeable mid-optimization.
+  // batches rely on batched and serial evaluations being interchangeable
+  // mid-optimization.
   const Layout layout = make_design('a', 8, 100.0, 3);
   const WindowExtraction ext = extract_windows(layout);
   SurrogateConfig cfg;

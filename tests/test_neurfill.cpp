@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -158,9 +160,9 @@ TEST_F(NeurFillPipeline, MmAtLeastMatchesSurrogateObjectiveOfPkb) {
 
 TEST_F(NeurFillPipeline, MmIsIdenticalAcrossThreadCounts) {
   // Full-drive determinism gate for the compiled surrogate path: the MM flow
-  // (batched NMMSO move evaluations, batched PKB sweep, prepacked session
-  // weights, compiled reverse-pass gradients, MSP starts running
-  // concurrently on the pool) must produce byte-identical fills and equal
+  // (batched NMMSO move evaluations, prepacked session weights, compiled
+  // reverse-pass gradients, NMMSO and the MSP starts running concurrently
+  // on the pool) must produce byte-identical fills and equal
   // evaluation counts at 1, 2, 4 and 8 threads.
   NeurFillOptions opt;
   opt.sqp.max_iterations = 4;
@@ -341,6 +343,47 @@ TEST_F(NeurFillPipeline, InterruptedPkbResumesByteIdentical) {
   std::remove(snap.c_str());
 }
 
+/// Starts mid-flight in a snapshot.
+int in_flight(const FillSnapshot& s) {
+  int n = 0;
+  for (const FillSnapshot::StartRecord& r : s.records)
+    n += r.state == FillSnapshot::StartRecord::State::kRunning ? 1 : 0;
+  return n;
+}
+
+/// Runs MM with snapshots, raises the interrupt once the snapshot on disk
+/// satisfies `when`, and returns the snapshot the interrupted run left.
+Expected<FillSnapshot> interrupt_mm_when(
+    const FillProblem& problem, const CmpNetwork& network,
+    NeurFillOptions opt, const std::string& snap,
+    const std::function<bool(const FillSnapshot&)>& when) {
+  std::remove(snap.c_str());
+  opt.snapshot_path = snap;
+  std::atomic<bool> stop{false};
+  opt.interrupt = &stop;
+  std::atomic<bool> done{false};
+  std::thread watcher([&] {
+    while (!done.load()) {
+      const Expected<FillSnapshot> s = load_fill_snapshot(snap);
+      if (s.ok() && when(*s)) {
+        stop.store(true);
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  bool interrupted = false;
+  try {
+    neurfill_mm(problem, network, opt);
+  } catch (const ErrorException& e) {
+    interrupted = e.err.code == ErrorCode::kInterrupted;
+  }
+  done.store(true);
+  watcher.join();
+  EXPECT_TRUE(interrupted);
+  return load_fill_snapshot(snap);
+}
+
 TEST_F(NeurFillPipeline, InterruptedMmWithStartsInFlightResumesByteIdentical) {
   // Concurrent MSP starts: interrupt an MM drive while several starts are
   // mid-flight, each with its own snapshot record, then resume.  The fill
@@ -354,40 +397,49 @@ TEST_F(NeurFillPipeline, InterruptedMmWithStartsInFlightResumesByteIdentical) {
   const FillRunResult full = neurfill_mm(*problem_, *network_, opt);
 
   const std::string snap = ::testing::TempDir() + "neurfill_mm_resume.nfcp";
-  std::remove(snap.c_str());
-  NeurFillOptions iopt = opt;
-  iopt.snapshot_path = snap;
-  std::atomic<bool> stop{false};
-  iopt.interrupt = &stop;
   // Raise the interrupt once the snapshot shows two starts mid-flight.
-  const auto in_flight = [](const FillSnapshot& s) {
-    int n = 0;
-    for (const FillSnapshot::StartRecord& r : s.records)
-      n += r.state == FillSnapshot::StartRecord::State::kRunning ? 1 : 0;
-    return n;
-  };
-  std::atomic<bool> done{false};
-  std::thread watcher([&] {
-    while (!done.load()) {
-      const Expected<FillSnapshot> s = load_fill_snapshot(snap);
-      if (s.ok() && in_flight(*s) >= 2) {
-        stop.store(true);
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  });
-  bool interrupted = false;
-  try {
-    neurfill_mm(*problem_, *network_, iopt);
-  } catch (const ErrorException& e) {
-    interrupted = e.err.code == ErrorCode::kInterrupted;
-  }
-  done.store(true);
-  watcher.join();
-  ASSERT_TRUE(interrupted);
-  const Expected<FillSnapshot> saved = load_fill_snapshot(snap);
+  const Expected<FillSnapshot> saved = interrupt_mm_when(
+      *problem_, *network_, opt, snap,
+      [](const FillSnapshot& s) { return in_flight(s) >= 2; });
   ASSERT_TRUE(saved.ok());
+  EXPECT_GE(in_flight(*saved), 2);
+
+  NeurFillOptions ropt = opt;
+  ropt.snapshot_path = snap;
+  ropt.resume = true;
+  const FillRunResult resumed = neurfill_mm(*problem_, *network_, ropt);
+  runtime::set_thread_count(0);
+  ASSERT_EQ(resumed.x.size(), full.x.size());
+  for (std::size_t l = 0; l < full.x.size(); ++l)
+    for (std::size_t k = 0; k < full.x[l].size(); ++k)
+      ASSERT_EQ(resumed.x[l][k], full.x[l][k]);
+  EXPECT_EQ(resumed.objective_evaluations, full.objective_evaluations);
+  EXPECT_EQ(resumed.iterations, full.iterations);
+  std::remove(snap.c_str());
+}
+
+TEST_F(NeurFillPipeline, InterruptedMmWithSearchPendingResumesByteIdentical) {
+  // NMMSO runs beside the starts that need nothing from it.  Interrupt
+  // while the search is still pending and at least two of those starts are
+  // mid-flight: the snapshot holds their records and no modes, and the
+  // resume runs the search again and continues the starts.  The fill and
+  // the evaluation count must equal an uninterrupted run's exactly.
+  NeurFillOptions opt;
+  opt.sqp.max_iterations = 12;
+  opt.pkb_steps = 4;
+  opt.nmmso.max_evaluations = 400;  // a search that outlasts the starts
+  opt.mm_starts = 2;
+  runtime::set_thread_count(4);
+  const FillRunResult full = neurfill_mm(*problem_, *network_, opt);
+
+  const std::string snap = ::testing::TempDir() + "neurfill_mm_pending.nfcp";
+  const Expected<FillSnapshot> saved = interrupt_mm_when(
+      *problem_, *network_, opt, snap, [](const FillSnapshot& s) {
+        return s.search_pending && in_flight(s) >= 2;
+      });
+  ASSERT_TRUE(saved.ok());
+  EXPECT_TRUE(saved->search_pending);
+  EXPECT_TRUE(saved->modes.empty());
   EXPECT_GE(in_flight(*saved), 2);
 
   NeurFillOptions ropt = opt;
@@ -430,6 +482,37 @@ TEST_F(NeurFillPipeline, VersionOneSnapshotIsRefusedWithStructuredError) {
   } catch (const ErrorException& e) {
     EXPECT_EQ(e.err.code, ErrorCode::kCorrupt);
     EXPECT_NE(e.err.message.find("version 1"), std::string::npos)
+        << e.err.message;
+  }
+  std::remove(snap.c_str());
+}
+
+TEST_F(NeurFillPipeline, VersionTwoSnapshotIsRefusedWithStructuredError) {
+  // Version-2 snapshots stored the final start list: NMMSO always finished
+  // before any start ran.  They cannot describe a pending search beside
+  // running starts, so resume refuses them instead of guessing.
+  const std::string snap = ::testing::TempDir() + "neurfill_v2.nfcp";
+  CheckpointWriter w;
+  ByteWriter meta;
+  meta.u32(2);
+  meta.str("pkb");
+  meta.u64(problem_->bounds().size());
+  meta.i64(0);  // evaluations before the drive
+  meta.u32(0);  // starts
+  meta.u32(0);  // records
+  w.add_section("meta", meta.take());
+  w.add_section("starts", ByteWriter().take());
+  w.add_section("records", ByteWriter().take());
+  ASSERT_TRUE(w.commit(snap).ok());
+  NeurFillOptions opt;
+  opt.snapshot_path = snap;
+  opt.resume = true;
+  try {
+    neurfill_pkb(*problem_, *network_, opt);
+    FAIL() << "a version-2 snapshot was accepted";
+  } catch (const ErrorException& e) {
+    EXPECT_EQ(e.err.code, ErrorCode::kCorrupt);
+    EXPECT_NE(e.err.message.find("version 2"), std::string::npos)
         << e.err.message;
   }
   std::remove(snap.c_str());
@@ -486,19 +569,36 @@ TEST_F(NeurFillPipeline, CorruptSnapshotResumeIsStructuredError) {
   // damage too, refused before the count sizes any allocation.
   CheckpointWriter w;
   ByteWriter meta;
-  meta.u32(2);
-  meta.str("pkb");
+  meta.u32(3);
+  meta.str("mm");
   meta.u64(problem_->bounds().size());
-  meta.i64(0);
-  meta.u32(1u << 30);  // starts
+  meta.u32(0);         // search finished
+  meta.i64(0);         // its evaluations
+  meta.u32(1u << 30);  // modes
   meta.u32(1u << 30);  // records
   w.add_section("meta", meta.take());
-  w.add_section("starts", ByteWriter().take());
+  w.add_section("modes", ByteWriter().take());
   w.add_section("records", ByteWriter().take());
   ASSERT_TRUE(w.commit(snap).ok());
   const Expected<FillSnapshot> loaded = load_fill_snapshot(snap);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.error().code, ErrorCode::kCorrupt);
+
+  // A readable snapshot whose records do not fit the drive's starts (mm
+  // has four starts before its modes) is refused on resume.
+  FillSnapshot wrong;
+  wrong.method = "mm";
+  wrong.dims = problem_->bounds().size();
+  wrong.search_pending = true;
+  wrong.records.resize(2);
+  ASSERT_TRUE(save_fill_snapshot(wrong, snap).ok());
+  bool refused = false;
+  try {
+    neurfill_mm(*problem_, *network_, opt);
+  } catch (const ErrorException& e) {
+    refused = e.err.code == ErrorCode::kCorrupt;
+  }
+  EXPECT_TRUE(refused);
   std::remove(snap.c_str());
 }
 

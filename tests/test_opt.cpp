@@ -1,6 +1,9 @@
 // Tests for the optimization substrate: box-QP, L-BFGS Hessian, SQP, MSP.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -91,6 +94,68 @@ TEST(BoxQp, LargerRandomProblemKktHolds) {
   }
 }
 
+/// Records every vector B is applied to.
+struct CountingHessVec {
+  HessVec inner;
+  std::vector<VecD> inputs;
+  HessVec fn() {
+    return [this](const VecD& v, VecD& out) {
+      inputs.push_back(v);
+      inner(v, out);
+    };
+  }
+};
+
+TEST(BoxQp, OneRoundCostsThreeProducts) {
+  // B = I with the minimizer inside the box: one round, whose Cauchy step
+  // lands on d = -g.  Products: B*0 at the round top, B*pg for the Cauchy
+  // step length, B*trial in the backtrack.  CG has nothing to do, so the
+  // second round's B*d and the final q(d) reuse B*trial.  (Recomputing q0,
+  // the CG residual, that round top and the final q(d) made it 7.)
+  CountingHessVec B{[](const VecD& v, VecD& out) { out = v; }, {}};
+  const VecD g{0.5, -0.25, 1.0};
+  const BoxQpResult r = solve_box_qp(B.fn(), g, make_box(3, -10.0, 10.0));
+  EXPECT_EQ(r.outer_iterations, 2);
+  EXPECT_EQ(B.inputs.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(r.d[i], -g[i]);
+  EXPECT_EQ(r.objective, 0.5 * (0.25 + 0.0625 + 1.0) - (0.25 + 0.0625 + 1.0));
+}
+
+TEST(BoxQp, NeverMultipliesOneVectorTwice) {
+  // Random SPD problems with active bounds take several rounds; in all of
+  // them every Hessian product is of a new vector (B*d at a round top is
+  // the Cauchy backtrack's product unless CG moved d).
+  int most_rounds = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = 6 + static_cast<std::size_t>(rng.uniform_index(20));
+    std::vector<double> M(n * n), A(n * n, 0.0);
+    for (auto& v : M) v = rng.uniform(-1, 1);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t k = 0; k < n; ++k)
+          A[i * n + j] += M[k * n + i] * M[k * n + j];
+        if (i == j) A[i * n + j] += 0.5;
+      }
+    CountingHessVec B{[&A, n](const VecD& v, VecD& out) {
+                        out.assign(n, 0.0);
+                        for (std::size_t i = 0; i < n; ++i)
+                          for (std::size_t j = 0; j < n; ++j)
+                            out[i] += A[i * n + j] * v[j];
+                      },
+                      {}};
+    VecD g(n);
+    for (auto& v : g) v = rng.uniform(-3, 3);
+    const BoxQpResult r = solve_box_qp(B.fn(), g, make_box(n, -0.3, 0.3));
+    most_rounds = std::max(most_rounds, r.outer_iterations);
+    for (std::size_t a = 0; a < B.inputs.size(); ++a)
+      for (std::size_t b = a + 1; b < B.inputs.size(); ++b)
+        ASSERT_NE(B.inputs[a], B.inputs[b])
+            << "seed " << seed << ": products " << a << " and " << b;
+  }
+  EXPECT_GE(most_rounds, 3);
+}
+
 TEST(LbfgsHessian, SecantConditionHolds) {
   // After update(s, y), BFGS guarantees B s = y.
   LbfgsHessian h(5);
@@ -136,6 +201,44 @@ TEST(Sqp, ConvexQuadraticConverges) {
   EXPECT_NEAR(r.x[0], -1.0, 1e-4);
   EXPECT_NEAR(r.x[1], 0.0, 1e-4);
   EXPECT_NEAR(r.x[2], 1.0, 1e-4);
+}
+
+TEST(Sqp, AcceptedFirstTrialCostsOneEvaluation) {
+  // f = 0.5 * sum a_i (x_i - c_i)^2 with curvatures a_i in [0.5, 1], none
+  // above the initial model Hessian I: the Armijo search accepts alpha = 1
+  // at every iteration (no value-only call shows it), so each iteration
+  // evaluates its trial once, with the gradient — one evaluation per
+  // iteration plus the start's.
+  const VecD a{1.0, 0.8, 0.65, 0.5, 0.9, 0.55};
+  int value_only = 0;
+  const ObjectiveFn f = [&](const VecD& x, VecD* grad) {
+    double v = 0.0;
+    if (grad) grad->assign(x.size(), 0.0);
+    else ++value_only;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double e = x[i] - 0.1 * static_cast<double>(i);
+      v += 0.5 * a[i] * e * e;
+      if (grad) (*grad)[i] = a[i] * e;
+    }
+    return v;
+  };
+  SqpOptions opt;
+  opt.max_iterations = 5;
+  const VecD x0(a.size(), 4.0);
+  const Box box = make_box(a.size(), -10.0, 10.0);
+  const SqpResult r = sqp_minimize(f, x0, box, opt);
+  EXPECT_EQ(r.iterations, 5);
+  EXPECT_FALSE(r.converged);  // the cap, not convergence, ended the run
+  EXPECT_EQ(r.function_evaluations, r.iterations + 1);
+  EXPECT_EQ(value_only, 0);  // no trial was rejected, none re-evaluated
+
+  // Value-first trials re-evaluate every accepted step for its gradient:
+  // twice the evaluations, the same iterates bit for bit.
+  opt.gradient_at_first_trial = false;
+  const SqpResult twice = sqp_minimize(f, x0, box, opt);
+  EXPECT_EQ(twice.function_evaluations, 2 * twice.iterations + 1);
+  EXPECT_EQ(twice.x, r.x);
+  EXPECT_EQ(twice.f, r.f);
 }
 
 TEST(Sqp, RosenbrockWithinBox) {
@@ -200,13 +303,16 @@ TEST(MspSqp, PicksBestBasinOfMultimodal) {
     if (grad) (*grad) = {4.0 * x[0] * v + 0.1};
     return v * v + 0.1 * x[0];
   };
-  const std::vector<VecD> starts{{0.9}, {-0.9}, {1.5}};
-  const auto results = msp_sqp_minimize(f, starts, make_box(1, -2.0, 2.0));
-  ASSERT_EQ(results.size(), 3u);
-  // Sorted best first; best basin is x ~ -1.
-  EXPECT_LT(results[0].x[0], 0.0);
-  EXPECT_LE(results[0].f, results[1].f);
-  EXPECT_LE(results[1].f, results[2].f);
+  // One SQP run per start, keeping the lowest f: the best basin is x ~ -1.
+  std::vector<SqpResult> results;
+  for (const VecD& x0 : {VecD{0.9}, VecD{-0.9}, VecD{1.5}})
+    results.push_back(sqp_minimize(f, x0, make_box(1, -2.0, 2.0)));
+  EXPECT_GT(results[0].x[0], 0.0);  // the start at 0.9 stays in its basin
+  const SqpResult& best = *std::min_element(
+      results.begin(), results.end(),
+      [](const SqpResult& a, const SqpResult& b) { return a.f < b.f; });
+  EXPECT_LT(best.x[0], 0.0);
+  EXPECT_NEAR(best.x[0], -1.0, 0.05);
 }
 
 TEST(NumericalGradient, MatchesAnalytic) {

@@ -864,6 +864,40 @@ TEST(ServeDaemon, RejectsOutOfRangeSubmitFieldsAtAdmission) {
   EXPECT_EQ(d.scheduler().stats().queued, 1u);
 }
 
+TEST(ServeDaemon, UnparsableDesignFailsOnFirstAttempt) {
+  // A design that does not parse fails the same way on every attempt: it
+  // is bad input, not a transient fault, so the job fails on attempt 1
+  // with invalid_argument instead of being retried.
+  const std::string dir = test_dir("daemon_bad_design");
+  ASSERT_TRUE(JobJournal::open(dir).ok());  // parent of the journal dir
+  std::ofstream(dir + "/inverted.glf")
+      << "GLF 1\nname x\nsize 100 100\nlayers 1\n"
+         "layer m1 wires 1 dummies 0\nw 5 0 1 1\n";
+  Expected<std::unique_ptr<Daemon>> daemon =
+      Daemon::create(fast_daemon_opts(), dir + "/journal");
+  ASSERT_TRUE(daemon.ok()) << daemon.error().to_string();
+  Daemon& d = **daemon;
+  std::thread worker([&] { d.run_worker(); });
+  const std::string reply =
+      d.handle_line(R"({"op":"submit","design":")" + dir +
+                    R"(/inverted.glf","out":")" + dir +
+                    R"(/out.glf","method":"lin","max_attempts":3})");
+  const Expected<JsonValue> submitted = json_parse(reply);
+  ASSERT_TRUE(submitted.ok() && submitted->get_bool("ok")) << reply;
+  const std::string id = submitted->get_string("id");
+  EXPECT_EQ(wait_terminal(d.scheduler(), id), JobState::kFailed);
+  JobRecord rec;
+  ASSERT_TRUE(d.scheduler().find(id, &rec));
+  ASSERT_EQ(rec.attempts.size(), 1u) << rec.final_error;
+  EXPECT_EQ(rec.attempts[0].code, ErrorCode::kInvalidArgument);
+  EXPECT_NE(rec.final_error.find("invalid_argument"), std::string::npos)
+      << rec.final_error;
+  EXPECT_NE(rec.final_error.find("degenerate rectangle"), std::string::npos)
+      << rec.final_error;
+  d.request_drain();
+  worker.join();
+}
+
 TEST(ServeDaemon, TransportFaultSitesDropOneConnectionNotTheDaemon) {
 #if defined(NEURFILL_DISABLE_FAULTS)
   GTEST_SKIP() << "fault injection compiled out";
