@@ -11,7 +11,8 @@
 // compiles (16 core + 2x2 halo windows): its 12/6/3-wide stages exercise
 // the direct conv's flush tails and narrow-plane lanes, which the 64x64
 // plane (all stage widths multiples of 8) never reaches.  The gated key is
-// the per-pixel latency at 24x24 over the per-pixel latency at 64x64.
+// its absolute latency, unet_infer_w24_ms_1t; the per-pixel latency at
+// 24x24 over the per-pixel latency at 64x64 is printed as an explainer.
 //
 // Then times one CmpNetwork gradient evaluation (S_plan and dS_plan/dx on
 // a 32x32-window, 3-layer design, the production surrogate architecture)
@@ -23,7 +24,7 @@
 // infer_vs_autograd_speedup — the redesign's acceptance is >= 2x —
 // unet_infer_b8_ms_per_sample against its own baseline,
 // grad_vs_autograd_speedup, a same-host ratio like the forward one, and
-// unet_infer_w24_pixel_ratio, another same-host ratio).
+// unet_infer_w24_ms_1t).
 
 #include <algorithm>
 #include <cstdio>

@@ -147,7 +147,6 @@ int InferenceSession::add_conv_block(const void* conv_module,
   node.conv.geom = g;
   node.conv.weight = w.data();
   node.conv.act = act;
-  node.conv.slope = 0.0f;
   keep_.push_back(w);
   if (conv->bias().defined()) {
     node.conv.bias = conv->bias().data();
@@ -340,8 +339,6 @@ void InferenceSession::plan_reverse() {
       continue;
     }
     if (node.kind != Node::Kind::kConvBlock) continue;
-    NF_CHECK(node.conv.act == ActKind::kNone || node.conv.act == ActKind::kRelu,
-             "InferenceSession: reverse pass supports ReLU blocks only");
     if (node.conv.groups > 0) {
       node.conv.prenorm_offset = slot(numel);
       node.conv.stats_offset = slot(4 * static_cast<std::size_t>(node.conv.groups));
@@ -436,9 +433,9 @@ void InferenceSession::run(const float* input, float* output,
         g.batch = batch;
         if (fuse_) {
           conv2d_gn_act_fwd(g, node.conv.groups, node.conv.eps, node.conv.act,
-                            node.conv.slope, in0, node.conv.weight,
-                            packed_panel(node.conv), node.conv.bias,
-                            node.conv.gamma, node.conv.beta, out);
+                            in0, node.conv.weight, packed_panel(node.conv),
+                            node.conv.bias, node.conv.gamma, node.conv.beta,
+                            out);
         } else {
           conv2d_fwd(g, in0, node.conv.weight, node.conv.bias, out);
           const std::int64_t numel = static_cast<std::int64_t>(batch) *
@@ -455,11 +452,8 @@ void InferenceSession::run(const float* input, float* output,
             group_norm_fwd(ng, out, node.conv.gamma, node.conv.beta, out,
                            nullptr, nullptr);
           }
-          if (node.conv.act == ActKind::kRelu) {
+          if (node.conv.act == ActKind::kRelu)
             unary_map(UnaryKind::kRelu, 0.0f, out, out, numel);
-          } else if (node.conv.act == ActKind::kLeakyRelu) {
-            unary_map(UnaryKind::kLeakyRelu, node.conv.slope, out, out, numel);
-          }
         }
         break;
       }
@@ -515,16 +509,16 @@ void InferenceSession::run_saving(const float* input, float* output,
         const std::int64_t numel = static_cast<std::int64_t>(
             out_spec.channels) * out_spec.height * out_spec.width;
         if (c.groups == 0) {  // conv + bias + act: the fused block as is
-          conv2d_gn_act_fwd(c.geom, 0, c.eps, c.act, c.slope, in0, c.weight,
-                            pw, c.bias, nullptr, nullptr, out);
+          conv2d_gn_act_fwd(c.geom, 0, c.eps, c.act, in0, c.weight, pw, c.bias,
+                            nullptr, nullptr, out);
         } else {
           // Unfused around the normalization so the pre-norm output and the
           // group statistics land in the record; the same kernel chain the
           // fused block is pinned bitwise against.
           float* prenorm = saved + c.prenorm_offset;
           double* stats = reinterpret_cast<double*>(saved + c.stats_offset);
-          conv2d_gn_act_fwd(c.geom, 0, c.eps, ActKind::kNone, 0.0f, in0,
-                            c.weight, pw, c.bias, nullptr, nullptr, prenorm);
+          conv2d_gn_act_fwd(c.geom, 0, c.eps, ActKind::kNone, in0, c.weight,
+                            pw, c.bias, nullptr, nullptr, prenorm);
           GroupNormGeom ng;
           ng.batch = 1;
           ng.channels = out_spec.channels;

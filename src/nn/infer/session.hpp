@@ -117,7 +117,6 @@ class InferenceSession {
     int groups = 0;             ///< 0: no normalization
     float eps = 0.0f;
     ActKind act = ActKind::kNone;
-    float slope = 0.0f;
     /// Offset of this block's pre-packed weight panel in packed_weights_,
     /// or -1 when the layer has no packed form (or prepacking is off).
     std::ptrdiff_t packed_offset = -1;

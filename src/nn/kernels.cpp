@@ -9,6 +9,7 @@
 
 #include "common/aligned.hpp"
 #include "common/check.hpp"
+#include "common/static_count.hpp"
 #include "nn/gemm_internal.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
@@ -496,16 +497,60 @@ void conv_direct_job(ConvShape shape, const ConvJob& jb, int rows,
   }
 }
 
-inline float apply_act(ActKind act, float slope, float v) {
-  switch (act) {
-    case ActKind::kRelu:
-      return v > 0.0f ? v : 0.0f;
-    case ActKind::kLeakyRelu:
-      return v > 0.0f ? v : slope * v;
-    case ActKind::kNone:
-      break;
+/// The fused block's activation as a select on a loop-invariant flag, so
+/// the epilogue loops vectorize: ReLU keeps unary_map's `v > 0 ? v : 0`
+/// (-0 and NaN map to +0), identity passes v through.
+inline float activate(bool relu, float v) {
+  return relu && !(v > 0.0f) ? 0.0f : v;
+}
+
+/// Most GroupNorm groups whose statistics step side by side.  Each group's
+/// mean and variance are serial double chains (flat index order, pinned by
+/// docs/inference.md), ~4 cycles of FP-add latency per element alone;
+/// independent groups' chains interleaved per step overlap that latency.
+/// The UNet's layers have at most 8 groups (nn::DoubleConv).
+constexpr int kMaxGroupChains = 8;
+
+/// sum[b] = the serial double sum of base[b][0..n), kG groups side by side.
+template <int kG>
+void group_sums(const float* const* base, std::int64_t n, double* sum) {
+  double s[kG] = {};
+  for (std::int64_t i = 0; i < n; ++i)
+    for (int b = 0; b < kG; ++b) s[b] += static_cast<double>(base[b][i]);
+  for (int b = 0; b < kG; ++b) sum[b] = s[b];
+}
+
+/// Turns the sums of kG groups of n elements into their means (in place)
+/// and inverse standard deviations, the variance chains side by side.  The
+/// expressions are the one-group-at-a-time kernel's, so the compiler makes
+/// the same contraction choice for `v += d * d`.
+template <int kG>
+void group_mean_istd(const float* const* base, std::int64_t n, float eps,
+                     double* mean, double* istd) {
+  double m[kG], v[kG] = {};
+  for (int b = 0; b < kG; ++b) m[b] = mean[b] / static_cast<double>(n);
+  for (std::int64_t i = 0; i < n; ++i)
+    for (int b = 0; b < kG; ++b) {
+      const double d = static_cast<double>(base[b][i]) - m[b];
+      v[b] += d * d;
+    }
+  for (int b = 0; b < kG; ++b) {
+    mean[b] = m[b];
+    istd[b] = 1.0 / std::sqrt(v[b] / static_cast<double>(n) +
+                              static_cast<double>(eps));
   }
-  return v;
+}
+
+/// y = act(gamma * (x - m) * istd + beta) over one channel row of n floats,
+/// with the normalize-then-scale cast points every GroupNorm path shares.
+/// In place (y == x) is allowed.
+inline void group_norm_row(const float* x, float* y, std::int64_t n, double m,
+                           double istd, float gm, float bt, bool relu) {
+  for (std::int64_t i = 0; i < n; ++i)
+    y[i] = activate(relu,
+                    static_cast<float>((static_cast<double>(x[i]) - m) * istd) *
+                            gm +
+                        bt);
 }
 
 template <typename F>
@@ -692,9 +737,6 @@ void unary_map(UnaryKind op, float p, const float* x, float* y,
     case UnaryKind::kRelu:
       map_unary(x, y, n, [](float v) { return v > 0.0f ? v : 0.0f; });
       return;
-    case UnaryKind::kLeakyRelu:
-      map_unary(x, y, n, [p](float v) { return v > 0.0f ? v : p * v; });
-      return;
     case UnaryKind::kExp:
       map_unary(x, y, n, [](float v) { return std::exp(v); });
       return;
@@ -764,38 +806,35 @@ void group_norm_fwd(const GroupNormGeom& g, const float* x, const float* gamma,
   NF_CHECK(groups > 0 && C % groups == 0,
            "group_norm_fwd: C=%d not divisible by groups=%d", C, groups);
   const int cpg = C / groups;
-  const std::int64_t gsize = static_cast<std::int64_t>(cpg) * H * W;
-  for (int n = 0; n < N; ++n) {
-    for (int gi = 0; gi < groups; ++gi) {
-      const float* base =
-          x + (static_cast<std::int64_t>(n) * C + gi * cpg) * H * W;
-      double m = 0.0;
-      for (std::int64_t i = 0; i < gsize; ++i)
-        m += static_cast<double>(base[i]);
-      m /= static_cast<double>(gsize);
-      double v = 0.0;
-      for (std::int64_t i = 0; i < gsize; ++i) {
-        const double d = static_cast<double>(base[i]) - m;
-        v += d * d;
-      }
-      v /= static_cast<double>(gsize);
-      const double istd = 1.0 / std::sqrt(v + static_cast<double>(g.eps));
-      if (mean_out) mean_out[n * groups + gi] = m;
-      if (istd_out) istd_out[n * groups + gi] = istd;
-      float* ob = y + (static_cast<std::int64_t>(n) * C + gi * cpg) * H * W;
-      for (int c = 0; c < cpg; ++c) {
-        const float gm = gamma[gi * cpg + c];
-        const float bt = beta[gi * cpg + c];
-        const float* sb = base + static_cast<std::int64_t>(c) * H * W;
-        float* db = ob + static_cast<std::int64_t>(c) * H * W;
-        for (int i = 0; i < H * W; ++i)
-          db[i] =
-              static_cast<float>((static_cast<double>(sb[i]) - m) * istd) *
-                  gm +
-              bt;
-      }
+  const std::int64_t plane = static_cast<std::int64_t>(H) * W;
+  const std::int64_t gsize = cpg * plane;
+  // A sample's groups run up to kMaxGroupChains at a time: all their
+  // statistics first (side by side), then their normalization, so an
+  // in-place call (y == x) reads each group before overwriting it.
+  for (int n = 0; n < N; ++n)
+    for (int g0 = 0; g0 < groups; g0 += kMaxGroupChains) {
+      const int k = std::min(kMaxGroupChains, groups - g0);
+      with_static_count<kMaxGroupChains>(k, [&](auto kc) {
+        constexpr int kG = decltype(kc)::value;
+        const std::int64_t off = (static_cast<std::int64_t>(n) * C +
+                                  static_cast<std::int64_t>(g0) * cpg) *
+                                 plane;
+        const float* base[kG];
+        for (int b = 0; b < kG; ++b) base[b] = x + off + b * gsize;
+        double m[kG], istd[kG];
+        group_sums<kG>(base, gsize, m);
+        group_mean_istd<kG>(base, gsize, g.eps, m, istd);
+        for (int b = 0; b < kG; ++b) {
+          const int gi = g0 + b;
+          if (mean_out) mean_out[n * groups + gi] = m[b];
+          if (istd_out) istd_out[n * groups + gi] = istd[b];
+          for (int c = 0; c < cpg; ++c)
+            group_norm_row(base[b] + c * plane, y + off + b * gsize + c * plane,
+                           plane, m[b], istd[b], gamma[gi * cpg + c],
+                           beta[gi * cpg + c], false);
+        }
+      });
     }
-  }
 }
 
 // Contraction is off for this function only: the kernel TUs build with
@@ -961,7 +1000,7 @@ void conv_weight_pack(const Conv2dGeom& g, const float* w, float* dst) {
 }
 
 void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps, ActKind act,
-                       float slope, const float* x, const float* w,
+                       const float* x, const float* w,
                        const float* packed_w, const float* bias,
                        const float* gamma, const float* beta, float* y) {
   NF_TRACE_SPAN("nn.conv2d_fused");
@@ -976,6 +1015,7 @@ void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps, ActKind act,
            "conv2d_gn_act_fwd: O=%d not divisible by groups=%d", O, groups);
   NF_CHECK(groups == 0 || (gamma && beta),
            "conv2d_gn_act_fwd: normalization without gamma/beta");
+  const bool relu = act == ActKind::kRelu;
   const std::size_t unfold_elems = static_cast<std::size_t>(K) * cols;
   // As in conv2d_fwd, the serial threshold scales with the batch so batched
   // inference forks even on layers too small to fork per sample.
@@ -1096,7 +1136,7 @@ void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps, ActKind act,
     // The in-kernel epilogue below folds bias+activation into the job that
     // produced the rows (L1-hot) — groups > 0 still needs the full-tensor
     // statistics pass, so normalized layers keep the standalone epilogue.
-    const bool fold = groups == 0 && (bias != nullptr || act != ActKind::kNone);
+    const bool fold = groups == 0 && (bias != nullptr || relu);
     epilogue_in_kernel = fold;
     runtime::parallel_for(
         runtime::grain_for_cost(row_ns, jobs), jobs,
@@ -1149,10 +1189,10 @@ void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps, ActKind act,
               if (bias) {
                 const float bv = bias[o];
                 for (int i = 0; i < Wout * rows; ++i)
-                  row[i] = apply_act(act, slope, row[i] + bv);
+                  row[i] = activate(relu, row[i] + bv);
               } else {
                 for (int i = 0; i < Wout * rows; ++i)
-                  row[i] = apply_act(act, slope, row[i]);
+                  row[i] = activate(relu, row[i]);
               }
             }
           }
@@ -1166,87 +1206,65 @@ void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps, ActKind act,
   if (groups > 0) {
     const int cpg = O / groups;
     const std::int64_t gsize = static_cast<std::int64_t>(cpg) * cols;
-    const std::size_t jobs = static_cast<std::size_t>(g.batch) * groups;
-    // ~8 ns per group element across the bias/stats/normalize passes.
+    // One job per chunk of up to kMaxGroupChains consecutive groups of one
+    // sample, their chains stepping together; each group's chains stay the
+    // unfused kernels' serial ones, so the result is bitwise identical for
+    // any range partition.  ~1 ns per element across the bias, statistics
+    // and normalize passes at 8 chains (one AVX-512 thread).
+    const int chunks = (groups + kMaxGroupChains - 1) / kMaxGroupChains;
+    const std::size_t jobs = static_cast<std::size_t>(g.batch) * chunks;
+    const double chunk_ns =
+        1.0 * static_cast<double>(std::min(groups, kMaxGroupChains) * gsize);
     runtime::parallel_for(
-        runtime::grain_for_cost(8.0 * static_cast<double>(gsize), jobs), jobs,
+        runtime::grain_for_cost(chunk_ns, jobs), jobs,
         [=](std::size_t j0, std::size_t j1) {
-          // Bias/stats/normalize of `il` consecutive groups, the unfused
-          // kernels' arithmetic verbatim, with the groups' chains
-          // interleaved per step: each group's mean and variance stay the
-          // exact serial double chains of the unfused kernels (flat order,
-          // one accumulator per group), and the independent chains hide the
-          // FP-add latency that makes a lone chain ~3 ns per element.  No
-          // value ever crosses chains, so the result is bitwise identical
-          // for any range partition and any interleave width.
-          const auto gn = [=](auto il, std::size_t job) {
-            constexpr int kIl = decltype(il)::value;
-            float* bases[kIl];
-            int gis[kIl];
-            for (int b = 0; b < kIl; ++b) {
-              const std::size_t jb = job + static_cast<std::size_t>(b);
-              const int n = static_cast<int>(jb) / groups;
-              gis[b] = static_cast<int>(jb) % groups;
-              bases[b] =
-                  y + (static_cast<std::int64_t>(n) * O + gis[b] * cpg) * cols;
-            }
-            double m[kIl] = {};
-            if (bias) {
-              // Bias lands with the same per-element float rounding as the
-              // unfused bias pass; the mean accumulates the stored values
-              // in the same flat order the unfused statistics walk.
-              for (int c = 0; c < cpg; ++c) {
-                float bv[kIl];
-                float* rows[kIl];
-                for (int b = 0; b < kIl; ++b) {
-                  bv[b] = bias[gis[b] * cpg + c];
-                  rows[b] = bases[b] + static_cast<std::int64_t>(c) * cols;
-                }
-                for (int i = 0; i < cols; ++i)
-                  for (int b = 0; b < kIl; ++b) {
-                    const float v = rows[b][i] + bv[b];
-                    rows[b][i] = v;
-                    m[b] += static_cast<double>(v);
+          for (std::size_t job = j0; job < j1; ++job) {
+            const int n = static_cast<int>(job) / chunks;
+            const int g0 = (static_cast<int>(job) % chunks) * kMaxGroupChains;
+            const int k = std::min(kMaxGroupChains, groups - g0);
+            with_static_count<kMaxGroupChains>(k, [=](auto kc) {
+              constexpr int kG = decltype(kc)::value;
+              float* base[kG];
+              for (int b = 0; b < kG; ++b)
+                base[b] = y + (static_cast<std::int64_t>(n) * O +
+                               static_cast<std::int64_t>(g0 + b) * cpg) *
+                                  cols;
+              double m[kG], istd[kG];
+              if (bias) {
+                // Bias lands with the same per-element float rounding as
+                // the unfused bias pass; the mean accumulates the stored
+                // values in the same flat order the unfused statistics walk.
+                double s[kG] = {};
+                for (int c = 0; c < cpg; ++c) {
+                  float bv[kG];
+                  float* rows[kG];
+                  for (int b = 0; b < kG; ++b) {
+                    bv[b] = bias[(g0 + b) * cpg + c];
+                    rows[b] = base[b] + static_cast<std::int64_t>(c) * cols;
                   }
-              }
-            } else {
-              for (std::int64_t i = 0; i < gsize; ++i)
-                for (int b = 0; b < kIl; ++b)
-                  m[b] += static_cast<double>(bases[b][i]);
-            }
-            for (int b = 0; b < kIl; ++b) m[b] /= static_cast<double>(gsize);
-            double var[kIl] = {};
-            for (std::int64_t i = 0; i < gsize; ++i)
-              for (int b = 0; b < kIl; ++b) {
-                const double d = static_cast<double>(bases[b][i]) - m[b];
-                var[b] += d * d;
-              }
-            for (int b = 0; b < kIl; ++b) {
-              var[b] /= static_cast<double>(gsize);
-              const double istd =
-                  1.0 / std::sqrt(var[b] + static_cast<double>(eps));
-              for (int c = 0; c < cpg; ++c) {
-                const float gm = gamma[gis[b] * cpg + c];
-                const float bt = beta[gis[b] * cpg + c];
-                float* row = bases[b] + static_cast<std::int64_t>(c) * cols;
-                for (int i = 0; i < cols; ++i) {
-                  const float v =
-                      static_cast<float>((static_cast<double>(row[i]) - m[b]) *
-                                         istd) *
-                          gm +
-                      bt;
-                  row[i] = apply_act(act, slope, v);
+                  for (int i = 0; i < cols; ++i)
+                    for (int b = 0; b < kG; ++b) {
+                      const float v = rows[b][i] + bv[b];
+                      rows[b][i] = v;
+                      s[b] += static_cast<double>(v);
+                    }
                 }
+                for (int b = 0; b < kG; ++b) m[b] = s[b];
+              } else {
+                group_sums<kG>(base, gsize, m);
               }
-            }
-          };
-          // Four chains per step; the leftover jobs run one chain each.
-          std::size_t job = j0;
-          for (; job + 4 <= j1; job += 4)
-            gn(std::integral_constant<int, 4>{}, job);
-          for (; job < j1; ++job) gn(std::integral_constant<int, 1>{}, job);
+              group_mean_istd<kG>(base, gsize, eps, m, istd);
+              for (int b = 0; b < kG; ++b)
+                for (int c = 0; c < cpg; ++c) {
+                  const int ch = (g0 + b) * cpg + c;
+                  float* row = base[b] + static_cast<std::int64_t>(c) * cols;
+                  group_norm_row(row, row, cols, m[b], istd[b], gamma[ch],
+                                 beta[ch], relu);
+                }
+            });
+          }
         });
-  } else if (!epilogue_in_kernel && (bias || act != ActKind::kNone)) {
+  } else if (!epilogue_in_kernel && (bias || relu)) {
     const std::size_t rows = static_cast<std::size_t>(g.batch) * O;
     runtime::parallel_for(
         runtime::grain_for_cost(2.0 * static_cast<double>(cols), rows), rows,
@@ -1257,10 +1275,9 @@ void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps, ActKind act,
             if (bias) {
               const float bv = bias[o];
               for (int i = 0; i < cols; ++i)
-                row[i] = apply_act(act, slope, row[i] + bv);
+                row[i] = activate(relu, row[i] + bv);
             } else {
-              for (int i = 0; i < cols; ++i)
-                row[i] = apply_act(act, slope, row[i]);
+              for (int i = 0; i < cols; ++i) row[i] = activate(relu, row[i]);
             }
           }
         });

@@ -46,13 +46,12 @@ void gemm_tn(int M, int N, int K, const float* A, const float* B, float* C,
              bool accumulate);
 
 /// Elementwise unary maps.  `p` below is the op parameter: the addend for
-/// kAddScalar, the factor for kMulScalar, the negative-side slope for
-/// kLeakyRelu, the sharpness eta for kSoftplus; ignored otherwise.
+/// kAddScalar, the factor for kMulScalar, the sharpness eta for kSoftplus;
+/// ignored otherwise.
 enum class UnaryKind {
   kAddScalar,
   kMulScalar,
   kRelu,
-  kLeakyRelu,
   kExp,
   kLog,
   kAbs,
@@ -65,7 +64,7 @@ enum class UnaryKind {
 enum class BinaryKind { kAdd, kSub, kMul, kDiv };
 
 /// Activation applied by the fused inference block (conv2d_gn_act_fwd).
-enum class ActKind { kNone, kRelu, kLeakyRelu };
+enum class ActKind { kNone, kRelu };
 
 /// Geometry of one 2-D convolution: input [N, C, H, W], filters
 /// [O, C, kh, kw], square stride/zero-padding, output [N, O, Hout, Wout].
@@ -179,8 +178,8 @@ void conv_weight_pack(const Conv2dGeom& g, const float* w, float* dst);
 /// (pinned by tests/test_inference.cpp), while skipping the intermediate
 /// materializations.
 void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps, ActKind act,
-                       float slope, const float* x, const float* w,
-                       const float* packed_w, const float* bias,
-                       const float* gamma, const float* beta, float* y);
+                       const float* x, const float* w, const float* packed_w,
+                       const float* bias, const float* gamma,
+                       const float* beta, float* y);
 
 }  // namespace neurfill::nn

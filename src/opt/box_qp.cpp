@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -15,9 +16,15 @@ double dot(const VecD& a, const VecD& b) {
   return s;
 }
 
-/// q(d) = 0.5 d'Bd + g'd from a known product Bd = B * d.
+/// q(d) = 0.5 d'Bd + g'd from a known product Bd = B * d; both dot chains
+/// step in one loop, each in index order.
 double quad_value(const VecD& Bd, const VecD& g, const VecD& d) {
-  return 0.5 * dot(d, Bd) + dot(g, d);
+  double dBd = 0.0, gd = 0.0;
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    dBd += d[i] * Bd[i];
+    gd += g[i] * d[i];
+  }
+  return 0.5 * dBd + gd;
 }
 
 }  // namespace
@@ -51,18 +58,19 @@ BoxQpResult solve_box_qp(const HessVec& B, const VecD& g, const Box& box,
     for (std::size_t i = 0; i < n; ++i) grad[i] = Bd[i] + g[i];
     // Projected gradient: zero where the bound blocks descent.
     const double tol_b = 1e-12;
+    double pgpg = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       pg[i] = grad[i];
       if (res.d[i] <= box.lo[i] + tol_b && grad[i] > 0.0) pg[i] = 0.0;
       if (res.d[i] >= box.hi[i] - tol_b && grad[i] < 0.0) pg[i] = 0.0;
+      pgpg += pg[i] * pg[i];
     }
-    const double pgnorm = std::sqrt(dot(pg, pg));
-    if (pgnorm < options.tolerance * gscale) break;
+    if (std::sqrt(pgpg) < options.tolerance * gscale) break;
 
     // --- Cauchy phase: projected steepest-descent step with backtracking.
     B(pg, Bpg);
     const double curv = dot(pg, Bpg);
-    double alpha = curv > 0.0 ? dot(pg, pg) / curv : 1.0;
+    double alpha = curv > 0.0 ? pgpg / curv : 1.0;
     const double q0 = quad_value(Bd, g, res.d);
     for (int bt = 0; bt < 20; ++bt) {
       for (std::size_t i = 0; i < n; ++i)
@@ -81,27 +89,35 @@ BoxQpResult solve_box_qp(const HessVec& B, const VecD& g, const Box& box,
                   (res.d[i] >= box.hi[i] - tol_b);
 
     // --- CG in the free subspace, truncated at the box boundary.
-    for (std::size_t i = 0; i < n; ++i)  // residual = -grad on free set
+    double rr = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {  // residual = -grad on free set
       r[i] = active[i] ? 0.0 : -(Bd[i] + g[i]);
-    double rr = dot(r, r);
+      rr += r[i] * r[i];
+    }
     if (rr < 1e-30) continue;
     bd_known = false;  // CG moves d
     p = r;
     for (int cg = 0; cg < options.max_cg; ++cg) {
       B(p, Bp);
-      for (std::size_t i = 0; i < n; ++i)
-        if (active[i]) Bp[i] = 0.0;
-      const double pBp = dot(p, Bp);
+      // p'Bp and the longest step before a free component hits its bound,
+      // in one walk over p.  The minimum is exact, so folding rr / p'Bp in
+      // after the walk selects the same value as folding it in first.
+      double pBp = 0.0;
+      double bound_step = std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < n; ++i) {
+        if (active[i]) {
+          Bp[i] = 0.0;
+        } else if (p[i] != 0.0) {
+          bound_step = std::min(bound_step,
+                                p[i] > 0.0 ? (box.hi[i] - res.d[i]) / p[i]
+                                           : (box.lo[i] - res.d[i]) / p[i]);
+        }
+        pBp += p[i] * Bp[i];
+      }
       if (pBp <= 1e-30) break;  // nonconvex or flat direction: stop CG
       double step = rr / pBp;
       // Truncate the step at the first bound hit.
-      double max_step = step;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (active[i] || p[i] == 0.0) continue;
-        const double limit = p[i] > 0.0 ? (box.hi[i] - res.d[i]) / p[i]
-                                        : (box.lo[i] - res.d[i]) / p[i];
-        max_step = std::min(max_step, limit);
-      }
+      const double max_step = std::min(step, bound_step);
       const bool hit_bound = max_step < step;
       step = std::max(0.0, std::min(step, max_step));
       for (std::size_t i = 0; i < n; ++i) res.d[i] += step * p[i];

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/static_count.hpp"
 #include "obs/trace.hpp"
 
 namespace neurfill {
@@ -17,6 +19,31 @@ double dot(const VecD& a, const VecD& b) {
   double s = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
   return s;
+}
+
+/// Dot chains per term: lane 0 runs y_t'v, lane 1 runs (Bs_t)'v.
+typedef double TermLanes __attribute__((vector_size(2 * sizeof(double))));
+
+/// Most terms whose dot chains one pass over the packed rows steps.
+constexpr int kTermsPerPass = 8;
+
+/// dots[2t], dots[2t+1] = the serial sums over i of row_i[2t] * v[i] and
+/// row_i[2t+1] * v[i] for K terms, every chain stepping once per row.
+/// Contraction is off in this TU (src/opt/CMakeLists.txt), so each step is
+/// the multiply and then the add of the one-dot-at-a-time loop.
+template <int K>
+void term_dots(const double* packed, std::size_t stride, const double* v,
+               std::size_t n, double* dots) {
+  TermLanes acc[K] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* row = packed + i * stride;
+    for (int t = 0; t < K; ++t) {
+      TermLanes pair;
+      std::memcpy(&pair, row + 2 * t, sizeof pair);
+      acc[t] += pair * v[i];
+    }
+  }
+  std::memcpy(dots, acc, sizeof acc);
 }
 
 bool all_finite(const VecD& v) {
@@ -31,7 +58,8 @@ constexpr int kMaxPoisonShrinks = 5;
 
 void LbfgsHessian::reset() {
   raw_.clear();
-  terms_.clear();
+  packed_.clear();
+  curv_.clear();
   sigma_ = 1.0;
 }
 
@@ -47,31 +75,35 @@ void LbfgsHessian::update(const VecD& s, const VecD& y) {
 }
 
 void LbfgsHessian::rebuild() {
-  terms_.clear();
-  terms_.reserve(raw_.size());
-  VecD Bs;
+  const std::size_t n = raw_.empty() ? 0 : raw_.front().s.size();
+  // Rows hold room for every term from the first pair on, so a history
+  // growing to `memory_` pairs never reallocates them.
+  const std::size_t stride = row_stride();
+  packed_.resize(n * stride);
+  curv_.clear();
+  VecD Bs, y;
   for (const Pair& p : raw_) {
-    // Bs = B_current * s via the terms accumulated so far.
+    // Bs = B_current * s via the terms packed so far.
     apply(p.s, Bs);
     const double sBs = dot(p.s, Bs);
     if (sBs <= 1e-300) continue;
     double sy = dot(p.s, p.y);
-    VecD y = p.y;
+    y = p.y;
     // Powell damping: blend y toward Bs when curvature is weak/negative so
     // the update keeps B positive definite.
     if (sy < 0.2 * sBs) {
       const double theta = 0.8 * sBs / (sBs - sy);
-      for (std::size_t i = 0; i < y.size(); ++i)
+      for (std::size_t i = 0; i < n; ++i)
         y[i] = theta * p.y[i] + (1.0 - theta) * Bs[i];
       sy = dot(p.s, y);
     }
-    Term t;
-    t.y = std::move(y);
-    t.Bs = std::move(Bs);
-    Bs = VecD();
-    t.sy = sy;
-    t.sBs = sBs;
-    terms_.push_back(std::move(t));
+    const std::size_t t = curv_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      packed_[i * stride + t] = y[i];
+      packed_[i * stride + t + 1] = Bs[i];
+    }
+    curv_.push_back(sy);
+    curv_.push_back(sBs);
   }
 }
 
@@ -93,13 +125,29 @@ void LbfgsHessian::restore_state(
 }
 
 void LbfgsHessian::apply(const VecD& v, VecD& out) const {
-  out.assign(v.size(), 0.0);
-  for (std::size_t i = 0; i < v.size(); ++i) out[i] = sigma_ * v[i];
-  for (const Term& t : terms_) {
-    const double yv = dot(t.y, v) / t.sy;
-    const double bv = dot(t.Bs, v) / t.sBs;
-    for (std::size_t i = 0; i < v.size(); ++i)
-      out[i] += t.y[i] * yv - t.Bs[i] * bv;
+  const std::size_t n = v.size();
+  const std::size_t stride = row_stride();
+  const int terms = static_cast<int>(curv_.size() / 2);
+  // Pass 1: c[2t] = y_t'v / s_t'y_t and c[2t+1] = (Bs_t)'v / s_t'Bs_t.
+  VecD c(curv_.size());
+  for (int t0 = 0; t0 < terms; t0 += kTermsPerPass)
+    with_static_count<kTermsPerPass>(
+        std::min(kTermsPerPass, terms - t0), [&](auto kc) {
+          term_dots<decltype(kc)::value>(packed_.data() + 2 * t0, stride,
+                                         v.data(), n, c.data() + 2 * t0);
+        });
+  for (std::size_t j = 0; j < c.size(); ++j) c[j] /= curv_[j];
+  // Pass 2: out[i] = sigma v[i], then each term's contribution in order.
+  out.resize(n);
+  const double sigma = sigma_;
+  const double* packed = packed_.data();
+  const std::size_t chains = c.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t row = i * stride;
+    double o = sigma * v[i];
+    for (std::size_t j = 0; j < chains; j += 2)
+      o += packed[row + j] * c[j] - packed[row + j + 1] * c[j + 1];
+    out[i] = o;
   }
 }
 

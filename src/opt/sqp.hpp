@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <utility>
@@ -22,7 +24,10 @@ class LbfgsHessian {
   void reset();
   /// Feeds the step s = x_{k+1} - x_k and gradient change y = g_{k+1} - g_k.
   void update(const VecD& s, const VecD& y);
-  /// out = B * v.
+  /// out = B * v.  The 2k dot products y_t'v and (Bs_t)'v each stay one
+  /// serial chain in index order, but all of them step together in one
+  /// pass over the packed rows; a second pass adds the terms to each
+  /// element in term order.  Bitwise the same as one dot at a time.
   void apply(const VecD& v, VecD& out) const;
   bool empty() const { return raw_.empty(); }
 
@@ -39,16 +44,20 @@ class LbfgsHessian {
   struct Pair {
     VecD s, y;
   };
-  struct Term {
-    VecD y, Bs;
-    double sy = 0.0, sBs = 0.0;
-  };
   void rebuild();
+  std::size_t row_stride() const {
+    return 2 * static_cast<std::size_t>(std::max(memory_, 0));
+  }
 
   int memory_;
   double sigma_ = 1.0;
   std::deque<Pair> raw_;
-  std::vector<Term> terms_;
+  /// The damped terms packed by element: row i (row_stride() doubles)
+  /// holds y_t[i], Bs_t[i] at 2t, 2t+1 for every term t, so one pass over
+  /// the rows feeds every dot chain.
+  VecD packed_;
+  /// Per term t: curv_[2t] = s_t'y_t and curv_[2t+1] = s_t'Bs_t.
+  VecD curv_;
 };
 
 /// Complete loop-top state of an SQP run: everything needed to continue the

@@ -161,9 +161,6 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
 void ThreadPool::for_blocks(std::size_t num_blocks,
                             const std::function<void(std::size_t)>& body) {
   if (num_blocks == 0) return;
-  NF_TRACE_SPAN("runtime.for_blocks");
-  NF_COUNTER_ADD("runtime.jobs", 1);
-  NF_COUNTER_ADD("runtime.blocks", num_blocks);
   // A one-block job has no parallelism to extract: run it inline rather
   // than waking workers for a handshake (cost-model grains collapse whole
   // small loops into exactly one block to hit this path).
@@ -187,6 +184,11 @@ void ThreadPool::for_blocks(std::size_t num_blocks,
   }
   NF_CHECK(num_blocks < kIdleIndex, "for_blocks: %zu blocks overflow the "
            "claim counter's index field", num_blocks);
+  // Only published jobs are spans and count as jobs: the inline paths
+  // above are plain loops.
+  NF_TRACE_SPAN("runtime.for_blocks");
+  NF_COUNTER_ADD("runtime.jobs", 1);
+  NF_COUNTER_ADD("runtime.blocks", num_blocks);
 
   std::lock_guard<std::mutex> job_lock(job_mutex_);
   std::uint64_t my_gen;

@@ -5,6 +5,7 @@
 // values and gradients, because the fill optimizer mixes batched,
 // value-only and gradient evaluations and relies on exact value equality.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -54,6 +55,80 @@ std::vector<float> random_input(std::size_t n, std::uint64_t seed) {
   std::vector<float> v(n);
   for (auto& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
   return v;
+}
+
+/// GroupNorm one group at a time, the serial double chains
+/// docs/inference.md pins: an optional float bias add, the mean, the
+/// variance, then y = act(gamma * (x - mean) * istd + beta).  This TU builds
+/// with the kernel flags, so every expression gets the kernels' contraction
+/// choice.  x and y may alias.
+void serial_group_norm(const nn::GroupNormGeom& g, const float* x,
+                       const float* bias, const float* gamma,
+                       const float* beta, bool relu, float* y, double* mean,
+                       double* istd) {
+  const int cpg = g.channels / g.groups;
+  const std::int64_t plane = static_cast<std::int64_t>(g.height) * g.width;
+  const std::int64_t gsize = cpg * plane;
+  for (int n = 0; n < g.batch; ++n)
+    for (int gi = 0; gi < g.groups; ++gi) {
+      const std::int64_t off =
+          (static_cast<std::int64_t>(n) * g.channels + gi * cpg) * plane;
+      for (std::int64_t i = 0; i < gsize; ++i)
+        y[off + i] =
+            bias ? x[off + i] + bias[gi * cpg + i / plane] : x[off + i];
+      double m = 0.0;
+      for (std::int64_t i = 0; i < gsize; ++i)
+        m += static_cast<double>(y[off + i]);
+      m /= static_cast<double>(gsize);
+      double v = 0.0;
+      for (std::int64_t i = 0; i < gsize; ++i) {
+        const double d = static_cast<double>(y[off + i]) - m;
+        v += d * d;
+      }
+      v /= static_cast<double>(gsize);
+      const double is = 1.0 / std::sqrt(v + static_cast<double>(g.eps));
+      if (mean) mean[n * g.groups + gi] = m;
+      if (istd) istd[n * g.groups + gi] = is;
+      for (std::int64_t i = 0; i < gsize; ++i) {
+        const int c = gi * cpg + static_cast<int>(i / plane);
+        const float t =
+            static_cast<float>((static_cast<double>(y[off + i]) - m) * is) *
+                gamma[c] +
+            beta[c];
+        y[off + i] = relu && !(t > 0.0f) ? 0.0f : t;
+      }
+    }
+}
+
+/// Draws a shape for the GroupNorm differential tests: batch 1..3, 1..3
+/// channels per group, and planes from 1x1 to odd rectangles.
+nn::GroupNormGeom random_group_norm_geom(Rng& rng, int groups) {
+  nn::GroupNormGeom g;
+  g.batch = 1 + static_cast<int>(rng.uniform_index(3));
+  g.groups = groups;
+  g.channels = groups * (1 + static_cast<int>(rng.uniform_index(3)));
+  const bool unit = rng.bernoulli(0.25);
+  g.height = unit ? 1 : 1 + static_cast<int>(rng.uniform_index(9));
+  g.width = unit ? 1 : 1 + static_cast<int>(rng.uniform_index(9));
+  g.eps = 1e-5f;
+  return g;
+}
+
+/// Values spread over 2^-20..2^20 in magnitude: their double sums round,
+/// so a statistics chain walked in another order gives another mean, and
+/// the elements near it come out of the normalization with other floats.
+std::vector<float> random_wide_input(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> v(n);
+  for (auto& x : v)
+    x = static_cast<float>(
+        std::ldexp(rng.uniform(-1.0, 1.0),
+                   static_cast<int>(rng.uniform_index(41)) - 20));
+  return v;
+}
+
+bool same_doubles(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 UNetConfig small_config(bool group_norm) {
@@ -365,8 +440,7 @@ TEST(Kernels, FusedConvMatchesUnfusedChainAtEveryWidth) {
     int k, pad;
   };
   constexpr Kernel kKernels[] = {{3, 1}, {1, 0}, {3, 0}};
-  constexpr nn::ActKind kActs[] = {nn::ActKind::kNone, nn::ActKind::kRelu,
-                                   nn::ActKind::kLeakyRelu};
+  constexpr nn::ActKind kActs[] = {nn::ActKind::kNone, nn::ActKind::kRelu};
   constexpr int kBatch = 3;
   for (const int threads : {1, 4}) {
     runtime::set_thread_count(threads);
@@ -404,8 +478,7 @@ TEST(Kernels, FusedConvMatchesUnfusedChainAtEveryWidth) {
               nn::conv_weight_pack(g, w.data(), packed.data());
             for (const bool gn : {false, true}) {
               const int groups = gn ? (O % 4 == 0 ? 4 : 1) : 0;
-              const nn::ActKind act = kActs[rng.uniform_index(3)];
-              const float slope = 0.1f;
+              const nn::ActKind act = kActs[rng.uniform_index(2)];
               const float* b = rng.bernoulli(0.5) ? bias.data() : nullptr;
               // Unfused reference over the whole batch.
               g.batch = kBatch;
@@ -426,16 +499,13 @@ TEST(Kernels, FusedConvMatchesUnfusedChainAtEveryWidth) {
               if (act == nn::ActKind::kRelu)
                 nn::unary_map(nn::UnaryKind::kRelu, 0.0f, ref.data(),
                               ref.data(), n_ref);
-              else if (act == nn::ActKind::kLeakyRelu)
-                nn::unary_map(nn::UnaryKind::kLeakyRelu, slope, ref.data(),
-                              ref.data(), n_ref);
               for (const int batch : {1, kBatch})
                 for (const bool prepacked : {false, true}) {
                   if (prepacked && packed.empty()) continue;
                   g.batch = batch;
                   std::vector<float> out(batch * out_plane);
                   nn::conv2d_gn_act_fwd(
-                      g, groups, 1e-5f, act, slope, x.data(), w.data(),
+                      g, groups, 1e-5f, act, x.data(), w.data(),
                       prepacked ? packed.data() : nullptr, b, gamma.data(),
                       beta.data(), out.data());
                   ASSERT_TRUE(bitwise_equal(out.data(), ref.data(), out.size()))
@@ -447,6 +517,131 @@ TEST(Kernels, FusedConvMatchesUnfusedChainAtEveryWidth) {
                 }
             }
           }
+  }
+  runtime::set_thread_count(0);
+}
+
+TEST(Kernels, GroupNormMatchesOneGroupAtATime) {
+  // group_norm_fwd steps a sample's groups side by side (11 and 16 groups
+  // in two chunks); each group's statistics must stay the serial chains of
+  // the one-group reference, bit for bit, with and without the mean/istd
+  // outputs and in place.
+  Rng rng(20261019);
+  for (const int groups : {1, 2, 3, 4, 5, 6, 7, 8, 11, 16})
+    for (int trial = 0; trial < 12; ++trial) {
+      const nn::GroupNormGeom g = random_group_norm_geom(rng, groups);
+      const std::size_t numel = static_cast<std::size_t>(g.batch) *
+                                g.channels * g.height * g.width;
+      const std::size_t stats = static_cast<std::size_t>(g.batch) * groups;
+      const auto x = random_wide_input(numel, rng.next_u64());
+      const auto gamma = random_input(g.channels, rng.next_u64());
+      const auto beta = random_input(g.channels, rng.next_u64());
+      std::vector<float> want(numel);
+      std::vector<double> want_mean(stats), want_istd(stats);
+      serial_group_norm(g, x.data(), nullptr, gamma.data(), beta.data(), false,
+                        want.data(), want_mean.data(), want_istd.data());
+      const bool with_stats = trial % 2 == 0;
+      const bool in_place = trial % 3 == 0;
+      std::vector<float> got = in_place ? x : std::vector<float>(numel);
+      std::vector<double> mean(stats), istd(stats);
+      nn::group_norm_fwd(g, in_place ? got.data() : x.data(), gamma.data(),
+                         beta.data(), got.data(),
+                         with_stats ? mean.data() : nullptr,
+                         with_stats ? istd.data() : nullptr);
+      const std::string where =
+          "groups=" + std::to_string(groups) + " batch=" +
+          std::to_string(g.batch) + " C=" + std::to_string(g.channels) + " " +
+          std::to_string(g.height) + "x" + std::to_string(g.width);
+      ASSERT_TRUE(bitwise_equal(got.data(), want.data(), numel)) << where;
+      if (with_stats) {
+        ASSERT_TRUE(same_doubles(mean, want_mean)) << where;
+        ASSERT_TRUE(same_doubles(istd, want_istd)) << where;
+      }
+    }
+}
+
+TEST(Kernels, FusedGroupNormEpilogueMatchesOneGroupAtATime) {
+  // The fused block's epilogue (bias, statistics, normalize, ReLU) against
+  // the serial one-group reference applied to conv2d_fwd's output, at 1
+  // and 4 threads.  Each group count's first shape is large enough to split
+  // the batch across parallel blocks; 11 and 16 groups step in two chunks.
+  // A float output hides a last-bit change of its group's statistics, so
+  // trials 1 and 2 (without and with a zero bias; beta zero) pass through
+  // an identity 1x1 conv planes whose +-2^25 entries cancel: the mean is
+  // then the rounded residue of the 2^-30-sized entries, which any other
+  // summation order rounds differently, and those entries normalize to
+  // other floats.
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    Rng rng(20261020);
+    for (const int groups : {1, 2, 3, 4, 5, 6, 7, 8, 11, 16})
+      for (int trial = 0; trial < 8; ++trial) {
+        const bool cancel = trial == 1 || trial == 2;
+        nn::GroupNormGeom ng = random_group_norm_geom(rng, groups);
+        if (trial == 0) {  // large enough to split into several blocks
+          ng.batch = 3;
+          ng.channels = 3 * groups;
+          ng.height = 33;
+          ng.width = 31;
+        }
+        if (cancel) ng.height = ng.width = 4;
+        nn::Conv2dGeom g;
+        g.batch = ng.batch;
+        g.in_channels =
+            cancel ? ng.channels : 1 + static_cast<int>(rng.uniform_index(4));
+        g.height = ng.height;
+        g.width = ng.width;
+        g.out_channels = ng.channels;
+        g.kernel_h = g.kernel_w = cancel ? 1 : 3;
+        g.padding = cancel ? 0 : 1;
+        g.out_height = ng.height;
+        g.out_width = ng.width;
+        const std::size_t numel = static_cast<std::size_t>(ng.batch) *
+                                  ng.channels * ng.height * ng.width;
+        const std::size_t taps =
+            static_cast<std::size_t>(g.kernel_h) * g.kernel_w;
+        auto x = random_wide_input(numel / ng.channels * g.in_channels,
+                                   rng.next_u64());
+        auto w = random_input(
+            static_cast<std::size_t>(g.out_channels) * g.in_channels * taps,
+            rng.next_u64());
+        auto bias = random_input(ng.channels, rng.next_u64());
+        if (cancel) {
+          for (std::size_t i = 0; i < x.size(); ++i)
+            x[i] = i % 16 == 3    ? 0x1p25f
+                   : i % 16 == 11 ? -0x1p25f
+                                  : static_cast<float>(std::ldexp(
+                                        rng.uniform(-1.0, 1.0), -30));
+          for (int o = 0; o < g.out_channels; ++o)
+            for (int c = 0; c < g.in_channels; ++c)
+              w[static_cast<std::size_t>(o) * g.in_channels + c] =
+                  o == c ? 1.0f : 0.0f;
+          std::fill(bias.begin(), bias.end(), 0.0f);
+        }
+        const auto gamma = random_input(ng.channels, rng.next_u64());
+        auto beta = random_input(ng.channels, rng.next_u64());
+        // A nonzero beta would absorb the tiny entries' normalized values.
+        if (cancel) std::fill(beta.begin(), beta.end(), 0.0f);
+        const float* b = trial % 2 == 0 ? bias.data() : nullptr;
+        const bool relu = trial % 4 < 2;
+        std::vector<float> want(numel);
+        nn::conv2d_fwd(g, x.data(), w.data(), nullptr, want.data());
+        if (cancel) {  // the identity conv hands the epilogue x itself
+          ASSERT_TRUE(bitwise_equal(want.data(), x.data(), numel));
+        }
+        serial_group_norm(ng, want.data(), b, gamma.data(), beta.data(), relu,
+                          want.data(), nullptr, nullptr);
+        std::vector<float> got(numel);
+        nn::conv2d_gn_act_fwd(g, groups, ng.eps,
+                              relu ? nn::ActKind::kRelu : nn::ActKind::kNone,
+                              x.data(), w.data(), nullptr, b, gamma.data(),
+                              beta.data(), got.data());
+        ASSERT_TRUE(bitwise_equal(got.data(), want.data(), numel))
+            << "groups=" << groups << " batch=" << ng.batch
+            << " C=" << ng.channels << " " << ng.height << "x" << ng.width
+            << " bias=" << (b != nullptr) << " relu=" << relu
+            << " threads=" << threads;
+      }
   }
   runtime::set_thread_count(0);
 }

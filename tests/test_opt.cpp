@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -182,6 +184,110 @@ TEST(LbfgsHessian, StaysPositiveDefinite) {
     for (std::size_t i = 0; i < 4; ++i) vBv += v[i] * Bv[i];
     EXPECT_GT(vBv, 0.0) << "after update " << k;
   }
+}
+
+/// The L-BFGS Hessian one dot at a time: the damped terms rebuilt from
+/// the raw (s, y) history as LbfgsHessian documents, each product's dots
+/// run as separate serial chains and the terms added to every element in
+/// order.  LbfgsHessian::apply steps all chains side by side and must give
+/// the same bits.  This TU builds with the opt TUs' flags, contraction off.
+struct SerialLbfgs {
+  struct Term {
+    VecD y, Bs;
+    double sy, sBs;
+  };
+  double sigma;
+  std::vector<Term> terms;
+  int damped = 0;
+
+  static double dot(const VecD& a, const VecD& b) {
+    double s = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
+    return s;
+  }
+
+  SerialLbfgs(double sigma_in, const std::vector<std::pair<VecD, VecD>>& raw)
+      : sigma(sigma_in) {
+    for (const auto& [s, y_raw] : raw) {
+      const VecD Bs = apply(s);
+      const double sBs = dot(s, Bs);
+      if (sBs <= 1e-300) continue;
+      double sy = dot(s, y_raw);
+      VecD y = y_raw;
+      if (sy < 0.2 * sBs) {
+        const double theta = 0.8 * sBs / (sBs - sy);
+        for (std::size_t i = 0; i < y.size(); ++i)
+          y[i] = theta * y_raw[i] + (1.0 - theta) * Bs[i];
+        sy = dot(s, y);
+        ++damped;
+      }
+      terms.push_back({y, Bs, sy, sBs});
+    }
+  }
+
+  VecD apply(const VecD& v) const {
+    VecD out(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) out[i] = sigma * v[i];
+    for (const Term& t : terms) {
+      const double yv = dot(t.y, v) / t.sy;
+      const double bv = dot(t.Bs, v) / t.sBs;
+      for (std::size_t i = 0; i < v.size(); ++i)
+        out[i] += t.y[i] * yv - t.Bs[i] * bv;
+    }
+    return out;
+  }
+};
+
+bool same_bits(const VecD& a, const VecD& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](double x, double y) {
+           std::uint64_t ux = 0, uy = 0;
+           std::memcpy(&ux, &x, sizeof x);
+           std::memcpy(&uy, &y, sizeof y);
+           return ux == uy;
+         });
+}
+
+TEST(LbfgsHessian, ApplyMatchesSerialReferenceBitwise) {
+  // 0..10 updates into an 8-pair memory (so 0..8 pairs, with evictions),
+  // odd and even n, pairs with poor or negative curvature that Powell
+  // damping blends, and a Hessian rebuilt from its exported state.
+  Rng rng(20261019);
+  int damped = 0;
+  for (const std::size_t n : {1u, 2u, 7u, 64u, 257u, 1000u})
+    for (int updates = 0; updates <= 10; ++updates) {
+      LbfgsHessian h(8);
+      for (int k = 0; k < updates; ++k) {
+        VecD s(n), y(n);
+        const double curvature = rng.uniform(-1.0, 3.0);
+        for (std::size_t i = 0; i < n; ++i) {
+          s[i] = rng.uniform(-1.0, 1.0);
+          y[i] = curvature * s[i] + 0.3 * rng.uniform(-1.0, 1.0);
+        }
+        h.update(s, y);
+      }
+      double sigma = 0.0;
+      std::vector<std::pair<VecD, VecD>> pairs;
+      h.export_state(&sigma, &pairs);
+      ASSERT_EQ(pairs.size(), std::min<std::size_t>(updates, 8));
+      const SerialLbfgs ref(sigma, pairs);
+      damped += ref.damped;
+      LbfgsHessian restored(8);
+      restored.restore_state(sigma, pairs);
+      for (int trial = 0; trial < 3; ++trial) {
+        VecD v(n);
+        for (auto& x : v) x = rng.uniform(-2.0, 2.0);
+        const VecD want = ref.apply(v);
+        VecD got, got_restored;
+        h.apply(v, got);
+        restored.apply(v, got_restored);
+        ASSERT_TRUE(same_bits(got, want))
+            << "n=" << n << " updates=" << updates << " trial=" << trial;
+        ASSERT_TRUE(same_bits(got_restored, want))
+            << "restored n=" << n << " updates=" << updates;
+      }
+    }
+  EXPECT_GT(damped, 0);
 }
 
 TEST(Sqp, ConvexQuadraticConverges) {

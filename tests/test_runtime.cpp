@@ -16,6 +16,7 @@
 #include "nn/kernels.hpp"
 #include "nn/ops.hpp"
 #include "nn/tensor.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -91,6 +92,38 @@ TEST(ThreadPool, FirstExceptionPropagatesAndPoolSurvives) {
   std::atomic<int> ran{0};
   pool.for_blocks(32, [&](std::size_t) { ++ran; });
   EXPECT_EQ(ran.load(), 32);
+}
+
+TEST(ThreadPool, CountsOnlyPublishedJobs) {
+  // runtime.jobs / runtime.blocks (docs/observability.md) count the jobs
+  // the pool hands to its workers.  A one-block call and a parallel_for
+  // nested inside a pool block run inline and count nothing; the fan-out
+  // around them counts once, with its blocks.
+  ThreadCountGuard guard;
+  runtime::set_thread_count(4);
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const obs::Counter& jobs = obs::counter("runtime.jobs");
+  const obs::Counter& blocks = obs::counter("runtime.blocks");
+  const std::int64_t jobs0 = jobs.value(), blocks0 = blocks.value();
+
+  runtime::ThreadPool& pool = runtime::default_pool();
+  int ran = 0;
+  pool.for_blocks(1, [&](std::size_t) { ++ran; });
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(jobs.value(), jobs0);
+  EXPECT_EQ(blocks.value(), blocks0);
+
+  std::atomic<int> inner{0};
+  pool.for_blocks(4, [&](std::size_t) {
+    runtime::parallel_for(1, 8, [&](std::size_t i0, std::size_t i1) {
+      inner += static_cast<int>(i1 - i0);
+    });
+  });
+  EXPECT_EQ(inner.load(), 4 * 8);
+  EXPECT_EQ(jobs.value(), jobs0 + 1);
+  EXPECT_EQ(blocks.value(), blocks0 + 4);
+  obs::set_metrics_enabled(was_enabled);
 }
 
 TEST(ParallelFor, EmptyRangeNeverInvokesBody) {

@@ -35,17 +35,19 @@ Gated keys, lower is better:
   fullchip_stitch_passes  -- stitch refinement passes executed (a jump
                              means the halo/stitch logic stopped converging)
   unet_infer_ms_1t        -- absolute single-thread latency of the compiled
-                             inference session on the bench shape
+                             inference session on the 64x64 bench plane
   unet_infer_b8_ms_per_sample -- per-sample latency of a batch-8 session
                              run (the NMMSO move batches' shape), gated
                              against its own baseline only: nothing here
                              compares it with the batch-1 latency
-  unet_infer_w24_pixel_ratio -- per-pixel latency of the session on the
-                             24x24 plane a default full-chip tile compiles
-                             over per-pixel latency on the 64x64 bench
-                             plane (bench_inference; a same-host ratio that
-                             catches conv widths falling off the vector
-                             kernels)
+  unet_infer_w24_ms_1t    -- absolute single-thread latency of the same
+                             session on the 24x24 plane a default full-chip
+                             tile compiles (bench_inference), whose 12/6/3-
+                             wide stages catch conv widths falling off the
+                             vector kernels.  It replaced the 24x24/64x64
+                             per-pixel ratio, which fails a pure speedup of
+                             the 64x64 plane; bench_inference still prints
+                             that ratio, ungated
   serve_p99_ms            -- p99 ping round-trip latency against a live
                              daemon (bench_serve); what any client pays to
                              talk to the daemon at all
@@ -68,7 +70,7 @@ GATED_KEYS_HIGHER = ("gemm_gflops_1t", "gemm_speedup_4t",
                      "serve_jobs_per_s")
 GATED_KEYS_LOWER = ("fullchip_tile_ms", "fullchip_stitch_passes",
                     "unet_infer_ms_1t", "unet_infer_b8_ms_per_sample",
-                    "unet_infer_w24_pixel_ratio", "serve_p99_ms")
+                    "unet_infer_w24_ms_1t", "serve_p99_ms")
 
 
 def main() -> int:
