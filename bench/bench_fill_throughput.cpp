@@ -1,15 +1,11 @@
-// Fill-loop surrogate throughput: objective evaluations per second through
-// the batched candidate pipeline (CmpNetwork::evaluate_batch — one session
-// run per layer for the whole candidate batch) vs the serial batch-1 loop
-// the fill optimizer ran before cross-candidate batching.  Both paths
-// return bitwise-identical values (test-pinned), so this measures pure
-// throughput on the dominant fill-loop cost.
+// Fill-loop surrogate throughput: value-only objective evaluations per
+// second through CmpNetwork::evaluate(x, false), the path every fill's
+// NMMSO moves and PKB sweep take, one candidate at a time.
 //
 // Emits a one-line JSON summary; --json FILE writes the same object for CI
 // (tools/check_bench_regression.py gates fill_evals_per_s, higher is
-// better).  Measured single-threaded: the batched win here is amortized
-// per-evaluation overhead (per-call kernel dispatch, session setup, GEMM
-// panel reuse across the deep narrow conv levels), not extra cores.
+// better).  Measured single-threaded, at the full-chip driver's default
+// tile edge.
 
 #include <algorithm>
 #include <cstdio>
@@ -29,8 +25,8 @@ namespace {
 
 using namespace neurfill;
 
-constexpr int kWindows = 16;  // the full-chip driver's default tile edge
-constexpr int kBatch = 8;     // one NMMSO move batch
+constexpr int kWindows = 16;    // the full-chip driver's default tile edge
+constexpr int kCandidates = 8;  // evaluations per timed rep
 constexpr int kReps = 21;
 
 double best_s(const std::vector<double>& samples) {
@@ -56,58 +52,41 @@ int main(int argc, char** argv) {
   const CmpNetwork net(surrogate, ext, coeffs);
   const std::size_t layers = ext.num_layers();
 
-  // A batch of candidate fills, as the NMMSO move loop produces them.
+  // Random candidate fills, as the NMMSO move loop produces them.
   Rng rng(31);
   std::vector<std::vector<GridD>> xs(
-      kBatch, std::vector<GridD>(layers, GridD(ext.rows, ext.cols, 0.0)));
+      kCandidates, std::vector<GridD>(layers, GridD(ext.rows, ext.cols, 0.0)));
   for (auto& x : xs)
     for (auto& g : x)
       for (auto& v : g) v = rng.uniform(0.0, 0.3);
 
   runtime::set_thread_count(1);
 
-  const auto run_serial = [&] {
+  const auto run_loop = [&] {
     double acc = 0.0;
     for (const auto& x : xs) acc += net.evaluate(x, false).s_plan;
     return acc;
   };
-  const auto run_batched = [&] {
-    double acc = 0.0;
-    for (const auto& e : net.evaluate_batch(xs)) acc += e.s_plan;
-    return acc;
-  };
 
-  run_serial();
-  run_batched();  // warm-up (arena growth, scratch buffers)
-  std::vector<double> serial_s(kReps), batched_s(kReps);
+  run_loop();  // warm-up (arena growth, scratch buffers)
+  std::vector<double> loop_s(kReps);
   for (int r = 0; r < kReps; ++r) {
     Timer t;
-    run_serial();
-    serial_s[static_cast<std::size_t>(r)] = t.elapsed_seconds();
-  }
-  for (int r = 0; r < kReps; ++r) {
-    Timer t;
-    run_batched();
-    batched_s[static_cast<std::size_t>(r)] = t.elapsed_seconds();
+    run_loop();
+    loop_s[static_cast<std::size_t>(r)] = t.elapsed_seconds();
   }
   runtime::set_thread_count(0);
 
-  const double serial_eps = kBatch / best_s(serial_s);
-  const double batched_eps = kBatch / best_s(batched_s);
-  const double speedup = batched_eps / serial_eps;
+  const double evals_per_s = kCandidates / best_s(loop_s);
   std::printf("=== fill objective throughput, %dx%d windows, %zu layers, "
-              "batch %d, 1 thread ===\n",
-              kWindows, kWindows, layers, kBatch);
-  std::printf("serial batch-1 loop:  %10.1f evals/s\n", serial_eps);
-  std::printf("batched evaluate:     %10.1f evals/s\n", batched_eps);
-  std::printf("batching speedup:     %10.2fx\n", speedup);
+              "1 thread ===\n",
+              kWindows, kWindows, layers);
+  std::printf("value evaluations:  %10.1f evals/s\n", evals_per_s);
 
   char json[256];
   std::snprintf(json, sizeof(json),
-                "{\"bench\":\"fill_throughput\",\"fill_evals_per_s\":%.1f,"
-                "\"fill_evals_per_s_serial\":%.1f,"
-                "\"fill_batch_speedup\":%.3f}",
-                batched_eps, serial_eps, speedup);
+                "{\"bench\":\"fill_throughput\",\"fill_evals_per_s\":%.1f}",
+                evals_per_s);
   std::printf("\nJSON: %s\n", json);
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");

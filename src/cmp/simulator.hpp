@@ -12,8 +12,8 @@
 namespace neurfill {
 
 /// Degradation ledger of a simulator (docs/robustness.md).  Counters are
-/// atomics because layer simulations run concurrently (NMMSO batch
-/// evaluation); the ledger lives behind a shared_ptr so the copies the fill
+/// atomics because simulations run concurrently (training-data labelling,
+/// tile solves); the ledger lives behind a shared_ptr so the copies the fill
 /// problem makes of its simulator all account to one ledger — a degraded
 /// solve anywhere in a run is visible from the report at the end.
 struct SimulatorHealth {

@@ -72,19 +72,6 @@ ObjectiveFn make_network_objective(const FillProblem& problem,
   };
 }
 
-std::vector<double> network_batch_quality(
-    const FillProblem& problem, const CmpNetwork& network,
-    const std::vector<std::vector<GridD>>& xs) {
-  const std::vector<CmpNetwork::Eval> nets = network.evaluate_batch(xs);
-  std::vector<double> q(xs.size());
-  for (std::size_t b = 0; b < xs.size(); ++b) {
-    const PdScore pd = pd_score_and_gradient(problem.extraction(), xs[b],
-                                             problem.coefficients());
-    q[b] = nets[b].s_plan + pd.s_pd;
-  }
-  return q;
-}
-
 namespace {
 
 /// Fill levels of mm's target-density starts, as fractions of the way from
@@ -257,17 +244,6 @@ FillRunResult drive_msp(const FillProblem& problem, const CmpNetwork& network,
     nmmso_opt.deadline = options.deadline;
     nmmso_opt.interrupt = options.interrupt;
     Nmmso nmmso(explore, box, nmmso_opt);
-    // Each iteration's move batch runs as one batched network evaluation;
-    // out-of-batch evaluations (midpoints, hive-offs, immigrants) stay
-    // scalar.  Values are bitwise identical either way, so the located
-    // modes don't change.
-    nmmso.set_batch_objective(
-        [&problem, &network](const std::vector<VecD>& vs) {
-          std::vector<std::vector<GridD>> xs;
-          xs.reserve(vs.size());
-          for (const VecD& v : vs) xs.push_back(problem.unflatten(v));
-          return network_batch_quality(problem, network, xs);
-        });
     const std::vector<Mode> modes = nmmso.run();
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -286,9 +262,8 @@ FillRunResult drive_msp(const FillProblem& problem, const CmpNetwork& network,
     if (mm && b == 0) return run_search();
     const std::size_t i = b - (mm ? 1 : 0);  // start index in drive order
     if (i == 0) {
-      // The sweep judges its candidates one at a time: a batched forward
-      // would grow the per-thread arena of whichever thread runs this
-      // block to the sweep's batch.
+      // The sweep judges its candidates one forward at a time, like every
+      // fill evaluation, so each thread's session arena holds one sample.
       return run_start(i, [&](long* count) {
         NF_TRACE_SPAN("fill.pkb_sweep");
         const ObjectiveFn obj = make_network_objective(problem, network, count);

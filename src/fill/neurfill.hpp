@@ -60,15 +60,6 @@ ObjectiveFn make_network_objective(const FillProblem& problem,
                                    const CmpNetwork& network,
                                    long* eval_counter = nullptr);
 
-/// Batched network quality S_plan + S_PD (to maximize) of B candidate
-/// fills: one CmpNetwork::evaluate_batch call (one batched UNet forward per
-/// layer) plus per-candidate analytic PD scores.  Each value is exactly the
-/// negation of make_network_objective's at the same point, so NMMSO's move
-/// batches mix it freely with scalar calls.
-std::vector<double> network_batch_quality(
-    const FillProblem& problem, const CmpNetwork& network,
-    const std::vector<std::vector<GridD>>& xs);
-
 /// NeurFill (PKB): prior-knowledge-based starting point (judged by the
 /// network's quality) followed by SQP with backward-propagation gradients.
 FillRunResult neurfill_pkb(const FillProblem& problem,

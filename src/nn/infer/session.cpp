@@ -169,8 +169,7 @@ int InferenceSession::add_conv_block(const void* conv_module,
 
 InferenceSession::InferenceSession(const UNet& net, int height, int width,
                                    InferenceOptions options)
-    : fuse_(options.fuse),
-      max_batch_(options.max_batch > 1 ? options.max_batch : 1) {
+    : fuse_(options.fuse) {
   const UNetConfig& cfg = net.config();
   NF_CHECK(height > 0 && width > 0, "InferenceSession: bad extent %dx%d",
            height, width);
@@ -405,14 +404,12 @@ void InferenceSession::run(const float* input, float* output,
 
   // Grow-only per-thread arena: zero allocation in steady state, and
   // concurrent run() calls from different threads never share activations.
-  // The arena is sized for max(batch, max_batch_) so a session planned for
-  // a batch ceiling never reallocates when the batch varies below it; the
-  // high-water tracker feeds the gauge and the grow-event counter that the
-  // zero-steady-state-allocation test pins.
+  // A run sizes it for the batch it asks for, so once a thread has run its
+  // largest batch, later runs never reallocate; the high-water tracker
+  // feeds the gauge and the grow-event counter that the
+  // zero-steady-state-allocation tests pin.
   static thread_local std::size_t tls_arena_high_water = 0;
-  const int plan_batch = batch > max_batch_ ? batch : max_batch_;
-  const std::size_t need =
-      arena_floats_ * static_cast<std::size_t>(plan_batch);
+  const std::size_t need = arena_floats_ * static_cast<std::size_t>(batch);
   if (need > tls_arena_high_water) {
     tls_arena_high_water = need;
     NF_COUNTER_ADD("infer.arena_grow_events", 1);

@@ -40,12 +40,6 @@ struct InferenceOptions {
   /// every forward.  Results are bitwise identical either way; off keeps
   /// the pack-per-call reference path.
   bool prepack_weights = true;
-  /// Plan the per-thread arena for at least this batch size on the first
-  /// run(), so a session that alternates batch sizes up to `max_batch`
-  /// reaches zero steady-state allocation immediately instead of growing
-  /// on the first large batch.  Larger run() batches still work (the arena
-  /// grows once).  Clamped to >= 1.
-  int max_batch = 1;
 };
 
 class InferenceSession {
@@ -172,7 +166,6 @@ class InferenceSession {
   int height_ = 0;
   int width_ = 0;
   bool fuse_ = true;
-  int max_batch_ = 1;
 };
 
 }  // namespace neurfill::nn

@@ -22,6 +22,7 @@ Nmmso::Nmmso(ObjectiveFn f, Box box, const NmmsoOptions& options)
 
 double Nmmso::evaluate(const VecD& x) {
   ++evaluations_;
+  NF_COUNTER_ADD("opt.nmmso_evaluations", 1);
   return sanitize_value(f_(x, nullptr));
 }
 
@@ -30,8 +31,8 @@ double Nmmso::sanitize_value(double v) {
   if (!std::isfinite(v)) [[unlikely]] {
     // Poisoned member: map to -inf so it can never become a pbest/gbest
     // (and a poisoned spawn is discarded in apply_move) — the rest of the
-    // batch proceeds untouched.
-    poisoned_drops_.fetch_add(1, std::memory_order_relaxed);
+    // search proceeds untouched.
+    ++poisoned_drops_;
     NF_COUNTER_ADD("opt.nmmso_poison_drops", 1);
     return -std::numeric_limits<double>::infinity();
   }
@@ -168,23 +169,6 @@ Nmmso::PlannedMove Nmmso::plan_evolution(std::size_t swarm_index) {
 
 void Nmmso::evaluate_moves(std::vector<PlannedMove>& moves) {
   NF_TRACE_SPAN("opt.nmmso_batch");
-  NF_COUNTER_ADD("opt.nmmso_evaluations", moves.size());
-  if (batch_f_ && !moves.empty()) {
-    // One call evaluates the whole iteration's move batch (one batched
-    // surrogate forward); values are contractually identical to per-move
-    // scalar calls, so sanitize and budget-account exactly as below.
-    NF_TRACE_SPAN("opt.nmmso_batch_objective");
-    std::vector<VecD> xs;
-    xs.reserve(moves.size());
-    for (const PlannedMove& m : moves) xs.push_back(m.x);
-    const std::vector<double> values = batch_f_(xs);
-    if (values.size() != moves.size())
-      throw std::logic_error("Nmmso: batch objective returned wrong count");
-    for (std::size_t m = 0; m < moves.size(); ++m)
-      moves[m].value = sanitize_value(values[m]);
-    evaluations_ += static_cast<int>(moves.size());
-    return;
-  }
   for (PlannedMove& m : moves) m.value = evaluate(m.x);
 }
 
@@ -277,11 +261,10 @@ std::vector<Mode> Nmmso::run() {
       if (static_cast<int>(chosen.size()) >= opt_.max_evolutions) break;
       if (i != best) chosen.push_back(i);
     }
-    // Plan one move per chosen swarm (all RNG draws, serial), evaluate the
-    // whole batch — in one call when a batch objective is installed — then
-    // apply in planning order.  Indices stay valid: apply_move() only appends swarms
-    // and particles.  Each planned move reserves one primary evaluation so
-    // the batch never overruns the budget.
+    // Plan one move per chosen swarm (all RNG draws), evaluate them all,
+    // then apply in planning order.  Indices stay valid: apply_move() only
+    // appends swarms and particles.  Each planned move reserves one primary
+    // evaluation so the moves never overrun the budget.
     std::vector<PlannedMove> moves;
     moves.reserve(chosen.size());
     for (const std::size_t i : chosen) {

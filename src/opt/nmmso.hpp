@@ -55,17 +55,6 @@ class Nmmso {
   /// free); pass nullptr-tolerant objectives.
   Nmmso(ObjectiveFn f, Box box, const NmmsoOptions& options = NmmsoOptions());
 
-  /// Installs a batched value objective: each iteration's planned move
-  /// batch then goes through one call instead of per-move `f` calls.  The
-  /// batch function must return exactly the values `f` would for the same
-  /// points (the search mixes both paths — out-of-batch evaluations such as
-  /// merge midpoints, hive-off tests, and immigrants stay scalar — so the
-  /// located modes are identical with or without it).  The callee decides
-  /// its own parallelism; without a batch objective the moves run serially.
-  void set_batch_objective(BatchObjectiveFn batch_f) {
-    batch_f_ = std::move(batch_f);
-  }
-
   /// Runs until the evaluation budget is exhausted; returns the located
   /// modes sorted best first.
   std::vector<Mode> run();
@@ -78,10 +67,8 @@ class Nmmso {
 
   /// Poisoned (non-finite) evaluations observed and dropped: the poisoned
   /// member is discarded (spawn) or barred from pbest/gbest (PSO move)
-  /// instead of failing the batch (docs/robustness.md).
-  long poisoned_drops() const {
-    return poisoned_drops_.load(std::memory_order_relaxed);
-  }
+  /// instead of failing the search (docs/robustness.md).
+  long poisoned_drops() const { return poisoned_drops_; }
 
  private:
   struct Particle {
@@ -96,9 +83,9 @@ class Nmmso {
     bool just_changed = true;  ///< flags merge re-checks
   };
 
-  /// One planned swarm advance: every random draw is made (serially) at
-  /// planning time, the objective call is deferred so a whole iteration's
-  /// moves can be evaluated as a batch, and the state change is applied
+  /// One planned swarm advance: every random draw is made at planning time,
+  /// every planned move of an iteration is evaluated before any is applied
+  /// (so no move sees another's effect), and the state changes are applied
   /// afterwards in planning order.  Swarm/particle indices stay valid
   /// between phases because each iteration plans at most one move per
   /// (distinct) swarm and merges only happen between iterations.
@@ -122,14 +109,13 @@ class Nmmso {
   Swarm make_swarm(VecD x, double val);
 
   ObjectiveFn f_;
-  BatchObjectiveFn batch_f_;  ///< optional; see set_batch_objective
   Box box_;
   NmmsoOptions opt_;
   Rng rng_;
   std::vector<Swarm> swarms_;
   int evaluations_ = 0;
   bool timed_out_ = false;
-  std::atomic<long> poisoned_drops_{0};  ///< batch evals run concurrently
+  long poisoned_drops_ = 0;
 };
 
 }  // namespace neurfill

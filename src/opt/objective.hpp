@@ -15,15 +15,6 @@ using VecD = std::vector<double>;
 /// simulation) so solvers economize on calls with gradients.
 using ObjectiveFn = std::function<double(const VecD& x, VecD* grad)>;
 
-/// Batched value-only evaluation: returns {f(xs[0]), ..., f(xs[B-1])} in one
-/// call, letting implementations amortize fixed per-call cost over the whole
-/// batch (the CMP surrogate assembles all B candidates into one batched
-/// network forward).  Implementations must return exactly the values the
-/// scalar ObjectiveFn would — solvers mix the two paths freely and rely on
-/// bitwise agreement for reproducibility.
-using BatchObjectiveFn =
-    std::function<std::vector<double>(const std::vector<VecD>& xs)>;
-
 /// Simple box constraints lo <= x <= hi (elementwise).
 struct Box {
   VecD lo;

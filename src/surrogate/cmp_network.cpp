@@ -7,7 +7,6 @@
 #include "common/rng.hpp"
 #include "nn/ops.hpp"
 #include "nn/serialize.hpp"
-#include "runtime/parallel.hpp"
 #include "surrogate/infer.hpp"
 
 namespace neurfill {
@@ -242,49 +241,6 @@ CmpNetwork::Eval CmpNetwork::make_eval(
   out.heights.reserve(heights.size());
   for (const std::vector<float>& height : heights)
     out.heights.push_back(crop_plane(height, rows_, cols_, pc));
-  return out;
-}
-
-std::vector<CmpNetwork::Eval> CmpNetwork::evaluate_batch(
-    const std::vector<std::vector<GridD>>& xs) const {
-  std::vector<Eval> out(xs.size());
-  if (xs.empty()) return out;
-  for (const std::vector<GridD>& x : xs)
-    if (x.size() != static_.size())
-      throw std::invalid_argument(
-          "CmpNetwork::evaluate_batch: layer count mismatch");
-
-  const int pc = static_[0].padded_cols;
-  const std::size_t n =
-      static_cast<std::size_t>(static_[0].padded_rows) * pc;
-  const std::size_t B = xs.size();
-  const std::size_t L = static_.size();
-
-  std::vector<std::vector<float>> planes(B * L);
-  std::vector<std::vector<const float*>> fill_ptrs(B);
-  for (std::size_t b = 0; b < B; ++b) {
-    fill_ptrs[b].reserve(L);
-    for (std::size_t l = 0; l < L; ++l) {
-      std::vector<float>& plane = planes[b * L + l];
-      plane.assign(n, 0.0f);
-      fill_to_plane(xs[b][l], rows_, cols_, pc, plane);
-      fill_ptrs[b].push_back(plane.data());
-    }
-  }
-
-  // One batched session run per layer for all candidates; each candidate's
-  // height planes are byte-identical to a solo predict_heights.
-  std::vector<std::vector<std::vector<float>>> heights;
-  inference_->predict_heights_batch(static_, fill_ptrs, heights);
-
-  // Candidates score independently (per-thread scratch); roughly 20 ns per
-  // plane element across the metric passes.
-  const std::size_t grain = runtime::grain_for_cost(
-      20.0 * static_cast<double>(L) * static_cast<double>(n), B);
-  runtime::parallel_for(grain, B, [&](std::size_t b0, std::size_t b1) {
-    for (std::size_t b = b0; b < b1; ++b)
-      out[b] = make_eval(heights[b], nullptr);
-  });
   return out;
 }
 

@@ -111,16 +111,6 @@ class CmpNetwork {
   /// both).  Thread-safe.
   Eval evaluate(const std::vector<GridD>& x, bool with_grad) const;
 
-  /// Value-only evaluation of B candidate fill solutions in one call: the
-  /// candidate density grids are assembled into one [B, C, H, W] stack per
-  /// layer and the UNet runs a single batched session forward, then the
-  /// objective terms (Eqs. 10a-c) fan back out per candidate.  Each
-  /// returned Eval (gradients never filled) is byte-identical to
-  /// evaluate(xs[b], false) — and therefore to reference_evaluate — at any
-  /// thread count, so batched and serial evaluations mix freely inside one
-  /// optimization.
-  std::vector<Eval> evaluate_batch(const std::vector<std::vector<GridD>>& xs) const;
-
   /// Predicted heights only (a cheap forward; used by quality callbacks).
   std::vector<GridD> predict_heights(const std::vector<GridD>& x) const;
 
@@ -158,8 +148,7 @@ class CmpNetwork {
   /// This network's objective layers (coefficients, calibration, region).
   ObjectiveHead objective_head() const;
   /// Eval from one candidate's predicted height planes, scoring them unless
-  /// `value` already holds the objective; thread-safe (per-thread scratch)
-  /// so evaluate_batch can score candidates concurrently.
+  /// `value` already holds the objective.
   Eval make_eval(const std::vector<std::vector<float>>& heights,
                  const ObjectiveValue* value) const;
 

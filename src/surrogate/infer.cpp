@@ -14,7 +14,6 @@
 #include "nn/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/parallel.hpp"
 
 namespace neurfill {
 
@@ -153,8 +152,9 @@ ObjectiveValue score_planes(const ObjectiveHead& head, int pr, int pc,
   const std::size_t n = static_cast<std::size_t>(pr) * pc;
   const std::int64_t n64 = static_cast<std::int64_t>(n);
 
-  // Per-thread scratch: evaluate_batch scores candidates concurrently, and
-  // repeated calls must not allocate in steady state.
+  // Per-thread scratch: evaluations on different threads (MSP starts, tile
+  // solves) score concurrently, and repeated calls must not allocate in
+  // steady state.
   static thread_local AlignedBuffer<float> tls_score;
   float* scratch = tls_score.ensure(3 * n + static_cast<std::size_t>(pc));
   const float* mask = build_mask(head, pc, n, scratch);
@@ -261,10 +261,7 @@ SurrogateInference::SurrogateInference(const CmpSurrogate& surrogate,
                                        int padded_rows, int padded_cols)
     : features_(surrogate.config().features),
       topo_transfer_(surrogate.config().topo_transfer),
-      session_(surrogate.unet(), padded_rows, padded_cols,
-               nn::InferenceOptions{/*reuse_buffers=*/true, /*fuse=*/true,
-                                    /*prepack_weights=*/true,
-                                    /*max_batch=*/kDefaultMaxBatch}),
+      session_(surrogate.unet(), padded_rows, padded_cols),
       rows_(padded_rows),
       cols_(padded_cols) {
   if (surrogate.config().unet.in_channels != FeatureConstants::kInChannels)
@@ -307,79 +304,6 @@ void SurrogateInference::predict_heights(
     h_ang.resize(n);
     postprocess_heights(h_norm, h_ang.data(),
                         l + 1 < layers.size() ? incoming : nullptr, n, c);
-  }
-}
-
-void SurrogateInference::predict_heights_batch(
-    const std::vector<StaticLayerFeatures>& layers,
-    const std::vector<std::vector<const float*>>& fills,
-    std::vector<std::vector<std::vector<float>>>& heights) const {
-  heights.resize(fills.size());
-  if (fills.empty()) return;
-  if (layers.empty())
-    throw std::invalid_argument("predict_heights_batch: no layers");
-  for (const auto& candidate : fills)
-    if (candidate.size() != layers.size())
-      throw std::invalid_argument("predict_heights_batch: layer/fill mismatch");
-  NF_TRACE_SPAN("surrogate.predict_batch");
-
-  const std::size_t B = fills.size();
-  const std::size_t n =
-      static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_);
-  const std::size_t in_stride = FeatureConstants::kInChannels * n;
-  const ExtractConsts c = make_consts(features_, topo_transfer_, n);
-
-  // Caller-thread scratch: [B, C, n] input stack, [B, n] network output,
-  // [B, n] chained incoming planes.  The per-candidate `tmp` plane lives in
-  // worker-thread scratch inside the loops below, because candidates are
-  // processed concurrently.
-  static thread_local AlignedBuffer<float> tls_batch_scratch;
-  float* scratch =
-      tls_batch_scratch.ensure(B * (in_stride + 2 * n));
-  float* input_all = scratch;
-  float* h_norm_all = scratch + B * in_stride;
-  float* incoming_all = h_norm_all + B * n;
-  std::memset(incoming_all, 0, B * n * sizeof(float));
-
-  for (std::size_t b = 0; b < B; ++b) heights[b].resize(layers.size());
-
-  // Extraction costs ~10 ns per element across the seven channel passes.
-  const std::size_t cand_grain =
-      runtime::grain_for_cost(10.0 * static_cast<double>(n), B);
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    const StaticLayerFeatures& layer = layers[l];
-    NF_CHECK(layer.padded_rows == rows_ && layer.padded_cols == cols_,
-             "SurrogateInference: layer %zu padded to %dx%d, session compiled "
-             "for %dx%d",
-             l, layer.padded_rows, layer.padded_cols, rows_, cols_);
-    // Candidates are independent within a layer: extraction writes disjoint
-    // [C, n] slices of the batched input, with the identical kernel
-    // sequence a solo predict_heights would run on that candidate — so the
-    // outer decomposition never changes any candidate's bytes.
-    runtime::parallel_for(cand_grain, B, [&, l](std::size_t b0,
-                                                std::size_t b1) {
-      static thread_local AlignedBuffer<float> tls_tmp;
-      float* tmp = tls_tmp.ensure(n);
-      for (std::size_t b = b0; b < b1; ++b)
-        assemble_input_planes(layer, fills[b][l], incoming_all + b * n,
-                              input_all + b * in_stride, tmp, n, c);
-    });
-
-    // One batched UNet forward for all candidates; batch-B output is
-    // byte-identical to B batch-1 runs sample for sample (session
-    // contract, pinned by tests/test_inference.cpp).
-    session_.run(input_all, h_norm_all, static_cast<int>(B));
-
-    const bool chain = l + 1 < layers.size();
-    runtime::parallel_for(cand_grain, B, [&, l, chain](std::size_t b0,
-                                                       std::size_t b1) {
-      for (std::size_t b = b0; b < b1; ++b) {
-        std::vector<float>& h_ang = heights[b][l];
-        h_ang.resize(n);
-        postprocess_heights(h_norm_all + b * n, h_ang.data(),
-                            chain ? incoming_all + b * n : nullptr, n, c);
-      }
-    });
   }
 }
 

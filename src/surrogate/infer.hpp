@@ -48,11 +48,6 @@ ObjectiveValue score_height_planes(const ObjectiveHead& head, int padded_rows,
 /// per extraction, tools build one per chip (or per tile).
 class SurrogateInference {
  public:
-  /// Largest candidate batch the compiled session plans its arena for up
-  /// front (predict_heights_batch still accepts bigger batches; the arena
-  /// then grows once).  Sized for one NMMSO move batch.
-  static constexpr int kDefaultMaxBatch = 32;
-
   /// Compiles the surrogate's UNet for padded_rows x padded_cols planes
   /// (must be divisible by 2^depth).  Holds shared ownership of the
   /// parameter storage; weights are snapshotted at compile time (packed
@@ -72,21 +67,6 @@ class SurrogateInference {
                        const std::vector<const float*>& fills,
                        std::vector<std::vector<float>>& heights) const;
 
-  /// Batched predict_heights over B candidate fill solutions that share the
-  /// static layer features: `fills[b][l]` is candidate b's padded fill
-  /// plane for layer l, `heights[b][l]` its height plane.  Per layer, the B
-  /// candidate feature stacks are assembled into one [B, C, H, W] input and
-  /// the UNet runs once at batch B; extraction and the post-processing
-  /// chain run per candidate slice with the identical kernel sequence, so
-  /// every candidate's heights are byte-identical to a predict_heights call
-  /// on that candidate alone (pinned by tests/test_inference.cpp).  The
-  /// layer loop stays serial — layer l+1's incoming topography chains from
-  /// layer l — batching is across candidates within a layer.
-  void predict_heights_batch(
-      const std::vector<StaticLayerFeatures>& layers,
-      const std::vector<std::vector<const float*>>& fills,
-      std::vector<std::vector<std::vector<float>>>& heights) const;
-
   /// S_plan through `head` and its vector-Jacobian product with respect to
   /// every fill plane in one call: a saving forward (predict_heights'
   /// arithmetic, plus the compiled session's reverse-pass record per layer),
@@ -103,9 +83,6 @@ class SurrogateInference {
       const std::vector<const float*>& fills, const ObjectiveHead& head,
       std::vector<std::vector<float>>& heights,
       std::vector<std::vector<float>>& d_fills) const;
-
-  /// The compiled UNet (batched NCHW entry point for tools and tests).
-  const nn::InferenceSession& session() const { return session_; }
 
  private:
   FeatureConstants features_;

@@ -2,8 +2,8 @@
 // InferenceSession must match the autograd module evaluation bitwise —
 // fused or unfused, arena-reused or private-buffered, batched or looped,
 // at any thread count — and CmpNetwork must match reference_evaluate in
-// values and gradients, because the fill optimizer mixes batched,
-// value-only and gradient evaluations and relies on exact value equality.
+// values and gradients, because the fill optimizer mixes value-only and
+// gradient evaluations and relies on exact value equality.
 
 #include <algorithm>
 #include <cmath>
@@ -11,6 +11,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -297,16 +298,14 @@ TEST(InferenceSession, PrepackedWeightsMatchPackPerCall) {
 }
 
 TEST(InferenceSession, BatchedArenaReachesZeroSteadyStateAllocation) {
-  // With max_batch planned up front, the first run sizes the per-thread
-  // arena once and every later run — any batch up to max_batch — performs
-  // no further growth (infer.arena_grow_events counts requested-size
-  // high-water increases on this thread).
+  // A run sizes the grow-only per-thread arena for its own batch, so once
+  // the largest batch has run, every later run — any batch up to it —
+  // performs no further growth (infer.arena_grow_events counts
+  // requested-size high-water increases on this thread).
   Rng rng(19);
   UNet net(small_config(true), rng);
   const int H = 16, W = 16, kMaxBatch = 8;
-  InferenceOptions opt;
-  opt.max_batch = kMaxBatch;
-  const InferenceSession session(net, H, W, opt);
+  const InferenceSession session(net, H, W);
   const std::size_t in_plane = 3u * H * W;
   const std::size_t out_plane = static_cast<std::size_t>(H) * W;
   const auto input = random_input(kMaxBatch * in_plane, 121);
@@ -315,7 +314,7 @@ TEST(InferenceSession, BatchedArenaReachesZeroSteadyStateAllocation) {
   const bool was_enabled = obs::metrics_enabled();
   obs::set_metrics_enabled(true);
   obs::Counter& grows = obs::counter("infer.arena_grow_events");
-  session.run(input.data(), out.data(), 1);  // plans for kMaxBatch
+  session.run(input.data(), out.data(), kMaxBatch);  // warm-up
   const std::int64_t after_first = grows.value();
   for (const int batch : {1, 2, kMaxBatch, 3}) {
     session.run(input.data(), out.data(), batch);
@@ -784,50 +783,42 @@ TEST(CmpNetworkFast, GradientMatchesAutogradAcrossRandomConfigs) {
   EXPECT_GE(active, kConfigs * 3 / 4);
 }
 
-TEST(CmpNetworkFast, EvaluateBatchMatchesSerialBitwise) {
-  // Cross-candidate batching: evaluate_batch must return, per candidate,
-  // exactly the Eval that evaluate(x, false) returns — the NMMSO move
-  // batches rely on batched and serial evaluations being interchangeable
-  // mid-optimization.
+TEST(CmpNetworkFast, ValueEvaluationArenaHoldsOneSample) {
+  // A value evaluation runs the UNet at batch 1, so on a fresh thread it
+  // grows the per-thread session arena once, to one sample of the
+  // compiled plane, and no further.
   const Layout layout = make_design('a', 8, 100.0, 3);
   const WindowExtraction ext = extract_windows(layout);
   SurrogateConfig cfg;
   cfg.unet.base_channels = 4;
   cfg.unet.depth = 2;
   auto surrogate = std::make_shared<CmpSurrogate>(cfg, 7);
-  ScoreCoefficients coeffs;
-  coeffs.beta_sigma = 1000.0;
-  coeffs.beta_sigma_star = 1e5;
-  coeffs.beta_ol = 100.0;
-  const CmpNetwork net(surrogate, ext, coeffs);
+  const CmpNetwork net(surrogate, ext, ScoreCoefficients());
+  const StaticLayerFeatures& plane = net.static_features()[0];
+  const InferenceSession session(surrogate->unet(), plane.padded_rows,
+                                 plane.padded_cols);
+  const std::vector<GridD> x(ext.num_layers(),
+                             GridD(ext.rows, ext.cols, 0.1));
 
-  Rng rng(21);
-  for (const int B : {1, 2, 7, 32}) {
-    std::vector<std::vector<GridD>> xs(
-        static_cast<std::size_t>(B),
-        std::vector<GridD>(3, GridD(8, 8, 0.0)));
-    for (auto& x : xs)
-      for (auto& g : x)
-        for (auto& v : g) v = rng.uniform(0.0, 0.3);
-
-    const std::vector<CmpNetwork::Eval> batched = net.evaluate_batch(xs);
-    ASSERT_EQ(batched.size(), xs.size());
-    for (int b = 0; b < B; ++b) {
-      const CmpNetwork::Eval solo = net.evaluate(xs[static_cast<std::size_t>(b)],
-                                                 false);
-      const CmpNetwork::Eval& eb = batched[static_cast<std::size_t>(b)];
-      EXPECT_EQ(eb.s_plan, solo.s_plan) << "B=" << B << " b=" << b;
-      EXPECT_EQ(eb.sigma, solo.sigma);
-      EXPECT_EQ(eb.sigma_star, solo.sigma_star);
-      EXPECT_EQ(eb.outliers, solo.outliers);
-      ASSERT_EQ(eb.heights.size(), solo.heights.size());
-      for (std::size_t l = 0; l < eb.heights.size(); ++l)
-        for (std::size_t i = 0; i < eb.heights[l].rows(); ++i)
-          for (std::size_t j = 0; j < eb.heights[l].cols(); ++j)
-            ASSERT_EQ(eb.heights[l](i, j), solo.heights[l](i, j))
-                << "B=" << B << " b=" << b << " layer " << l;
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const obs::Counter& grows = obs::counter("infer.arena_grow_events");
+  const std::int64_t grows_before = grows.value();
+  bool threw = false;
+  std::thread([&] {
+    try {
+      (void)net.evaluate(x, false);
+    } catch (...) {
+      threw = true;
     }
-  }
+  }).join();
+  const double high_water =
+      obs::gauge("infer.arena_high_water_bytes").value();
+  obs::set_metrics_enabled(was_enabled);
+  ASSERT_FALSE(threw);
+  EXPECT_EQ(grows.value() - grows_before, 1);
+  EXPECT_EQ(high_water, static_cast<double>(
+                            session.arena_floats_per_sample() * sizeof(float)));
 }
 
 TEST(SurrogateSessionCache, SharedAcrossNetworksAndKeyedByWeights) {

@@ -160,10 +160,10 @@ TEST_F(NeurFillPipeline, MmAtLeastMatchesSurrogateObjectiveOfPkb) {
 
 TEST_F(NeurFillPipeline, MmIsIdenticalAcrossThreadCounts) {
   // Full-drive determinism gate for the compiled surrogate path: the MM flow
-  // (batched NMMSO move evaluations, prepacked session weights, compiled
-  // reverse-pass gradients, NMMSO and the MSP starts running concurrently
-  // on the pool) must produce byte-identical fills and equal
-  // evaluation counts at 1, 2, 4 and 8 threads.
+  // (prepacked session weights, compiled reverse-pass gradients, NMMSO and
+  // the MSP starts running concurrently on the pool) must produce
+  // byte-identical fills and equal evaluation counts at 1, 2, 4 and 8
+  // threads.
   NeurFillOptions opt;
   opt.sqp.max_iterations = 4;
   opt.pkb_steps = 4;
@@ -190,11 +190,10 @@ TEST_F(NeurFillPipeline, MmIsIdenticalAcrossThreadCounts) {
 
 TEST_F(NeurFillPipeline, SearchAndSqpMatchAutogradReference) {
   // Drive-level differential of the compiled surrogate against the autograd
-  // reference (surrogate/network_reference.hpp): NMMSO scoring its move
-  // batches through network_batch_quality, as neurfill_mm sets it up, and
-  // NMMSO scoring every point one at a time through the reference find the
-  // same modes with the same evaluation count; SQP from the best mode then
-  // takes the same iterates on either objective.
+  // reference (surrogate/network_reference.hpp): NMMSO on the compiled
+  // network objective, as neurfill_mm sets it up, and NMMSO on the
+  // reference find the same modes with the same evaluation count; SQP from
+  // the best mode then takes the same iterates on either objective.
   const FillProblem& problem = *problem_;
   const CmpNetwork& network = *network_;
   const ObjectiveFn compiled = make_network_objective(problem, network);
@@ -218,16 +217,11 @@ TEST_F(NeurFillPipeline, SearchAndSqpMatchAutogradReference) {
 
   NmmsoOptions nopt;
   nopt.max_evaluations = 40;
-  Nmmso batched(maximize(compiled), problem.bounds(), nopt);
-  batched.set_batch_objective([&](const std::vector<VecD>& vs) {
-    std::vector<std::vector<GridD>> xs;
-    for (const VecD& v : vs) xs.push_back(problem.unflatten(v));
-    return network_batch_quality(problem, network, xs);
-  });
-  Nmmso serial(maximize(reference), problem.bounds(), nopt);
-  const std::vector<Mode> modes = batched.run();
-  const std::vector<Mode> ref_modes = serial.run();
-  EXPECT_EQ(batched.evaluations_used(), serial.evaluations_used());
+  Nmmso search(maximize(compiled), problem.bounds(), nopt);
+  Nmmso ref_search(maximize(reference), problem.bounds(), nopt);
+  const std::vector<Mode> modes = search.run();
+  const std::vector<Mode> ref_modes = ref_search.run();
+  EXPECT_EQ(search.evaluations_used(), ref_search.evaluations_used());
   ASSERT_FALSE(modes.empty());
   ASSERT_EQ(modes.size(), ref_modes.size());
   for (std::size_t m = 0; m < modes.size(); ++m) {

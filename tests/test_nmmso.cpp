@@ -1,10 +1,12 @@
 // Tests for the NMMSO multi-modal optimizer on functions with known peaks.
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "opt/nmmso.hpp"
 
 namespace neurfill {
@@ -106,43 +108,23 @@ TEST(Nmmso, DeterministicForSeed) {
   }
 }
 
-TEST(Nmmso, BatchObjectiveMatchesScalarRun) {
-  // A batched objective that returns exactly the scalar values must leave
-  // the search unchanged: same modes, same evaluation count, and every
-  // planned move batch routed through the batch call.
+TEST(Nmmso, EvaluationCounterCountsEveryEvaluation) {
+  // opt.nmmso_evaluations counts every objective call of a run, not only
+  // the planned moves: the initial point, the merge and hive-off midpoints
+  // and the immigrants too, exactly what evaluations_used() reports.
   const ObjectiveFn f = [](const VecD& x, VecD*) { return equal_maxima(x[0]); };
   NmmsoOptions opt;
   opt.max_evaluations = 1000;
   opt.seed = 11;
-  const auto scalar = Nmmso(f, box1d(0.0, 1.0), opt).run();
-
-  int batch_calls = 0, batch_points = 0;
-  Nmmso batched_solver(f, box1d(0.0, 1.0), opt);
-  batched_solver.set_batch_objective(
-      [&](const std::vector<VecD>& xs) -> std::vector<double> {
-        ++batch_calls;
-        batch_points += static_cast<int>(xs.size());
-        std::vector<double> v(xs.size());
-        for (std::size_t i = 0; i < xs.size(); ++i) v[i] = equal_maxima(xs[i][0]);
-        return v;
-      });
-  const auto batched = batched_solver.run();
-
-  EXPECT_GT(batch_calls, 0);
-  EXPECT_GT(batch_points, batch_calls);  // real batches, not all singletons
-  ASSERT_EQ(scalar.size(), batched.size());
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    EXPECT_EQ(scalar[i].value, batched[i].value);
-    EXPECT_EQ(scalar[i].x[0], batched[i].x[0]);
-  }
-}
-
-TEST(Nmmso, BatchObjectiveWrongCountThrows) {
-  const ObjectiveFn f = [](const VecD& x, VecD*) { return equal_maxima(x[0]); };
-  Nmmso solver(f, box1d(0.0, 1.0), NmmsoOptions());
-  solver.set_batch_objective(
-      [](const std::vector<VecD>&) { return std::vector<double>{}; });
-  EXPECT_THROW(solver.run(), std::logic_error);
+  Nmmso solver(f, box1d(0.0, 1.0), opt);
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const obs::Counter& counted = obs::counter("opt.nmmso_evaluations");
+  const std::int64_t before = counted.value();
+  solver.run();
+  const std::int64_t grown = counted.value() - before;
+  obs::set_metrics_enabled(was_enabled);
+  EXPECT_EQ(grown, solver.evaluations_used());
 }
 
 TEST(Nmmso, MergesDuplicateSwarmsOnUnimodal) {

@@ -21,10 +21,10 @@ Gated keys, higher is better:
                             compiled reverse pass vs the autograd sweep,
                             single thread (bench_inference; a same-host
                             ratio like the forward one)
-  fill_evals_per_s        -- fill-loop objective evaluations per second
-                            through the batched candidate pipeline
-                            (bench_fill_throughput; one session run per
-                            layer for the whole NMMSO move batch)
+  fill_evals_per_s        -- fill-loop value evaluations per second through
+                            CmpNetwork::evaluate, one candidate at a time:
+                            the path NMMSO's moves and the PKB sweep take
+                            (bench_fill_throughput)
   serve_jobs_per_s        -- end-to-end jobs per second through the
                             nf_serve daemon machinery (bench_serve: submit
                             -> journal -> worker -> artifact -> status,
@@ -37,9 +37,9 @@ Gated keys, lower is better:
   unet_infer_ms_1t        -- absolute single-thread latency of the compiled
                              inference session on the 64x64 bench plane
   unet_infer_b8_ms_per_sample -- per-sample latency of a batch-8 session
-                             run (the NMMSO move batches' shape), gated
-                             against its own baseline only: nothing here
-                             compares it with the batch-1 latency
+                             run (InferenceSession's batched entry point),
+                             gated against its own baseline only: nothing
+                             here compares it with the batch-1 latency
   unet_infer_w24_ms_1t    -- absolute single-thread latency of the same
                              session on the 24x24 plane a default full-chip
                              tile compiles (bench_inference), whose 12/6/3-
