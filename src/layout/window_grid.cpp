@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace neurfill {
 
@@ -50,6 +54,17 @@ void accumulate_rects(const std::vector<Rect>& rects, double window_um,
 
 }  // namespace
 
+std::size_t window_grid_bytes(std::size_t rows, std::size_t cols,
+                              std::size_t layers) {
+  constexpr std::size_t kGridsPerLayer = 10;
+  std::size_t bytes = 0;
+  if (__builtin_mul_overflow(rows, cols, &bytes) ||
+      __builtin_mul_overflow(bytes, layers, &bytes) ||
+      __builtin_mul_overflow(bytes, kGridsPerLayer * sizeof(double), &bytes))
+    return SIZE_MAX;
+  return bytes;
+}
+
 WindowExtraction extract_windows(const Layout& layout,
                                  const ExtractOptions& opt) {
   if (layout.width_um <= 0.0 || layout.height_um <= 0.0)
@@ -59,6 +74,18 @@ WindowExtraction extract_windows(const Layout& layout,
   ext.window_um = opt.window_um;
   ext.cols = window_count(layout.width_um, opt.window_um);
   ext.rows = window_count(layout.height_um, opt.window_um);
+  const std::size_t bytes =
+      window_grid_bytes(ext.rows, ext.cols, layout.num_layers());
+  if (bytes > kMaxWindowGridBytes)
+    throw ErrorException(Error(
+        ErrorCode::kInvalidArgument, "layout.window_grid",
+        std::to_string(ext.rows) + " x " + std::to_string(ext.cols) +
+            " windows on " + std::to_string(layout.num_layers()) +
+            " layers need " + std::to_string(bytes >> 20) +
+            " MiB of window grids, past the " +
+            std::to_string(kMaxWindowGridBytes >> 20) +
+            " MiB a monolithic run may build; use --tiled or a larger "
+            "window"));
   ext.layers.resize(layout.num_layers());
 
   const std::size_t L = layout.num_layers();

@@ -58,9 +58,24 @@ struct WindowExtraction {
   double window_area_um2() const { return window_um * window_um; }
 };
 
+/// Bytes of the grids extract_windows builds for `rows` x `cols` windows on
+/// `layers` layers: the ten double grids of each LayerWindowData.
+/// Saturates at SIZE_MAX.
+std::size_t window_grid_bytes(std::size_t rows, std::size_t cols,
+                              std::size_t layers);
+
+/// The largest window grid extract_windows builds, in window_grid_bytes:
+/// 1 GiB.  The largest monolithic run EXPERIMENTS.md records (256 x 256
+/// windows on 3 layers) builds 15 MiB of it, and a 1000 x 1000-window die
+/// on 3 layers 229 MiB; past the cap a die takes the tiled driver, whose
+/// tile problems stay tile-sized.
+inline constexpr std::size_t kMaxWindowGridBytes = std::size_t{1} << 30;
+
 /// Divides the layout into ceil(extent / window_um) windows per axis and
 /// extracts densities, perimeters, widths, slack and its four-type split.
-/// Rectangles are clipped exactly against window boundaries.
+/// Rectangles are clipped exactly against window boundaries.  A grid past
+/// kMaxWindowGridBytes is refused before anything is allocated
+/// (ErrorException, kInvalidArgument).
 WindowExtraction extract_windows(const Layout& layout,
                                  const ExtractOptions& opt = {});
 

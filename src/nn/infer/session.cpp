@@ -264,26 +264,33 @@ InferenceSession::InferenceSession(const UNet& net, int height, int width,
 }
 
 void InferenceSession::prepack_weights() {
-  // Snapshot every conv block with a packed weight form into one panel
-  // buffer, once at compile time; the fused kernel's contract makes them
-  // bitwise-neutral (same decomposition, same bytes the in-loop packer
-  // would have produced).
+  // Snapshot every conv block's packed weight forms into one panel buffer,
+  // once at compile time: the forward panel and the reverse pass's.  The
+  // kernels' contracts make them bitwise-neutral (the forward panel holds
+  // the bytes the in-loop packer would have produced; the backward panel
+  // feeds the direct kernel, which reproduces the GEMM chain).
   std::size_t total = 0;
-  std::vector<std::size_t> sizes(nodes_.size(), 0);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].kind != Node::Kind::kConvBlock) continue;
-    sizes[i] = conv_weight_pack_floats(nodes_[i].conv.geom);
-    total += sizes[i];
+  for (const Node& node : nodes_) {
+    if (node.kind != Node::Kind::kConvBlock) continue;
+    total += conv_weight_pack_floats(node.conv.geom) +
+             conv_bwd_pack_floats(node.conv.geom);
   }
   if (total == 0) return;
   float* base = packed_weights_.ensure(total);
   std::size_t offset = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (sizes[i] == 0) continue;
-    conv_weight_pack(nodes_[i].conv.geom, nodes_[i].conv.weight,
-                     base + offset);
-    nodes_[i].conv.packed_offset = static_cast<std::ptrdiff_t>(offset);
-    offset += sizes[i];
+  for (Node& node : nodes_) {
+    if (node.kind != Node::Kind::kConvBlock) continue;
+    ConvBlockSpec& c = node.conv;
+    if (const std::size_t n = conv_weight_pack_floats(c.geom); n > 0) {
+      conv_weight_pack(c.geom, c.weight, base + offset);
+      c.packed_offset = static_cast<std::ptrdiff_t>(offset);
+      offset += n;
+    }
+    if (const std::size_t n = conv_bwd_pack_floats(c.geom); n > 0) {
+      conv_bwd_pack(c.geom, c.weight, base + offset);
+      c.packed_bwd_offset = static_cast<std::ptrdiff_t>(offset);
+      offset += n;
+    }
   }
 }
 
@@ -343,7 +350,11 @@ void InferenceSession::plan_reverse() {
       node.conv.stats_offset = slot(4 * static_cast<std::size_t>(node.conv.groups));
     }
     if (node.conv.act == ActKind::kRelu)
-      node.conv.mask_offset = slot((numel + 31) / 32);
+      node.conv.mask_offset = slot(
+          (relu_mask_words(out.channels,
+                           static_cast<std::int64_t>(out.height) * out.width) +
+           1) /
+          2);
   }
   saved_floats_ = top;
 
@@ -386,9 +397,8 @@ float* InferenceSession::value_ptr(int vid, float* arena, int batch) const {
   return arena + values_[vid].offset * static_cast<std::size_t>(batch);
 }
 
-const float* InferenceSession::packed_panel(const ConvBlockSpec& c) const {
-  return c.packed_offset >= 0 ? packed_weights_.data() + c.packed_offset
-                              : nullptr;
+const float* InferenceSession::packed_panel(std::ptrdiff_t offset) const {
+  return offset >= 0 ? packed_weights_.data() + offset : nullptr;
 }
 
 void InferenceSession::run(const float* input, float* output,
@@ -430,7 +440,8 @@ void InferenceSession::run(const float* input, float* output,
         g.batch = batch;
         if (fuse_) {
           conv2d_gn_act_fwd(g, node.conv.groups, node.conv.eps, node.conv.act,
-                            in0, node.conv.weight, packed_panel(node.conv),
+                            in0, node.conv.weight,
+                            packed_panel(node.conv.packed_offset),
                             node.conv.bias, node.conv.gamma, node.conv.beta,
                             out);
         } else {
@@ -500,41 +511,22 @@ void InferenceSession::run_saving(const float* input, float* output,
     float* out = value_ptr(node.out, arena, 1);
     switch (node.kind) {
       case Node::Kind::kConvBlock: {
+        // The fused block itself, writing the record on the way: the
+        // pre-norm output and group statistics of a GroupNorm block, the
+        // mask of a ReLU block.
         const ConvBlockSpec& c = node.conv;
-        const float* pw = packed_panel(c);
-        const ValueSpec& out_spec = values_[node.out];
-        const std::int64_t numel = static_cast<std::int64_t>(
-            out_spec.channels) * out_spec.height * out_spec.width;
-        if (c.groups == 0) {  // conv + bias + act: the fused block as is
-          conv2d_gn_act_fwd(c.geom, 0, c.eps, c.act, in0, c.weight, pw, c.bias,
-                            nullptr, nullptr, out);
-        } else {
-          // Unfused around the normalization so the pre-norm output and the
-          // group statistics land in the record; the same kernel chain the
-          // fused block is pinned bitwise against.
-          float* prenorm = saved + c.prenorm_offset;
-          double* stats = reinterpret_cast<double*>(saved + c.stats_offset);
-          conv2d_gn_act_fwd(c.geom, 0, c.eps, ActKind::kNone, in0, c.weight,
-                            pw, c.bias, nullptr, nullptr, prenorm);
-          GroupNormGeom ng;
-          ng.batch = 1;
-          ng.channels = out_spec.channels;
-          ng.height = out_spec.height;
-          ng.width = out_spec.width;
-          ng.groups = c.groups;
-          ng.eps = c.eps;
-          group_norm_fwd(ng, prenorm, c.gamma, c.beta, out, stats,
-                         stats + c.groups);
-          if (c.act == ActKind::kRelu)
-            unary_map(UnaryKind::kRelu, 0.0f, out, out, numel);
+        ConvBlockRecord rec;
+        if (c.groups > 0) {
+          rec.prenorm = saved + c.prenorm_offset;
+          rec.mean = reinterpret_cast<double*>(saved + c.stats_offset);
+          rec.istd = rec.mean + c.groups;
         }
-        if (c.act == ActKind::kRelu) {
-          auto* mask = reinterpret_cast<std::uint8_t*>(saved + c.mask_offset);
-          std::memset(mask, 0, static_cast<std::size_t>(numel + 7) / 8);
-          for (std::int64_t i = 0; i < numel; ++i)
-            mask[i >> 3] = static_cast<std::uint8_t>(
-                mask[i >> 3] | ((out[i] > 0.0f ? 1u : 0u) << (i & 7)));
-        }
+        if (c.act == ActKind::kRelu)
+          rec.relu_mask =
+              reinterpret_cast<std::uint16_t*>(saved + c.mask_offset);
+        conv2d_gn_act_fwd(c.geom, c.groups, c.eps, c.act, in0, c.weight,
+                          packed_panel(c.packed_offset), c.bias, c.gamma,
+                          c.beta, out, &rec);
         break;
       }
       case Node::Kind::kMaxPool:
@@ -597,15 +589,12 @@ void InferenceSession::run_vjp(const float* saved, const float* d_output,
         if (c.act == ActKind::kRelu) {
           // relu'(a) = [a > 0]; the output is positive exactly where its
           // input was, so the mask recorded from the output is exact.
-          const auto* mask =
-              reinterpret_cast<const std::uint8_t*>(saved + c.mask_offset);
           float* d_act = arena + node.tmp_offset;
-          for (std::size_t i = 0; i < n; ++i) {
-            d_act[i] = 0.0f;
-            d_act[i] += d_out[i] * (((mask[i >> 3] >> (i & 7)) & 1u) != 0
-                                        ? 1.0f
-                                        : 0.0f);
-          }
+          relu_mask_bwd(
+              c.geom.out_channels,
+              static_cast<std::int64_t>(c.geom.out_height) * c.geom.out_width,
+              reinterpret_cast<const std::uint16_t*>(saved + c.mask_offset),
+              d_out, d_act);
           d_pre = d_act;
         }
         if (c.groups > 0) {
@@ -625,7 +614,8 @@ void InferenceSession::run_vjp(const float* saved, const float* d_output,
                          c.gamma, d_pre, d_norm, nullptr, nullptr);
           d_pre = d_norm;
         }
-        conv2d_bwd(c.geom, nullptr, c.weight, d_pre, d_in0, nullptr, nullptr);
+        conv2d_bwd(c.geom, nullptr, c.weight, packed_panel(c.packed_bwd_offset),
+                   d_pre, d_in0, nullptr, nullptr);
         break;
       }
       case Node::Kind::kMaxPool: {

@@ -37,8 +37,10 @@ struct InferenceOptions {
   bool fuse = true;
   /// Pre-pack constant conv weight panels at compile time
   /// (nn::conv_weight_pack), hoisting the per-call weight packing out of
-  /// every forward.  Results are bitwise identical either way; off keeps
-  /// the pack-per-call reference path.
+  /// every forward, and the reverse pass's panels (nn::conv_bwd_pack),
+  /// which run its input gradients through the direct backward kernel.
+  /// Results are bitwise identical either way; off keeps the pack-per-call
+  /// forward and the im2col/GEMM/col2im backward as reference paths.
   bool prepack_weights = true;
 };
 
@@ -111,12 +113,16 @@ class InferenceSession {
     int groups = 0;             ///< 0: no normalization
     float eps = 0.0f;
     ActKind act = ActKind::kNone;
-    /// Offset of this block's pre-packed weight panel in packed_weights_,
-    /// or -1 when the layer has no packed form (or prepacking is off).
+    /// Offsets of this block's pre-packed weight panels in
+    /// packed_weights_ — the forward's (nn::conv_weight_pack) and the
+    /// reverse pass's (nn::conv_bwd_pack) — or -1 when the layer has no
+    /// such form (or prepacking is off).
     std::ptrdiff_t packed_offset = -1;
+    std::ptrdiff_t packed_bwd_offset = -1;
     /// run_saving() record offsets: the pre-norm conv output and the
     /// per-group (mean, istd) doubles (GroupNorm blocks), and the ReLU
-    /// mask, one bit per output element (ReLU blocks).
+    /// mask, one bit per output element in nn::relu_mask_words layout
+    /// (ReLU blocks).
     std::size_t prenorm_offset = 0;
     std::size_t stats_offset = 0;
     std::size_t mask_offset = 0;
@@ -148,14 +154,14 @@ class InferenceSession {
   void plan_reverse();
   void prepack_weights();
   float* value_ptr(int vid, float* arena, int batch) const;
-  /// The block's compile-time weight panel, or null when it has none.
-  const float* packed_panel(const ConvBlockSpec& c) const;
+  /// The panel at a block's packed offset, or null when it has none.
+  const float* packed_panel(std::ptrdiff_t offset) const;
 
   std::vector<ValueSpec> values_;
   std::vector<Node> nodes_;
   std::vector<Tensor> keep_;  ///< shares ownership of the parameter storage
-  /// Compile-time weight panels (nn::conv_weight_pack), one region per
-  /// conv block with a packed form.
+  /// Compile-time weight panels (nn::conv_weight_pack, nn::conv_bwd_pack),
+  /// one region per conv block and direction with a packed form.
   AlignedBuffer<float> packed_weights_;
   std::size_t arena_floats_ = 0;
   std::size_t saved_floats_ = 0;  ///< run_saving() record

@@ -497,6 +497,247 @@ void conv_direct_job(ConvShape shape, const ConvJob& jb, int rows,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Direct stride-1 backward-data convolution (the compiled reverse pass).
+//
+// The input gradient of a stride-1 conv adds, for every tap (ki, kj) whose
+// output position (i - ki + P, j - kj + P) lies inside the plane, the sum
+// over o of w[o, c, ki, kj] * gy[o, ...] to gx[c, i, j].  The reference
+// chain forms those sums as dcol = W^T gy through the packed GEMM (one
+// K = O chain per (c, ki, kj) row and output position) and col2im adds the
+// in-range ones to gx in ascending tap order.  This kernel computes each
+// gx element straight from the cotangent with the same arithmetic:
+//
+//   * a tap's value is the ascending-o chain `acc += w * gy`, a fresh
+//     partial per kGemmKc slab, partials combined in slab order — the GEMM
+//     micro-kernel's expression under the same TU flags;
+//   * gx starts from its prior value and takes the taps in ascending
+//     (ki, kj) order, one float add each;
+//   * an out-of-plane tap is skipped by a lane select, never added as a
+//     product of padding, so a -0 prior stays -0 and an infinite weight
+//     adds no NaN, exactly as col2im skips it.
+//
+// Layout: the cotangent is zero-padded by kh-1-P rows and kw-1-P columns on
+// each side, so tap (ki, kj) of input position (i, j) reads padded position
+// (i + kh-1-ki, j + kw-1-kj).  With row pitch R = W + kw - 1 for both planes
+// that is gx's flat position plus a per-tap constant, so a vector runs over
+// consecutive flat positions across row ends (the forward's narrow-plane
+// layout, here at every width): lanes whose column is >= W are junk,
+// computed and dropped, and reads past the last row land in zeroed slack.
+// ---------------------------------------------------------------------------
+
+/// Integer lane vectors matching the float vectors lane for lane, for the
+/// backward kernel's lane coordinates and masks.
+typedef int VInt8 __attribute__((vector_size(8 * sizeof(int))));
+typedef int VInt16 __attribute__((vector_size(16 * sizeof(int))));
+using VNarrowInt = std::conditional_t<kConvPairRows, VInt16, VInt8>;
+
+/// One sample's operands: `gyp` holds O padded cotangent planes and `gxp` C
+/// flat gradient planes, `gy_pitch` / `gx_pitch` floats apart, both with
+/// row pitch `row`.
+struct ConvBwdJob {
+  const float* gyp;
+  float* gxp;
+  std::size_t gy_pitch, gx_pitch;
+  int O, kh, kw, pad, row, Hout, Wout;
+};
+
+/// acc[i] = the chain over o in [o0, o1) of w[o][i] * gy_o, where gy_o is
+/// the vector at `src` in cotangent plane o and `w` is a tap's [o][OC]
+/// panel.
+template <int OC>
+__attribute__((always_inline)) inline void conv_bwd_slab(
+    const float* src, std::size_t gy_pitch, const float* w, int o0, int o1,
+    VNarrow (&acc)[OC]) {
+  for (int i = 0; i < OC; ++i) acc[i] = VNarrow{};
+  for (int o = o0; o < o1; ++o) {
+    VNarrow y;
+    __builtin_memcpy(&y, src + static_cast<std::size_t>(o) * gy_pitch,
+                     sizeof y);
+    const float* wo = w + static_cast<std::size_t>(o) * OC;
+    for (int i = 0; i < OC; ++i) acc[i] += wo[i] * y;
+  }
+}
+
+/// The backward register tile over flat vectors [v0, v1): input channels
+/// [c0, c0 + OC) of one vector at a time, the OC gradient vectors and OC
+/// tap chains in registers.  `wblk` is the channel block's panel,
+/// [tap][o][OC].  A second vector per tile would share each weight
+/// broadcast, but its 32 accumulators spill: on AVX-512 the UNet's layers
+/// ran 10-15% slower that way.  Out of line, like conv_tile_call, so each
+/// channel count gets its own register allocation.
+template <int OC>
+__attribute__((noinline)) void conv_bwd_tiles(const ConvBwdJob& jb,
+                                              const float* wblk, int c0,
+                                              std::size_t v0, std::size_t v1) {
+  constexpr int lanes = kConvNarrowLanes;
+  const int O = jb.O, kh = jb.kh, kw = jb.kw, R = jb.row;
+  VNarrowInt lane;
+  for (int l = 0; l < lanes; ++l) lane[l] = l;
+  for (std::size_t v = v0; v < v1; ++v) {
+    const std::size_t q = v * lanes;
+    VNarrow gx[OC];
+    for (int i = 0; i < OC; ++i)
+      __builtin_memcpy(&gx[i],
+                       jb.gxp + static_cast<std::size_t>(c0 + i) * jb.gx_pitch +
+                           q,
+                       sizeof gx[i]);
+    // Each lane's (row, column): the vector's first position, then one wrap
+    // per row end the lanes cross.
+    const int j0 = static_cast<int>(q % static_cast<std::size_t>(R));
+    VNarrowInt row =
+        VNarrowInt{} + static_cast<int>(q / static_cast<std::size_t>(R));
+    VNarrowInt col = lane + j0;
+    for (int wraps = (j0 + lanes - 1) / R; wraps > 0; --wraps) {
+      const VNarrowInt over = col >= R;
+      col -= over & R;
+      row -= over;
+    }
+    for (int ki = 0; ki < kh; ++ki) {
+      const VNarrowInt row_in =
+          (row >= ki - jb.pad) & (row < jb.Hout + ki - jb.pad);
+      for (int kj = 0; kj < kw; ++kj) {
+        const float* src = jb.gyp + q +
+                           static_cast<std::size_t>(kh - 1 - ki) * R +
+                           static_cast<std::size_t>(kw - 1 - kj);
+        const float* wt =
+            wblk + static_cast<std::size_t>(ki * kw + kj) * O * OC;
+        VNarrow t[OC];
+        conv_bwd_slab<OC>(src, jb.gy_pitch, wt, 0, std::min(O, kGemmKc), t);
+        for (int o0 = kGemmKc; o0 < O; o0 += kGemmKc) {
+          VNarrow part[OC];
+          conv_bwd_slab<OC>(src, jb.gy_pitch, wt, o0,
+                            std::min(O, o0 + kGemmKc), part);
+          for (int i = 0; i < OC; ++i) t[i] += part[i];
+        }
+        const VNarrowInt in =
+            row_in & (col >= kj - jb.pad) & (col < jb.Wout + kj - jb.pad);
+        for (int i = 0; i < OC; ++i) gx[i] = in ? gx[i] + t[i] : gx[i];
+      }
+    }
+    for (int i = 0; i < OC; ++i)
+      __builtin_memcpy(jb.gxp + static_cast<std::size_t>(c0 + i) * jb.gx_pitch +
+                           q,
+                       &gx[i], sizeof gx[i]);
+  }
+}
+
+/// Channels [c0, c0 + bc) of the flat vectors [v0, v1).  `panel` is
+/// conv_bwd_pack's whole panel.
+void conv_bwd_block(const ConvBwdJob& jb, const float* panel, int c0, int bc,
+                    std::size_t v0, std::size_t v1) {
+  const float* wblk = panel + static_cast<std::size_t>(c0) * jb.kh * jb.kw *
+                                  static_cast<std::size_t>(jb.O);
+  with_static_count<kConvOr>(bc, [&](auto kc) {
+    conv_bwd_tiles<decltype(kc)::value>(jb, wblk, c0, v0, v1);
+  });
+}
+
+/// Does conv2d_bwd's direct kernel take this geometry?  The padded
+/// cotangent needs padding below the kernel extent, and the identity 1x1
+/// conv keeps its GEMM: that adds each K-slab partial straight into gx, an
+/// order that differs from col2im's once O > kGemmKc.
+bool conv_bwd_direct(const Conv2dGeom& g) {
+  return g.stride == 1 && !identity_unfold(g) && g.padding < g.kernel_h &&
+         g.padding < g.kernel_w;
+}
+
+/// gx[n] += the input gradient of sample n through the direct kernel, with
+/// `scratch` the caller's per-thread buffer.  Pool jobs split the channel
+/// blocks x flat vectors by geometry alone; every gx element is one lane of
+/// one tile, so the split never changes a bit.
+void conv_bwd_direct_sample(const Conv2dGeom& g, const float* panel,
+                            const float* gy, float* gx,
+                            AlignedBuffer<float>& scratch) {
+  const int C = g.in_channels, H = g.height, W = g.width;
+  const int O = g.out_channels, kh = g.kernel_h, kw = g.kernel_w;
+  const int Hout = g.out_height, Wout = g.out_width, P = g.padding;
+  constexpr int lanes = kConvNarrowLanes;
+  const int R = W + kw - 1;      // == Wout + 2 * (kw - 1 - P)
+  const int rows = H + kh - 1;   // == Hout + 2 * (kh - 1 - P)
+  const int top = kh - 1 - P, left = kw - 1 - P;
+  const std::size_t flat = static_cast<std::size_t>(H) * R;
+  const std::size_t nvec = (flat + lanes - 1) / lanes;
+  const auto round16 = [](std::size_t n) { return (n + 15) & ~std::size_t{15}; };
+  const std::size_t gx_pitch = round16(nvec * lanes);
+  // The last vector's deepest tap reads (kh-1) rows and kw-1 columns on.
+  const std::size_t gy_pitch = round16(nvec * lanes +
+                                       static_cast<std::size_t>(kh - 1) * R +
+                                       static_cast<std::size_t>(kw - 1));
+  float* gyp = scratch.ensure(static_cast<std::size_t>(O) * gy_pitch +
+                              static_cast<std::size_t>(C) * gx_pitch);
+  float* gxp = gyp + static_cast<std::size_t>(O) * gy_pitch;
+  const double plane_ns = 0.5 * static_cast<double>(gy_pitch);
+  runtime::parallel_for(
+      runtime::grain_for_cost(plane_ns, static_cast<std::size_t>(O)),
+      static_cast<std::size_t>(O), [=](std::size_t o0, std::size_t o1) {
+        for (std::size_t o = o0; o < o1; ++o) {
+          float* dst = gyp + o * gy_pitch;
+          for (int r = 0; r < rows; ++r, dst += R) {
+            const int oi = r - top;
+            if (oi < 0 || oi >= Hout) {
+              std::memset(dst, 0, sizeof(float) * static_cast<std::size_t>(R));
+              continue;
+            }
+            std::memset(dst, 0, sizeof(float) * static_cast<std::size_t>(left));
+            std::memcpy(dst + left,
+                        gy + (o * static_cast<std::size_t>(Hout) +
+                              static_cast<std::size_t>(oi)) *
+                                 static_cast<std::size_t>(Wout),
+                        sizeof(float) * static_cast<std::size_t>(Wout));
+            std::memset(dst + left + Wout, 0,
+                        sizeof(float) * static_cast<std::size_t>(left));
+          }
+          std::memset(dst, 0,
+                      sizeof(float) * (gy_pitch - static_cast<std::size_t>(
+                                                      rows) * R));
+        }
+      });
+  const auto copy_gx = [=](bool in) {
+    runtime::parallel_for(
+        runtime::grain_for_cost(plane_ns, static_cast<std::size_t>(C)),
+        static_cast<std::size_t>(C), [=](std::size_t c0, std::size_t c1) {
+          for (std::size_t c = c0; c < c1; ++c) {
+            float* flat_c = gxp + c * gx_pitch;
+            float* plane = gx + c * static_cast<std::size_t>(H) * W;
+            for (int i = 0; i < H; ++i) {
+              float* fr = flat_c + static_cast<std::size_t>(i) * R;
+              float* pr = plane + static_cast<std::size_t>(i) * W;
+              if (in) {
+                std::memcpy(fr, pr, sizeof(float) * static_cast<std::size_t>(W));
+                std::memset(fr + W, 0,
+                            sizeof(float) * static_cast<std::size_t>(R - W));
+              } else {
+                std::memcpy(pr, fr, sizeof(float) * static_cast<std::size_t>(W));
+              }
+            }
+            if (in)
+              std::memset(flat_c + flat, 0, sizeof(float) * (gx_pitch - flat));
+          }
+        });
+  };
+  copy_gx(true);
+  const ConvBwdJob jb{gyp, gxp, gy_pitch, gx_pitch, O, kh, kw, P, R, Hout, Wout};
+  const int blocks = (C + kConvOr - 1) / kConvOr;
+  const std::size_t units = static_cast<std::size_t>(blocks) * nvec;
+  // ~10 sustained FLOP/ns, like the forward's direct kernel.
+  const double unit_ns = 2.0 * kConvOr * kh * kw * static_cast<double>(O) *
+                         lanes / 10.0;
+  runtime::parallel_for(
+      runtime::grain_for_cost(unit_ns, units), units,
+      [=](std::size_t u0, std::size_t u1) {
+        for (std::size_t u = u0; u < u1;) {
+          const int cb = static_cast<int>(u / nvec);
+          const std::size_t v0 = u % nvec;
+          const std::size_t v1 = std::min(nvec, v0 + (u1 - u));
+          conv_bwd_block(jb, panel, cb * kConvOr,
+                         std::min(kConvOr, C - cb * kConvOr), v0, v1);
+          u += v1 - v0;
+        }
+      });
+  copy_gx(false);
+}
+
 /// The fused block's activation as a select on a loop-invariant flag, so
 /// the epilogue loops vectorize: ReLU keeps unary_map's `v > 0 ? v : 0`
 /// (-0 and NaN map to +0), identity passes v through.
@@ -551,6 +792,85 @@ inline void group_norm_row(const float* x, float* y, std::int64_t n, double m,
                     static_cast<float>((static_cast<double>(x[i]) - m) * istd) *
                             gm +
                         bt);
+}
+
+/// Lane k's bit of a 16-bit ReLU mask word, per lane.
+constexpr VInt16 kMaskBits = {1,    2,    4,     8,     16,    32,
+                              64,   128,  256,   512,   1024,  2048,
+                              4096, 8192, 16384, 32768};
+
+/// Mask words (relu_mask_words layout) of one row of n activations.  A
+/// whole word is one vector compare, its lanes' bits folded by halves (the
+/// bits are disjoint, so the fold's ORs lose none).
+void relu_mask_row(const float* y, std::int64_t n, std::uint16_t* words) {
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    VOut16 v;
+    __builtin_memcpy(&v, y + i, sizeof v);
+    const VInt16 b16 = (v > 0.0f) & kMaskBits;
+    const VInt8 b8 = __builtin_shufflevector(b16, b16, 0, 1, 2, 3, 4, 5, 6, 7) |
+                     __builtin_shufflevector(b16, b16, 8, 9, 10, 11, 12, 13, 14,
+                                             15);
+    typedef int VInt4 __attribute__((vector_size(4 * sizeof(int))));
+    const VInt4 b4 = __builtin_shufflevector(b8, b8, 0, 1, 2, 3) |
+                     __builtin_shufflevector(b8, b8, 4, 5, 6, 7);
+    words[i / 16] = static_cast<std::uint16_t>(b4[0] | b4[1] | b4[2] | b4[3]);
+  }
+  if (i < n) {
+    unsigned bits = 0;
+    for (int k = 0; i + k < n; ++k)
+      bits |= static_cast<unsigned>(y[i + k] > 0.0f) << k;
+    words[i / 16] = static_cast<std::uint16_t>(bits);
+  }
+}
+
+/// group_norm_bwd for kG groups of one sample side by side: `x`, `gy` and
+/// `gx` address each group's first element, `mean`/`istd` its statistics,
+/// `gamma` (and `ggamma`/`gbeta` when kAffine) the chunk's first channel.
+/// Each group keeps its own serial double chains, in flat index order, so
+/// the result is the one-group-at-a-time result bit for bit.  Contraction
+/// stays off here, as on group_norm_bwd itself.
+template <int kG, bool kAffine>
+__attribute__((optimize("fp-contract=off"))) void group_norm_bwd_groups(
+    const float* const* x, const float* const* gy, float* const* gx,
+    const double* mean, const double* istd, const float* gamma, int cpg,
+    std::int64_t plane, float* ggamma, float* gbeta) {
+  double sum_dxhat[kG] = {}, sum_dxhat_xhat[kG] = {};
+  for (int c = 0; c < cpg; ++c) {
+    const std::int64_t base = static_cast<std::int64_t>(c) * plane;
+    double gm[kG], dg[kG] = {}, db[kG] = {};
+    for (int b = 0; b < kG; ++b) gm[b] = gamma[b * cpg + c];
+    for (std::int64_t i = base; i < base + plane; ++i)
+      for (int b = 0; b < kG; ++b) {
+        const double xhat = (static_cast<double>(x[b][i]) - mean[b]) * istd[b];
+        const double dxhat = static_cast<double>(gy[b][i]) * gm[b];
+        sum_dxhat[b] += dxhat;
+        sum_dxhat_xhat[b] += dxhat * xhat;
+        if constexpr (kAffine) {
+          dg[b] += static_cast<double>(gy[b][i]) * xhat;
+          db[b] += static_cast<double>(gy[b][i]);
+        }
+      }
+    if constexpr (kAffine)
+      for (int b = 0; b < kG; ++b) {
+        if (ggamma) ggamma[b * cpg + c] += static_cast<float>(dg[b]);
+        if (gbeta) gbeta[b * cpg + c] += static_cast<float>(db[b]);
+      }
+  }
+  if (gx == nullptr) return;
+  const double inv_n = 1.0 / static_cast<double>(cpg * plane);
+  for (int b = 0; b < kG; ++b)
+    for (int c = 0; c < cpg; ++c) {
+      const double gm = gamma[b * cpg + c];
+      const std::int64_t base = static_cast<std::int64_t>(c) * plane;
+      for (std::int64_t i = base; i < base + plane; ++i) {
+        const double xhat = (static_cast<double>(x[b][i]) - mean[b]) * istd[b];
+        const double dxhat = static_cast<double>(gy[b][i]) * gm;
+        gx[b][i] += static_cast<float>(
+            istd[b] * (dxhat - inv_n * sum_dxhat[b] -
+                       xhat * inv_n * sum_dxhat_xhat[b]));
+      }
+    }
 }
 
 template <typename F>
@@ -641,7 +961,8 @@ void conv2d_fwd(const Conv2dGeom& g, const float* x, const float* w,
 }
 
 void conv2d_bwd(const Conv2dGeom& g, const float* x, const float* w,
-                const float* gy, float* gx, float* gw, float* gb) {
+                const float* packed_bwd, const float* gy, float* gx,
+                float* gw, float* gb) {
   NF_TRACE_SPAN("nn.conv2d_backward");
   const int C = g.in_channels, H = g.height, W = g.width;
   const int O = g.out_channels, kh = g.kernel_h, kw = g.kernel_w;
@@ -652,27 +973,30 @@ void conv2d_bwd(const Conv2dGeom& g, const float* x, const float* w,
                         Wout);
   NF_CHECK(!gw || x != nullptr, "conv2d_bwd: null x with gw");
   NF_CHECK(!gx || w != nullptr, "conv2d_bwd: null w with gx");
+  NF_CHECK(!packed_bwd || conv_bwd_direct(g),
+           "conv2d_bwd: backward panel for a geometry without one");
   const bool identity = identity_unfold(g);
-  // Same persistent-scratch scheme as the forward pass; separate buffers
-  // because dcol is consumed (col2im) while colbuf is still live for the
-  // weight gradient.  Only the weight gradient reads the unfolded input, so
-  // an input-gradient-only call skips the im2col pass entirely.  The
-  // identity unfold needs neither: the weight gradient streams the input
-  // directly and the input gradient accumulates straight out of the GEMM
-  // (col2im is elementwise += there).
+  const bool direct = packed_bwd != nullptr && gw == nullptr;
+  // Same persistent-scratch scheme as the forward pass.  colbuf holds the
+  // unfolded input for the weight gradient only, so an input-gradient-only
+  // call skips the im2col pass entirely.  The input gradient's scratch is
+  // one grow-only buffer: the direct kernel's padded planes, or the
+  // chain's dcol.  The identity unfold needs neither: the weight gradient
+  // streams the input directly and the input gradient accumulates straight
+  // out of the GEMM (col2im is elementwise += there).
   static thread_local AlignedBuffer<float> tls_colbuf;
-  static thread_local AlignedBuffer<float> tls_dcol;
+  static thread_local AlignedBuffer<float> tls_gx_scratch;
   const std::size_t unfold_elems = static_cast<std::size_t>(K) * cols;
   float* colbuf = (!identity && gw) ? tls_colbuf.ensure(unfold_elems) : nullptr;
-  // The input gradient's unfold runs a few channels at a time, bounding
-  // dcol to kDcolFloats however wide the layer (see the gx branch below).
+  // The chain's unfold runs a few channels at a time, bounding dcol to
+  // kDcolFloats however wide the layer (see the gx branch below).
   const int taps = kh * kw;
   const int dcol_channels = std::max(
       1, std::min(C, static_cast<int>(kDcolFloats /
                                       (static_cast<std::size_t>(taps) * cols))));
-  float* dcol = (!identity && gx)
-                    ? tls_dcol.ensure(static_cast<std::size_t>(dcol_channels) *
-                                      taps * cols)
+  float* dcol = (!identity && !direct && gx)
+                    ? tls_gx_scratch.ensure(
+                          static_cast<std::size_t>(dcol_channels) * taps * cols)
                     : nullptr;
   // Same serial threshold as the forward pass: the backward unfolds and
   // GEMMs are the same shapes, plus one col2im scatter.
@@ -695,6 +1019,8 @@ void conv2d_bwd(const Conv2dGeom& g, const float* x, const float* w,
       float* gxn = gx + static_cast<std::int64_t>(n) * C * H * W;
       if (identity) {  // dX += W^T (K,O) * dOut (O,cols), no scatter needed
         gemm_tn(K, cols, O, w, gout, gxn, true);
+      } else if (direct) {
+        conv_bwd_direct_sample(g, packed_bwd, gout, gxn, tls_gx_scratch);
       } else {
         // dcol = W^T (K,O) * dOut (O,cols), one channel group at a time: a
         // group's dcol rows are a column block of W (gemm_tn_block — bitwise
@@ -850,48 +1176,40 @@ __attribute__((optimize("fp-contract=off"))) void group_norm_bwd(
   NF_CHECK(groups > 0 && C % groups == 0,
            "group_norm_bwd: C=%d not divisible by groups=%d", C, groups);
   const int cpg = C / groups;
-  const std::int64_t gsize = static_cast<std::int64_t>(cpg) * H * W;
-  for (int n = 0; n < N; ++n) {
-    for (int gi = 0; gi < groups; ++gi) {
-      const double m = mean[n * groups + gi];
-      const double is = istd[n * groups + gi];
-      const std::int64_t off = (static_cast<std::int64_t>(n) * C + gi * cpg) * H * W;
-      const float* xb = x + off;
-      const float* gb = gy + off;
-      // dgamma/dbeta, plus the two group-wide sums needed for dx.
-      double sum_dxhat = 0.0, sum_dxhat_xhat = 0.0;
-      for (int c = 0; c < cpg; ++c) {
-        const double gm = gamma[gi * cpg + c];
-        const float* xc = xb + static_cast<std::int64_t>(c) * H * W;
-        const float* gc = gb + static_cast<std::int64_t>(c) * H * W;
-        double dg = 0.0, db = 0.0;
-        for (int i = 0; i < H * W; ++i) {
-          const double xhat = (static_cast<double>(xc[i]) - m) * is;
-          const double dxhat = static_cast<double>(gc[i]) * gm;
-          sum_dxhat += dxhat;
-          sum_dxhat_xhat += dxhat * xhat;
-          dg += static_cast<double>(gc[i]) * xhat;
-          db += static_cast<double>(gc[i]);
+  const std::int64_t plane = static_cast<std::int64_t>(H) * W;
+  const std::int64_t gsize = cpg * plane;
+  const bool affine = ggamma != nullptr || gbeta != nullptr;
+  // A sample's groups run up to kMaxGroupChains at a time, their chains
+  // stepping together, as in group_norm_fwd.
+  for (int n = 0; n < N; ++n)
+    for (int g0 = 0; g0 < groups; g0 += kMaxGroupChains) {
+      const int k = std::min(kMaxGroupChains, groups - g0);
+      with_static_count<kMaxGroupChains>(k, [&](auto kc) {
+        constexpr int kG = decltype(kc)::value;
+        const std::int64_t off = (static_cast<std::int64_t>(n) * C +
+                                  static_cast<std::int64_t>(g0) * cpg) *
+                                 plane;
+        const float* xb[kG];
+        const float* gb[kG];
+        float* gxb[kG];
+        for (int b = 0; b < kG; ++b) {
+          xb[b] = x + off + b * gsize;
+          gb[b] = gy + off + b * gsize;
+          gxb[b] = gx ? gx + off + b * gsize : nullptr;
         }
-        if (ggamma) ggamma[gi * cpg + c] += static_cast<float>(dg);
-        if (gbeta) gbeta[gi * cpg + c] += static_cast<float>(db);
-      }
-      if (!gx) continue;
-      const double inv_n = 1.0 / static_cast<double>(gsize);
-      for (int c = 0; c < cpg; ++c) {
-        const double gm = gamma[gi * cpg + c];
-        const float* xc = xb + static_cast<std::int64_t>(c) * H * W;
-        const float* gc = gb + static_cast<std::int64_t>(c) * H * W;
-        float* gxc = gx + off + static_cast<std::int64_t>(c) * H * W;
-        for (int i = 0; i < H * W; ++i) {
-          const double xhat = (static_cast<double>(xc[i]) - m) * is;
-          const double dxhat = static_cast<double>(gc[i]) * gm;
-          gxc[i] += static_cast<float>(
-              is * (dxhat - inv_n * sum_dxhat - xhat * inv_n * sum_dxhat_xhat));
-        }
-      }
+        const int s = n * groups + g0;
+        const int c0 = g0 * cpg;
+        float* const* gx_arg = gx ? gxb : nullptr;
+        if (affine)
+          group_norm_bwd_groups<kG, true>(
+              xb, gb, gx_arg, mean + s, istd + s, gamma + c0, cpg, plane,
+              ggamma ? ggamma + c0 : nullptr, gbeta ? gbeta + c0 : nullptr);
+        else
+          group_norm_bwd_groups<kG, false>(xb, gb, gx_arg, mean + s, istd + s,
+                                           gamma + c0, cpg, plane, nullptr,
+                                           nullptr);
+      });
     }
-  }
 }
 
 void maxpool2x2_fwd(std::int64_t planes, int height, int width, const float* x,
@@ -999,10 +1317,63 @@ void conv_weight_pack(const Conv2dGeom& g, const float* w, float* dst) {
         *dst++ = w[static_cast<std::size_t>(ob + i) * K + k];
 }
 
+std::size_t conv_bwd_pack_floats(const Conv2dGeom& g) {
+  // The direct backward kernel broadcasts, per tap and output channel, the
+  // weights of kConvOr consecutive input channels: blocks of kConvOr input
+  // channels (the last one narrower), each [tap][o][channel].  Neither
+  // forward layout puts those weights side by side (the forward's direct
+  // panel groups output channels), so the panel holds every weight once
+  // more.
+  if (!conv_bwd_direct(g)) return 0;
+  return static_cast<std::size_t>(g.out_channels) * g.in_channels *
+         g.kernel_h * g.kernel_w;
+}
+
+void conv_bwd_pack(const Conv2dGeom& g, const float* w, float* dst) {
+  const int C = g.in_channels, O = g.out_channels;
+  const int taps = g.kernel_h * g.kernel_w;
+  for (int c0 = 0; c0 < C; c0 += kConvOr) {
+    const int bc = std::min(kConvOr, C - c0);
+    for (int t = 0; t < taps; ++t)
+      for (int o = 0; o < O; ++o)
+        for (int i = 0; i < bc; ++i)
+          *dst++ = w[(static_cast<std::size_t>(o) * C + c0 + i) * taps + t];
+  }
+}
+
+std::size_t relu_mask_words(std::int64_t rows, std::int64_t cols) {
+  return static_cast<std::size_t>(rows) *
+         static_cast<std::size_t>((cols + 15) / 16);
+}
+
+void relu_mask_bwd(std::int64_t rows, std::int64_t cols,
+                   const std::uint16_t* mask, const float* gy, float* gx) {
+  const std::int64_t row_words = (cols + 15) / 16;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::uint16_t* mw = mask + r * row_words;
+    const float* src = gy + r * cols;
+    float* dst = gx + r * cols;
+    // Branch-free: each bit becomes a 0/1 factor, a whole word per vector.
+    std::int64_t i = 0;
+    for (; i + 16 <= cols; i += 16) {
+      const VInt16 on = ((VInt16{} + mw[i / 16]) & kMaskBits) != 0;
+      const VOut16 m = __builtin_convertvector(on & 1, VOut16);
+      VOut16 v;
+      __builtin_memcpy(&v, src + i, sizeof v);
+      const VOut16 d = 0.0f + v * m;
+      __builtin_memcpy(dst + i, &d, sizeof d);
+    }
+    for (; i < cols; ++i)
+      dst[i] = 0.0f + src[i] * static_cast<float>(static_cast<int>(
+                                   (mw[i / 16] >> (i % 16)) & 1));
+  }
+}
+
 void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps, ActKind act,
                        const float* x, const float* w,
                        const float* packed_w, const float* bias,
-                       const float* gamma, const float* beta, float* y) {
+                       const float* gamma, const float* beta, float* y,
+                       const ConvBlockRecord* record) {
   NF_TRACE_SPAN("nn.conv2d_fused");
   const int C = g.in_channels, H = g.height, W = g.width;
   const int O = g.out_channels, kh = g.kernel_h, kw = g.kernel_w;
@@ -1016,6 +1387,13 @@ void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps, ActKind act,
   NF_CHECK(groups == 0 || (gamma && beta),
            "conv2d_gn_act_fwd: normalization without gamma/beta");
   const bool relu = act == ActKind::kRelu;
+  const ConvBlockRecord rec = record ? *record : ConvBlockRecord{};
+  double* const mean_out = groups > 0 ? rec.mean : nullptr;
+  double* const istd_out = groups > 0 ? rec.istd : nullptr;
+  std::uint16_t* const mask = relu ? rec.relu_mask : nullptr;
+  // A normalized block's conv output lands in the pre-norm record when one
+  // is asked for, and the epilogue normalizes it from there into y.
+  float* const conv_out = groups > 0 && rec.prenorm ? rec.prenorm : y;
   const std::size_t unfold_elems = static_cast<std::size_t>(K) * cols;
   // As in conv2d_fwd, the serial threshold scales with the batch so batched
   // inference forks even on layers too small to fork per sample.
@@ -1061,7 +1439,7 @@ void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps, ActKind act,
           for (std::size_t r = r0; r < r1; ++r) {
             const std::size_t n = r / static_cast<std::size_t>(O);
             const std::size_t o = r % static_cast<std::size_t>(O);
-            std::memcpy(y + r * cols,
+            std::memcpy(conv_out + r * cols,
                         cbig + o * static_cast<std::size_t>(NB) + n * cols,
                         sizeof(float) * static_cast<std::size_t>(cols));
           }
@@ -1166,7 +1544,7 @@ void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps, ActKind act,
                       base + (static_cast<std::size_t>(c) * plane_h +
                               static_cast<std::size_t>(oi + ki + set)) *
                                  prow_len;
-            float* yrow = y + static_cast<std::int64_t>(n) * O * cols +
+            float* yrow = conv_out + static_cast<std::int64_t>(n) * O * cols +
                           static_cast<std::int64_t>(oi) * Wout;
             // Full channel blocks, then the O % kConvOr remainder channels
             // one at a time on the raw filters.
@@ -1225,10 +1603,13 @@ void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps, ActKind act,
             with_static_count<kMaxGroupChains>(k, [=](auto kc) {
               constexpr int kG = decltype(kc)::value;
               float* base[kG];
-              for (int b = 0; b < kG; ++b)
-                base[b] = y + (static_cast<std::int64_t>(n) * O +
-                               static_cast<std::int64_t>(g0 + b) * cpg) *
-                                  cols;
+              std::int64_t off[kG];
+              for (int b = 0; b < kG; ++b) {
+                off[b] = (static_cast<std::int64_t>(n) * O +
+                          static_cast<std::int64_t>(g0 + b) * cpg) *
+                         cols;
+                base[b] = conv_out + off[b];
+              }
               double m[kG], istd[kG];
               if (bias) {
                 // Bias lands with the same per-element float rounding as
@@ -1254,13 +1635,25 @@ void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps, ActKind act,
                 group_sums<kG>(base, gsize, m);
               }
               group_mean_istd<kG>(base, gsize, eps, m, istd);
-              for (int b = 0; b < kG; ++b)
+              for (int b = 0; b < kG; ++b) {
+                if (mean_out) mean_out[n * groups + g0 + b] = m[b];
+                if (istd_out) istd_out[n * groups + g0 + b] = istd[b];
                 for (int c = 0; c < cpg; ++c) {
                   const int ch = (g0 + b) * cpg + c;
-                  float* row = base[b] + static_cast<std::int64_t>(c) * cols;
-                  group_norm_row(row, row, cols, m[b], istd[b], gamma[ch],
-                                 beta[ch], relu);
+                  const std::int64_t at =
+                      off[b] + static_cast<std::int64_t>(c) * cols;
+                  group_norm_row(conv_out + at, y + at, cols, m[b], istd[b],
+                                 gamma[ch], beta[ch], relu);
+                  // The job owns this channel row, and with it the row's
+                  // mask words.
+                  if (mask)
+                    relu_mask_row(y + at, cols,
+                                  mask + relu_mask_words(
+                                             static_cast<std::int64_t>(n) * O +
+                                                 ch,
+                                             cols));
                 }
+              }
             });
           }
         });
@@ -1280,6 +1673,20 @@ void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps, ActKind act,
               for (int i = 0; i < cols; ++i) row[i] = activate(relu, row[i]);
             }
           }
+        });
+  }
+  if (groups == 0 && mask) {
+    // Unnormalized blocks pack the mask in a pass of its own, one channel
+    // row per step: the direct kernel's row-band jobs split channel rows,
+    // and a row's mask words need one writer.
+    const std::size_t rows = static_cast<std::size_t>(g.batch) * O;
+    runtime::parallel_for(
+        runtime::grain_for_cost(0.5 * static_cast<double>(cols), rows), rows,
+        [=](std::size_t r0, std::size_t r1) {
+          for (std::size_t r = r0; r < r1; ++r)
+            relu_mask_row(y + r * static_cast<std::size_t>(cols), cols,
+                          mask + relu_mask_words(
+                                     static_cast<std::int64_t>(r), cols));
         });
   }
 }

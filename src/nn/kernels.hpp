@@ -102,8 +102,27 @@ void conv2d_fwd(const Conv2dGeom& g, const float* x, const float* w,
 /// gradients not required.  `x` may be null when `gw` is: the input
 /// gradient depends on the filters and `gy` only, so a frozen-weight
 /// reverse pass needs no saved input.
+///
+/// `packed_bwd` may be null, or a panel conv_bwd_pack built for this
+/// geometry.  With the panel and no `gw`, the input gradient runs the
+/// direct backward-data kernel; otherwise W^T·gy runs through the packed
+/// GEMM and col2im scatters it.  Both give the same bits
+/// (docs/inference.md, "The compiled reverse pass"), and `w` must point at
+/// the raw filters either way.
 void conv2d_bwd(const Conv2dGeom& g, const float* x, const float* w,
-                const float* gy, float* gx, float* gw, float* gb);
+                const float* packed_bwd, const float* gy, float* gx,
+                float* gw, float* gb);
+
+/// Floats of the backward panel conv_bwd_pack builds for conv2d_bwd's
+/// direct kernel, or 0 when the geometry does not take that kernel: it
+/// needs stride 1 and padding below the kernel extent, and the identity
+/// 1x1 conv keeps its GEMM.  Like conv_weight_pack_floats, the layout is
+/// opaque and valid only for the geometry it was sized for (batch aside).
+std::size_t conv_bwd_pack_floats(const Conv2dGeom& g);
+
+/// Packs the [O, C, kh, kw] filters `w` into `dst` (conv_bwd_pack_floats(g)
+/// floats).  Only valid when that size is non-zero.
+void conv_bwd_pack(const Conv2dGeom& g, const float* w, float* dst);
 
 /// y[i] = f(x[i]) over n contiguous elements; `p` as documented on
 /// UnaryKind.  In-place (y == x) is allowed.
@@ -168,18 +187,50 @@ std::size_t conv_weight_pack_floats(const Conv2dGeom& g);
 /// non-zero.
 void conv_weight_pack(const Conv2dGeom& g, const float* w, float* dst);
 
+/// What conv2d_gn_act_fwd also writes for a reverse pass.  Every pointer
+/// is optional; the normalization outputs are read only when groups > 0
+/// and the mask only when the activation is ReLU.
+struct ConvBlockRecord {
+  /// [batch, O, Hout, Wout]: the conv output after the bias add, before
+  /// normalization.
+  float* prenorm = nullptr;
+  /// [batch * groups] each: the per-(sample, group) mean and inverse
+  /// standard deviation, as group_norm_fwd reports them.
+  double* mean = nullptr;
+  double* istd = nullptr;
+  /// relu_mask_words(batch * O, Hout * Wout) words: y > 0, one bit per
+  /// output element (layout on relu_mask_words).
+  std::uint16_t* relu_mask = nullptr;
+};
+
+/// Words of a ReLU mask over `rows` rows of `cols` elements: each row
+/// starts a fresh run of 16-bit words, and bit i % 16 of the row's word
+/// i / 16 is element i's bit.  Rows own whole words, so parallel jobs that
+/// own whole rows never share one.
+std::size_t relu_mask_words(std::int64_t rows, std::int64_t cols);
+
+/// ReLU adjoint from a mask in relu_mask_words layout:
+/// gx[i] = 0 + gy[i] * m[i], with m the element's bit as 0 or 1.  The
+/// product is exact, so this is the autograd ReLU backward's float
+/// arithmetic into a zeroed gradient, bit for bit.
+void relu_mask_bwd(std::int64_t rows, std::int64_t cols,
+                   const std::uint16_t* mask, const float* gy, float* gx);
+
 /// Fused inference block: y = act(group_norm(conv2d(x, w) + bias)).
 /// `groups == 0` skips normalization (gamma/beta/eps ignored); `bias` may
 /// be null.  `packed_w` may be null, or a panel conv_weight_pack built for
 /// this geometry: it only hoists the per-call weight packing, and `w` must
 /// still point at the raw filters (paths that do not consume the panel read
-/// them).  Bitwise identical to the unfused conv2d_fwd → group_norm_fwd →
-/// unary_map chain, with and without the panel and at any batch size
-/// (pinned by tests/test_inference.cpp), while skipping the intermediate
+/// them).  `record` may be null; its non-null outputs receive the values
+/// the block computes on the way (ConvBlockRecord).  Bitwise identical to
+/// the unfused conv2d_fwd → group_norm_fwd → unary_map chain, with and
+/// without the panel and the record and at any batch size (pinned by
+/// tests/test_inference.cpp), while skipping the intermediate
 /// materializations.
 void conv2d_gn_act_fwd(const Conv2dGeom& g, int groups, float eps, ActKind act,
                        const float* x, const float* w, const float* packed_w,
                        const float* bias, const float* gamma,
-                       const float* beta, float* y);
+                       const float* beta, float* y,
+                       const ConvBlockRecord* record = nullptr);
 
 }  // namespace neurfill::nn

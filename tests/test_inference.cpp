@@ -101,6 +101,49 @@ void serial_group_norm(const nn::GroupNormGeom& g, const float* x,
     }
 }
 
+/// GroupNorm's backward one group at a time: per group the serial double
+/// chains of sum(dxhat) and sum(dxhat * xhat) and per channel those of
+/// dgamma and dbeta, each in flat index order, then the input gradient
+/// accumulated into gx.  Contraction off, as on nn::group_norm_bwd.
+__attribute__((optimize("fp-contract=off"))) void serial_group_norm_bwd(
+    const nn::GroupNormGeom& g, const float* x, const double* mean,
+    const double* istd, const float* gamma, const float* gy, float* gx,
+    float* ggamma, float* gbeta) {
+  const int cpg = g.channels / g.groups;
+  const std::int64_t plane = static_cast<std::int64_t>(g.height) * g.width;
+  const std::int64_t gsize = cpg * plane;
+  for (int n = 0; n < g.batch; ++n)
+    for (int gi = 0; gi < g.groups; ++gi) {
+      const double m = mean[n * g.groups + gi];
+      const double is = istd[n * g.groups + gi];
+      const std::int64_t off =
+          (static_cast<std::int64_t>(n) * g.channels + gi * cpg) * plane;
+      double s1 = 0.0, s2 = 0.0;
+      for (int c = 0; c < cpg; ++c) {
+        const double gm = gamma[gi * cpg + c];
+        double dg = 0.0, db = 0.0;
+        for (std::int64_t i = c * plane; i < (c + 1) * plane; ++i) {
+          const double xhat = (static_cast<double>(x[off + i]) - m) * is;
+          const double dxhat = static_cast<double>(gy[off + i]) * gm;
+          s1 += dxhat;
+          s2 += dxhat * xhat;
+          dg += static_cast<double>(gy[off + i]) * xhat;
+          db += static_cast<double>(gy[off + i]);
+        }
+        if (ggamma) ggamma[gi * cpg + c] += static_cast<float>(dg);
+        if (gbeta) gbeta[gi * cpg + c] += static_cast<float>(db);
+      }
+      const double inv_n = 1.0 / static_cast<double>(gsize);
+      for (std::int64_t i = 0; i < gsize; ++i) {
+        const double gm = gamma[gi * cpg + i / plane];
+        const double xhat = (static_cast<double>(x[off + i]) - m) * is;
+        const double dxhat = static_cast<double>(gy[off + i]) * gm;
+        gx[off + i] += static_cast<float>(
+            is * (dxhat - inv_n * s1 - xhat * inv_n * s2));
+      }
+    }
+}
+
 /// Draws a shape for the GroupNorm differential tests: batch 1..3, 1..3
 /// channels per group, and planes from 1x1 to odd rectangles.
 nn::GroupNormGeom random_group_norm_geom(Rng& rng, int groups) {
@@ -130,6 +173,21 @@ std::vector<float> random_wide_input(std::size_t n, std::uint64_t seed) {
 
 bool same_doubles(const std::vector<double>& a, const std::vector<double>& b) {
   return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// The ReLU mask record of `rows` rows of `cols` activations, bit by bit in
+/// the nn::relu_mask_words layout: each row starts a fresh 16-bit word, and
+/// unused bits stay zero.
+std::vector<std::uint16_t> reference_mask(const float* y, std::int64_t rows,
+                                          std::int64_t cols) {
+  const std::int64_t row_words = (cols + 15) / 16;
+  std::vector<std::uint16_t> words(nn::relu_mask_words(rows, cols), 0);
+  for (std::int64_t r = 0; r < rows; ++r)
+    for (std::int64_t i = 0; i < cols; ++i)
+      if (y[r * cols + i] > 0.0f)
+        words[static_cast<std::size_t>(r * row_words + i / 16)] |=
+            static_cast<std::uint16_t>(1u << (i % 16));
+  return words;
 }
 
 UNetConfig small_config(bool group_norm) {
@@ -413,15 +471,112 @@ TEST(Kernels, InputGradientOnlyConvBackwardMatchesFullCall) {
       runtime::set_thread_count(threads);
       std::vector<float> gx_full(nx, 0.25f), gx_only(nx, 0.25f);
       std::vector<float> gw(w.size(), 0.0f), gb(static_cast<std::size_t>(sh.O));
-      nn::conv2d_bwd(g, x.data(), w.data(), gy.data(), gx_full.data(),
-                     gw.data(), gb.data());
-      nn::conv2d_bwd(g, nullptr, w.data(), gy.data(), gx_only.data(), nullptr,
-                     nullptr);
+      nn::conv2d_bwd(g, x.data(), w.data(), nullptr, gy.data(),
+                     gx_full.data(), gw.data(), gb.data());
+      nn::conv2d_bwd(g, nullptr, w.data(), nullptr, gy.data(), gx_only.data(),
+                     nullptr, nullptr);
       EXPECT_TRUE(bitwise_equal(gx_full.data(), gx_only.data(), nx))
           << "k=" << sh.k << " threads=" << threads;
     }
   }
   runtime::set_thread_count(0);
+}
+
+TEST(Kernels, DirectConvBackwardMatchesGemmChain) {
+  // conv2d_bwd's direct backward-data kernel (with the conv_bwd_pack panel)
+  // against the im2col-free GEMM + col2im chain it replaces (without the
+  // panel), bit for bit: every output width 1..33 over a grid of heights,
+  // channel counts (C = 7 and 13 leave a partial 8-channel block) and
+  // output channel counts (O = 300 crosses a K-slab flush), 3x3 pad 1/0
+  // and 5x5 pad 2 kernels, batch 1..3, 1 and 4 threads.  The prior
+  // gradient mixes -0, +0 and random values, the cotangent holds exact
+  // zeros, and one weight in four draws is +-inf: out-of-plane taps must be
+  // skipped, not added as padding products, so a border -0 stays -0 and
+  // no inf * 0 NaN appears where the chain has none.  1x1 convs keep the
+  // chain's identity GEMM and get no panel.
+  struct Kernel {
+    int k, pad;
+  };
+  constexpr Kernel kKernels[] = {{3, 1}, {3, 0}, {5, 2}};
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    Rng rng(20261020);
+    for (int Wout = 1; Wout <= 33; ++Wout)
+      for (const int Hout : {1, 2, 3, 5, 8, 12})
+        for (const int C : {1, 7, 8, 13})
+          for (const int O : {1, 8, 12, 300}) {
+            const Kernel kn = kKernels[rng.uniform_index(3)];
+            nn::Conv2dGeom g;
+            g.batch = 1 + static_cast<int>(rng.uniform_index(3));
+            g.in_channels = C;
+            g.height = Hout - 2 * kn.pad + kn.k - 1;
+            g.width = Wout - 2 * kn.pad + kn.k - 1;
+            g.out_channels = O;
+            g.kernel_h = g.kernel_w = kn.k;
+            g.padding = kn.pad;
+            g.out_height = Hout;
+            g.out_width = Wout;
+            const std::size_t nx =
+                static_cast<std::size_t>(g.batch) * C * g.height * g.width;
+            const std::size_t ny =
+                static_cast<std::size_t>(g.batch) * O * Hout * Wout;
+            auto w = random_input(
+                static_cast<std::size_t>(O) * C * kn.k * kn.k, rng.next_u64());
+            if (rng.bernoulli(0.25))
+              w[rng.uniform_index(w.size())] =
+                  rng.bernoulli(0.5) ? INFINITY : -INFINITY;
+            auto gy = random_input(ny, rng.next_u64());
+            for (auto& v : gy)
+              if (rng.bernoulli(0.1)) v = 0.0f;
+            auto prior = random_input(nx, rng.next_u64());
+            for (auto& v : prior) {
+              const double u = rng.uniform(0.0, 1.0);
+              if (u < 0.3) v = -0.0f;
+              else if (u < 0.4) v = 0.0f;
+            }
+            std::vector<float> panel(nn::conv_bwd_pack_floats(g));
+            ASSERT_FALSE(panel.empty());
+            nn::conv_bwd_pack(g, w.data(), panel.data());
+            std::vector<float> want = prior, got = prior;
+            nn::conv2d_bwd(g, nullptr, w.data(), nullptr, gy.data(),
+                           want.data(), nullptr, nullptr);
+            nn::conv2d_bwd(g, nullptr, w.data(), panel.data(), gy.data(),
+                           got.data(), nullptr, nullptr);
+            ASSERT_TRUE(bitwise_equal(got.data(), want.data(), nx))
+                << Hout << "x" << Wout << " k=" << kn.k << " pad=" << kn.pad
+                << " C=" << C << " O=" << O << " batch=" << g.batch
+                << " threads=" << threads;
+          }
+    // A layer past the serial threshold (C*kh*kw * Hout*Wout > 2^20
+    // unfold elements), which the kernel splits into pool jobs.
+    nn::Conv2dGeom big;
+    big.batch = 1;
+    big.in_channels = 13;
+    big.height = big.width = big.out_height = big.out_width = 96;
+    big.out_channels = 12;
+    big.kernel_h = big.kernel_w = 3;
+    big.padding = 1;
+    const std::size_t nx = 13u * 96 * 96;
+    const auto w = random_input(12u * 13 * 9, rng.next_u64());
+    const auto gy = random_input(12u * 96 * 96, rng.next_u64());
+    const auto prior = random_input(nx, rng.next_u64());
+    std::vector<float> panel(nn::conv_bwd_pack_floats(big));
+    nn::conv_bwd_pack(big, w.data(), panel.data());
+    std::vector<float> want = prior, got = prior;
+    nn::conv2d_bwd(big, nullptr, w.data(), nullptr, gy.data(), want.data(),
+                   nullptr, nullptr);
+    nn::conv2d_bwd(big, nullptr, w.data(), panel.data(), gy.data(),
+                   got.data(), nullptr, nullptr);
+    ASSERT_TRUE(bitwise_equal(got.data(), want.data(), nx))
+        << "96x96 threads=" << threads;
+  }
+  runtime::set_thread_count(0);
+  nn::Conv2dGeom head;
+  head.in_channels = 8;
+  head.height = head.width = head.out_height = head.out_width = 6;
+  head.out_channels = 1;
+  head.kernel_h = head.kernel_w = 1;
+  EXPECT_EQ(nn::conv_bwd_pack_floats(head), 0u);
 }
 
 TEST(Kernels, FusedConvMatchesUnfusedChainAtEveryWidth) {
@@ -483,6 +638,7 @@ TEST(Kernels, FusedConvMatchesUnfusedChainAtEveryWidth) {
               g.batch = kBatch;
               std::vector<float> ref(kBatch * out_plane);
               nn::conv2d_fwd(g, x.data(), w.data(), b, ref.data());
+              const std::vector<float> pre = ref;  // conv + bias
               if (gn) {
                 nn::GroupNormGeom ng;
                 ng.batch = kBatch;
@@ -490,9 +646,8 @@ TEST(Kernels, FusedConvMatchesUnfusedChainAtEveryWidth) {
                 ng.height = Hout;
                 ng.width = Wout;
                 ng.groups = groups;
-                const std::vector<float> prenorm = ref;
-                nn::group_norm_fwd(ng, prenorm.data(), gamma.data(),
-                                   beta.data(), ref.data(), nullptr, nullptr);
+                nn::group_norm_fwd(ng, pre.data(), gamma.data(), beta.data(),
+                                   ref.data(), nullptr, nullptr);
               }
               const auto n_ref = static_cast<std::int64_t>(ref.size());
               if (act == nn::ActKind::kRelu)
@@ -503,16 +658,42 @@ TEST(Kernels, FusedConvMatchesUnfusedChainAtEveryWidth) {
                   if (prepacked && packed.empty()) continue;
                   g.batch = batch;
                   std::vector<float> out(batch * out_plane);
+                  // The reverse pass's record rides along on raw-filter
+                  // runs: the pre-norm output and the ReLU mask.
+                  std::vector<float> rec_pre(batch * out_plane);
+                  std::vector<std::uint16_t> rec_mask(
+                      nn::relu_mask_words(batch * O, Hout * Wout));
+                  nn::ConvBlockRecord rec;
+                  rec.prenorm = rec_pre.data();
+                  rec.relu_mask = rec_mask.data();
                   nn::conv2d_gn_act_fwd(
                       g, groups, 1e-5f, act, x.data(), w.data(),
                       prepacked ? packed.data() : nullptr, b, gamma.data(),
-                      beta.data(), out.data());
+                      beta.data(), out.data(), prepacked ? nullptr : &rec);
+                  const std::string where =
+                      std::to_string(Hout) + "x" + std::to_string(Wout) +
+                      " k=" + std::to_string(kn.k) + " pad=" +
+                      std::to_string(kn.pad) + " C=" + std::to_string(C) +
+                      " O=" + std::to_string(O) + " gn=" +
+                      std::to_string(gn) + " act=" +
+                      std::to_string(static_cast<int>(act)) + " bias=" +
+                      std::to_string(b != nullptr) + " batch=" +
+                      std::to_string(batch) + " prepacked=" +
+                      std::to_string(prepacked) + " threads=" +
+                      std::to_string(threads);
                   ASSERT_TRUE(bitwise_equal(out.data(), ref.data(), out.size()))
-                      << Hout << "x" << Wout << " k=" << kn.k
-                      << " pad=" << kn.pad << " C=" << C << " O=" << O
-                      << " gn=" << gn << " act=" << static_cast<int>(act)
-                      << " bias=" << (b != nullptr) << " batch=" << batch
-                      << " prepacked=" << prepacked << " threads=" << threads;
+                      << where;
+                  if (prepacked) continue;
+                  if (gn) {
+                    ASSERT_TRUE(bitwise_equal(rec_pre.data(), pre.data(),
+                                              rec_pre.size()))
+                        << where;
+                  }
+                  if (act == nn::ActKind::kRelu) {
+                    ASSERT_EQ(rec_mask, reference_mask(ref.data(), batch * O,
+                                                       Hout * Wout))
+                        << where;
+                  }
                 }
             }
           }
@@ -559,6 +740,65 @@ TEST(Kernels, GroupNormMatchesOneGroupAtATime) {
     }
 }
 
+TEST(Kernels, GroupNormBackwardMatchesOneGroupAtATime) {
+  // group_norm_bwd steps a sample's groups side by side (11 and 16 groups
+  // in two chunks); every group's chains must stay the one-group
+  // reference's, bit for bit: the input gradient into a random prior, and
+  // dgamma/dbeta when asked for (the autograd op asks, the compiled
+  // reverse pass does not).  A float output hides a last-bit change of a
+  // double chain, so every third trial has one channel per group and a
+  // constant cotangent: sum(dxhat) is then n copies of one value, its mean
+  // cancels dxhat, and sum(dxhat * xhat) and dgamma are residues of
+  // sum(xhat) = 0, so the gradients are rounding residues that another
+  // summation order or a contracted multiply-add changes; their priors
+  // are zero.
+  Rng rng(20261021);
+  for (const int groups : {1, 2, 3, 5, 8, 11, 16})
+    for (int trial = 0; trial < 12; ++trial) {
+      const bool cancel = trial % 3 == 1;
+      nn::GroupNormGeom g = random_group_norm_geom(rng, groups);
+      if (cancel) g.channels = groups;
+      const std::size_t numel = static_cast<std::size_t>(g.batch) *
+                                g.channels * g.height * g.width;
+      const std::size_t stats = static_cast<std::size_t>(g.batch) * groups;
+      const auto x = random_wide_input(numel, rng.next_u64());
+      auto gy = random_wide_input(numel, rng.next_u64());
+      if (cancel) std::fill(gy.begin(), gy.end(), 0.75f);
+      const auto gamma = random_input(g.channels, rng.next_u64());
+      std::vector<double> mean(stats), istd(stats);
+      std::vector<float> y(numel);
+      nn::group_norm_fwd(g, x.data(), gamma.data(), gamma.data(), y.data(),
+                         mean.data(), istd.data());
+      const bool affine = trial % 2 == 0;
+      // A residue must not vanish into a nonzero prior.
+      auto prior = random_input(numel, rng.next_u64());
+      auto prior_c = random_input(g.channels, rng.next_u64());
+      if (cancel) {
+        std::fill(prior.begin(), prior.end(), 0.0f);
+        std::fill(prior_c.begin(), prior_c.end(), 0.0f);
+      }
+      std::vector<float> want = prior, want_gg = prior_c, want_gb = prior_c;
+      std::vector<float> got = prior, got_gg = prior_c, got_gb = prior_c;
+      serial_group_norm_bwd(g, x.data(), mean.data(), istd.data(),
+                            gamma.data(), gy.data(), want.data(),
+                            affine ? want_gg.data() : nullptr,
+                            affine ? want_gb.data() : nullptr);
+      nn::group_norm_bwd(g, x.data(), mean.data(), istd.data(), gamma.data(),
+                         gy.data(), got.data(), affine ? got_gg.data() : nullptr,
+                         affine ? got_gb.data() : nullptr);
+      const std::string where =
+          "groups=" + std::to_string(groups) + " batch=" +
+          std::to_string(g.batch) + " C=" + std::to_string(g.channels) + " " +
+          std::to_string(g.height) + "x" + std::to_string(g.width) +
+          " affine=" + std::to_string(affine);
+      ASSERT_TRUE(bitwise_equal(got.data(), want.data(), numel)) << where;
+      ASSERT_TRUE(bitwise_equal(got_gg.data(), want_gg.data(), g.channels))
+          << where;
+      ASSERT_TRUE(bitwise_equal(got_gb.data(), want_gb.data(), g.channels))
+          << where;
+    }
+}
+
 TEST(Kernels, FusedGroupNormEpilogueMatchesOneGroupAtATime) {
   // The fused block's epilogue (bias, statistics, normalize, ReLU) against
   // the serial one-group reference applied to conv2d_fwd's output, at 1
@@ -569,7 +809,9 @@ TEST(Kernels, FusedGroupNormEpilogueMatchesOneGroupAtATime) {
   // an identity 1x1 conv planes whose +-2^25 entries cancel: the mean is
   // then the rounded residue of the 2^-30-sized entries, which any other
   // summation order rounds differently, and those entries normalize to
-  // other floats.
+  // other floats.  All but every third trial also ask for the reverse
+  // pass's record, whose mean and istd are compared as doubles, bit for
+  // bit, with its pre-norm output and ReLU mask.
   for (const int threads : {1, 4}) {
     runtime::set_thread_count(threads);
     Rng rng(20261020);
@@ -628,18 +870,46 @@ TEST(Kernels, FusedGroupNormEpilogueMatchesOneGroupAtATime) {
         if (cancel) {  // the identity conv hands the epilogue x itself
           ASSERT_TRUE(bitwise_equal(want.data(), x.data(), numel));
         }
+        const std::int64_t plane =
+            static_cast<std::int64_t>(ng.height) * ng.width;
+        std::vector<float> want_pre = want;
+        if (b)
+          for (std::size_t i = 0; i < numel; ++i)
+            want_pre[i] = want[i] + b[(static_cast<std::int64_t>(i) / plane) %
+                                      ng.channels];
+        const std::size_t stats = static_cast<std::size_t>(ng.batch) * groups;
+        std::vector<double> want_mean(stats), want_istd(stats);
         serial_group_norm(ng, want.data(), b, gamma.data(), beta.data(), relu,
-                          want.data(), nullptr, nullptr);
-        std::vector<float> got(numel);
+                          want.data(), want_mean.data(), want_istd.data());
+        const bool record = trial % 3 != 2;
+        std::vector<float> got(numel), pre(numel);
+        std::vector<double> mean(stats), istd(stats);
+        const std::int64_t rows =
+            static_cast<std::int64_t>(ng.batch) * ng.channels;
+        std::vector<std::uint16_t> mask(nn::relu_mask_words(rows, plane));
+        nn::ConvBlockRecord rec;
+        rec.prenorm = pre.data();
+        rec.mean = mean.data();
+        rec.istd = istd.data();
+        rec.relu_mask = mask.data();
         nn::conv2d_gn_act_fwd(g, groups, ng.eps,
                               relu ? nn::ActKind::kRelu : nn::ActKind::kNone,
                               x.data(), w.data(), nullptr, b, gamma.data(),
-                              beta.data(), got.data());
-        ASSERT_TRUE(bitwise_equal(got.data(), want.data(), numel))
-            << "groups=" << groups << " batch=" << ng.batch
-            << " C=" << ng.channels << " " << ng.height << "x" << ng.width
-            << " bias=" << (b != nullptr) << " relu=" << relu
-            << " threads=" << threads;
+                              beta.data(), got.data(), record ? &rec : nullptr);
+        const std::string where =
+            "groups=" + std::to_string(groups) + " batch=" +
+            std::to_string(ng.batch) + " C=" + std::to_string(ng.channels) +
+            " " + std::to_string(ng.height) + "x" + std::to_string(ng.width) +
+            " bias=" + std::to_string(b != nullptr) + " relu=" +
+            std::to_string(relu) + " threads=" + std::to_string(threads);
+        ASSERT_TRUE(bitwise_equal(got.data(), want.data(), numel)) << where;
+        if (!record) continue;
+        ASSERT_TRUE(same_doubles(mean, want_mean)) << where;
+        ASSERT_TRUE(same_doubles(istd, want_istd)) << where;
+        ASSERT_TRUE(bitwise_equal(pre.data(), want_pre.data(), numel)) << where;
+        if (relu) {
+          ASSERT_EQ(mask, reference_mask(want.data(), rows, plane)) << where;
+        }
       }
   }
   runtime::set_thread_count(0);

@@ -674,6 +674,29 @@ TEST(ServeRunner, UnknownMethodAndMissingDesignAreStructuredErrors) {
   ASSERT_FALSE(missing.ok());
 }
 
+TEST(ServeRunner, WindowGridPastTheCapFailsOnTheFirstAttempt) {
+  // A submit's window reaches extract_windows unchecked by admission; a
+  // grid past the monolithic cap (16000 x 16000 windows on an 800 um die)
+  // is refused before allocation as bad input, so the scheduler does not
+  // retry it, and the message points at the tiled driver.
+  const std::string dir = test_dir("runner_grid_cap");
+  ASSERT_TRUE(JobJournal::open(dir).ok());  // reuse for mkdir
+  write_glf_file(dir + "/in.glf", make_design('a', 8, 100.0, 3));
+  JobRunner runner(RunnerOptions{});
+  JobRecord rec;
+  rec.id = "j000001";
+  rec.spec.design = dir + "/in.glf";
+  rec.spec.out = dir + "/out.glf";
+  rec.spec.method = "lin";
+  rec.spec.window_um = 0.05;
+  Expected<JobOutcome> out = runner.run(rec, Deadline(), "", nullptr);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(is_recoverable(out.error().code));
+  EXPECT_NE(out.error().message.find("--tiled"), std::string::npos)
+      << out.error().to_string();
+}
+
 TEST(ServeRunner, WorkerCrashFaultIsRecoverable) {
 #if defined(NEURFILL_DISABLE_FAULTS)
   GTEST_SKIP() << "fault injection compiled out";

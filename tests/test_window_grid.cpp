@@ -1,7 +1,11 @@
 // Unit tests for window extraction and fill insertion.
 
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "geom/designs.hpp"
 #include "layout/window_grid.hpp"
 
@@ -215,6 +219,34 @@ TEST(WindowExtraction, WindowCountBounds) {
   EXPECT_THROW(window_count(2147483648.0, 1.0), std::invalid_argument);
   EXPECT_THROW(window_count(10.0, 0.0), std::invalid_argument);
   EXPECT_THROW(window_count(10.0, -1.0), std::invalid_argument);
+}
+
+TEST(WindowExtraction, GridBytesCountEveryLayerGrid) {
+  // Ten double grids per layer and window.
+  EXPECT_EQ(window_grid_bytes(256, 256, 3), 256u * 256 * 3 * 80);
+  EXPECT_LT(window_grid_bytes(1000, 1000, 3), kMaxWindowGridBytes);
+  EXPECT_GT(window_grid_bytes(16000, 16000, 3), kMaxWindowGridBytes);
+  EXPECT_EQ(window_grid_bytes(std::size_t{1} << 31, std::size_t{1} << 31, 64),
+            SIZE_MAX);
+}
+
+TEST(WindowExtraction, RefusesAGridPastTheCapBeforeAllocating) {
+  // 0.05 um windows on an 800 um die: 16000 x 16000 windows per layer,
+  // 61 GiB of grids on 3 layers.  The refusal comes before any grid is
+  // allocated, names the tiled driver, and is bad input, not an I/O fault.
+  const Layout die = make_design('a', 8, 100.0, 3);
+  ExtractOptions opt;
+  opt.window_um = 0.05;
+  try {
+    (void)extract_windows(die, opt);
+    FAIL() << "a 16000 x 16000 grid was built";
+  } catch (const ErrorException& e) {
+    EXPECT_EQ(e.err.code, ErrorCode::kInvalidArgument);
+    EXPECT_NE(e.err.message.find("--tiled"), std::string::npos)
+        << e.err.message;
+  }
+  // The same die at the default window builds as before.
+  EXPECT_EQ(extract_windows(die).rows, 8u);
 }
 
 TEST(WindowExtraction, RectsReachingFarPastTheExtentStayOnTheGrid) {

@@ -20,7 +20,11 @@ Gated keys, higher is better:
   grad_vs_autograd_speedup -- one CmpNetwork gradient evaluation through the
                             compiled reverse pass vs the autograd sweep,
                             single thread (bench_inference; a same-host
-                            ratio like the forward one)
+                            ratio like the forward one).  The autograd
+                            chain keeps im2col/GEMM/col2im, so the ratio
+                            guards the reverse pass's direct backward-data
+                            convolution and its vector ReLU/GroupNorm
+                            adjoints: giving that gain back fails it
   fill_evals_per_s        -- fill-loop value evaluations per second through
                             CmpNetwork::evaluate, one candidate at a time:
                             the path NMMSO's moves and the PKB sweep take
