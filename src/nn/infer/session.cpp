@@ -264,32 +264,35 @@ InferenceSession::InferenceSession(const UNet& net, int height, int width,
 }
 
 void InferenceSession::prepack_weights() {
-  // Snapshot every conv block's packed weight forms into one panel buffer,
-  // once at compile time: the forward panel and the reverse pass's.  The
-  // kernels' contracts make them bitwise-neutral (the forward panel holds
-  // the bytes the in-loop packer would have produced; the backward panel
-  // feeds the direct kernel, which reproduces the GEMM chain).
-  std::size_t total = 0;
+  // Snapshot every conv block's packed weight forms, once at compile time:
+  // the forward panels and the reverse pass's, each direction in a buffer
+  // of its own.  (One 1 MiB buffer raised glibc's dynamic mmap threshold
+  // when a session was freed, and with it what each thread's malloc arena
+  // keeps.)  The kernels' contracts make them bitwise-neutral (the forward
+  // panel holds the bytes the in-loop packer would have produced; the
+  // backward panel feeds the direct kernel, which reproduces the GEMM
+  // chain).
+  std::size_t fwd_total = 0, bwd_total = 0;
   for (const Node& node : nodes_) {
     if (node.kind != Node::Kind::kConvBlock) continue;
-    total += conv_weight_pack_floats(node.conv.geom) +
-             conv_bwd_pack_floats(node.conv.geom);
+    fwd_total += conv_weight_pack_floats(node.conv.geom);
+    bwd_total += conv_bwd_pack_floats(node.conv.geom);
   }
-  if (total == 0) return;
-  float* base = packed_weights_.ensure(total);
-  std::size_t offset = 0;
+  float* fwd = fwd_total > 0 ? packed_weights_.ensure(fwd_total) : nullptr;
+  float* bwd = bwd_total > 0 ? packed_bwd_weights_.ensure(bwd_total) : nullptr;
+  std::size_t fwd_offset = 0, bwd_offset = 0;
   for (Node& node : nodes_) {
     if (node.kind != Node::Kind::kConvBlock) continue;
     ConvBlockSpec& c = node.conv;
     if (const std::size_t n = conv_weight_pack_floats(c.geom); n > 0) {
-      conv_weight_pack(c.geom, c.weight, base + offset);
-      c.packed_offset = static_cast<std::ptrdiff_t>(offset);
-      offset += n;
+      conv_weight_pack(c.geom, c.weight, fwd + fwd_offset);
+      c.packed_offset = static_cast<std::ptrdiff_t>(fwd_offset);
+      fwd_offset += n;
     }
     if (const std::size_t n = conv_bwd_pack_floats(c.geom); n > 0) {
-      conv_bwd_pack(c.geom, c.weight, base + offset);
-      c.packed_bwd_offset = static_cast<std::ptrdiff_t>(offset);
-      offset += n;
+      conv_bwd_pack(c.geom, c.weight, bwd + bwd_offset);
+      c.packed_bwd_offset = static_cast<std::ptrdiff_t>(bwd_offset);
+      bwd_offset += n;
     }
   }
 }
@@ -397,8 +400,9 @@ float* InferenceSession::value_ptr(int vid, float* arena, int batch) const {
   return arena + values_[vid].offset * static_cast<std::size_t>(batch);
 }
 
-const float* InferenceSession::packed_panel(std::ptrdiff_t offset) const {
-  return offset >= 0 ? packed_weights_.data() + offset : nullptr;
+const float* InferenceSession::packed_panel(const AlignedBuffer<float>& panels,
+                                           std::ptrdiff_t offset) {
+  return offset >= 0 ? panels.data() + offset : nullptr;
 }
 
 void InferenceSession::run(const float* input, float* output,
@@ -441,7 +445,7 @@ void InferenceSession::run(const float* input, float* output,
         if (fuse_) {
           conv2d_gn_act_fwd(g, node.conv.groups, node.conv.eps, node.conv.act,
                             in0, node.conv.weight,
-                            packed_panel(node.conv.packed_offset),
+                            packed_panel(packed_weights_, node.conv.packed_offset),
                             node.conv.bias, node.conv.gamma, node.conv.beta,
                             out);
         } else {
@@ -525,7 +529,7 @@ void InferenceSession::run_saving(const float* input, float* output,
           rec.relu_mask =
               reinterpret_cast<std::uint16_t*>(saved + c.mask_offset);
         conv2d_gn_act_fwd(c.geom, c.groups, c.eps, c.act, in0, c.weight,
-                          packed_panel(c.packed_offset), c.bias, c.gamma,
+                          packed_panel(packed_weights_, c.packed_offset), c.bias, c.gamma,
                           c.beta, out, &rec);
         break;
       }
@@ -614,7 +618,7 @@ void InferenceSession::run_vjp(const float* saved, const float* d_output,
                          c.gamma, d_pre, d_norm, nullptr, nullptr);
           d_pre = d_norm;
         }
-        conv2d_bwd(c.geom, nullptr, c.weight, packed_panel(c.packed_bwd_offset),
+        conv2d_bwd(c.geom, nullptr, c.weight, packed_panel(packed_bwd_weights_, c.packed_bwd_offset),
                    d_pre, d_in0, nullptr, nullptr);
         break;
       }

@@ -113,10 +113,10 @@ class InferenceSession {
     int groups = 0;             ///< 0: no normalization
     float eps = 0.0f;
     ActKind act = ActKind::kNone;
-    /// Offsets of this block's pre-packed weight panels in
-    /// packed_weights_ — the forward's (nn::conv_weight_pack) and the
-    /// reverse pass's (nn::conv_bwd_pack) — or -1 when the layer has no
-    /// such form (or prepacking is off).
+    /// Offsets of this block's pre-packed weight panels: the forward's
+    /// (nn::conv_weight_pack) in packed_weights_, the reverse pass's
+    /// (nn::conv_bwd_pack) in packed_bwd_weights_; -1 when the layer has
+    /// no such form (or prepacking is off).
     std::ptrdiff_t packed_offset = -1;
     std::ptrdiff_t packed_bwd_offset = -1;
     /// run_saving() record offsets: the pre-norm conv output and the
@@ -155,14 +155,17 @@ class InferenceSession {
   void prepack_weights();
   float* value_ptr(int vid, float* arena, int batch) const;
   /// The panel at a block's packed offset, or null when it has none.
-  const float* packed_panel(std::ptrdiff_t offset) const;
+  static const float* packed_panel(const AlignedBuffer<float>& panels,
+                                   std::ptrdiff_t offset);
 
   std::vector<ValueSpec> values_;
   std::vector<Node> nodes_;
   std::vector<Tensor> keep_;  ///< shares ownership of the parameter storage
-  /// Compile-time weight panels (nn::conv_weight_pack, nn::conv_bwd_pack),
-  /// one region per conv block and direction with a packed form.
+  /// Compile-time weight panels, one region per conv block with a packed
+  /// form: the forward's (nn::conv_weight_pack) and the reverse pass's
+  /// (nn::conv_bwd_pack).
   AlignedBuffer<float> packed_weights_;
+  AlignedBuffer<float> packed_bwd_weights_;
   std::size_t arena_floats_ = 0;
   std::size_t saved_floats_ = 0;  ///< run_saving() record
   std::size_t cot_floats_ = 0;    ///< run_vjp() cotangent arena
