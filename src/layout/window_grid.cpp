@@ -56,7 +56,11 @@ void accumulate_rects(const std::vector<Rect>& rects, double window_um,
 
 std::size_t window_grid_bytes(std::size_t rows, std::size_t cols,
                               std::size_t layers) {
-  constexpr std::size_t kGridsPerLayer = 10;
+  // Every member of LayerWindowData is a double grid of rows x cols, so a
+  // grid added there is counted here.
+  constexpr std::size_t kGridsPerLayer = sizeof(LayerWindowData) / sizeof(GridD);
+  static_assert(sizeof(LayerWindowData) == kGridsPerLayer * sizeof(GridD),
+                "LayerWindowData holds grids only");
   std::size_t bytes = 0;
   if (__builtin_mul_overflow(rows, cols, &bytes) ||
       __builtin_mul_overflow(bytes, layers, &bytes) ||

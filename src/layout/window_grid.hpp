@@ -59,8 +59,8 @@ struct WindowExtraction {
 };
 
 /// Bytes of the grids extract_windows builds for `rows` x `cols` windows on
-/// `layers` layers: the ten double grids of each LayerWindowData.
-/// Saturates at SIZE_MAX.
+/// `layers` layers: every double grid of each LayerWindowData.  Saturates
+/// at SIZE_MAX.
 std::size_t window_grid_bytes(std::size_t rows, std::size_t cols,
                               std::size_t layers);
 

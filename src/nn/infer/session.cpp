@@ -264,36 +264,26 @@ InferenceSession::InferenceSession(const UNet& net, int height, int width,
 }
 
 void InferenceSession::prepack_weights() {
-  // Snapshot every conv block's packed weight forms, once at compile time:
-  // the forward panels and the reverse pass's, each direction in a buffer
-  // of its own.  (One 1 MiB buffer raised glibc's dynamic mmap threshold
-  // when a session was freed, and with it what each thread's malloc arena
-  // keeps.)  The kernels' contracts make them bitwise-neutral (the forward
-  // panel holds the bytes the in-loop packer would have produced; the
-  // backward panel feeds the direct kernel, which reproduces the GEMM
-  // chain).
-  std::size_t fwd_total = 0, bwd_total = 0;
-  for (const Node& node : nodes_) {
-    if (node.kind != Node::Kind::kConvBlock) continue;
-    fwd_total += conv_weight_pack_floats(node.conv.geom);
-    bwd_total += conv_bwd_pack_floats(node.conv.geom);
+  // Snapshot every conv block with a packed weight form into one panel
+  // buffer, once at compile time; the fused kernel's contract makes them
+  // bitwise-neutral (same decomposition, same bytes the in-loop packer
+  // would have produced).
+  std::size_t total = 0;
+  std::vector<std::size_t> sizes(nodes_.size(), 0);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].kind != Node::Kind::kConvBlock) continue;
+    sizes[i] = conv_weight_pack_floats(nodes_[i].conv.geom);
+    total += sizes[i];
   }
-  float* fwd = fwd_total > 0 ? packed_weights_.ensure(fwd_total) : nullptr;
-  float* bwd = bwd_total > 0 ? packed_bwd_weights_.ensure(bwd_total) : nullptr;
-  std::size_t fwd_offset = 0, bwd_offset = 0;
-  for (Node& node : nodes_) {
-    if (node.kind != Node::Kind::kConvBlock) continue;
-    ConvBlockSpec& c = node.conv;
-    if (const std::size_t n = conv_weight_pack_floats(c.geom); n > 0) {
-      conv_weight_pack(c.geom, c.weight, fwd + fwd_offset);
-      c.packed_offset = static_cast<std::ptrdiff_t>(fwd_offset);
-      fwd_offset += n;
-    }
-    if (const std::size_t n = conv_bwd_pack_floats(c.geom); n > 0) {
-      conv_bwd_pack(c.geom, c.weight, bwd + bwd_offset);
-      c.packed_bwd_offset = static_cast<std::ptrdiff_t>(bwd_offset);
-      bwd_offset += n;
-    }
+  if (total == 0) return;
+  float* base = packed_weights_.ensure(total);
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (sizes[i] == 0) continue;
+    conv_weight_pack(nodes_[i].conv.geom, nodes_[i].conv.weight,
+                     base + offset);
+    nodes_[i].conv.packed_offset = static_cast<std::ptrdiff_t>(offset);
+    offset += sizes[i];
   }
 }
 
@@ -400,9 +390,9 @@ float* InferenceSession::value_ptr(int vid, float* arena, int batch) const {
   return arena + values_[vid].offset * static_cast<std::size_t>(batch);
 }
 
-const float* InferenceSession::packed_panel(const AlignedBuffer<float>& panels,
-                                           std::ptrdiff_t offset) {
-  return offset >= 0 ? panels.data() + offset : nullptr;
+const float* InferenceSession::packed_panel(const ConvBlockSpec& c) const {
+  return c.packed_offset >= 0 ? packed_weights_.data() + c.packed_offset
+                              : nullptr;
 }
 
 void InferenceSession::run(const float* input, float* output,
@@ -444,8 +434,7 @@ void InferenceSession::run(const float* input, float* output,
         g.batch = batch;
         if (fuse_) {
           conv2d_gn_act_fwd(g, node.conv.groups, node.conv.eps, node.conv.act,
-                            in0, node.conv.weight,
-                            packed_panel(packed_weights_, node.conv.packed_offset),
+                            in0, node.conv.weight, packed_panel(node.conv),
                             node.conv.bias, node.conv.gamma, node.conv.beta,
                             out);
         } else {
@@ -529,8 +518,7 @@ void InferenceSession::run_saving(const float* input, float* output,
           rec.relu_mask =
               reinterpret_cast<std::uint16_t*>(saved + c.mask_offset);
         conv2d_gn_act_fwd(c.geom, c.groups, c.eps, c.act, in0, c.weight,
-                          packed_panel(packed_weights_, c.packed_offset), c.bias, c.gamma,
-                          c.beta, out, &rec);
+                          packed_panel(c), c.bias, c.gamma, c.beta, out, &rec);
         break;
       }
       case Node::Kind::kMaxPool:
@@ -618,8 +606,8 @@ void InferenceSession::run_vjp(const float* saved, const float* d_output,
                          c.gamma, d_pre, d_norm, nullptr, nullptr);
           d_pre = d_norm;
         }
-        conv2d_bwd(c.geom, nullptr, c.weight, packed_panel(packed_bwd_weights_, c.packed_bwd_offset),
-                   d_pre, d_in0, nullptr, nullptr);
+        conv2d_bwd(c.geom, nullptr, c.weight, d_pre, d_in0, nullptr, nullptr,
+                   /*direct=*/true);
         break;
       }
       case Node::Kind::kMaxPool: {

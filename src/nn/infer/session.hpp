@@ -37,10 +37,8 @@ struct InferenceOptions {
   bool fuse = true;
   /// Pre-pack constant conv weight panels at compile time
   /// (nn::conv_weight_pack), hoisting the per-call weight packing out of
-  /// every forward, and the reverse pass's panels (nn::conv_bwd_pack),
-  /// which run its input gradients through the direct backward kernel.
-  /// Results are bitwise identical either way; off keeps the pack-per-call
-  /// forward and the im2col/GEMM/col2im backward as reference paths.
+  /// every forward.  Results are bitwise identical either way; off keeps
+  /// the pack-per-call reference path.
   bool prepack_weights = true;
 };
 
@@ -113,12 +111,9 @@ class InferenceSession {
     int groups = 0;             ///< 0: no normalization
     float eps = 0.0f;
     ActKind act = ActKind::kNone;
-    /// Offsets of this block's pre-packed weight panels: the forward's
-    /// (nn::conv_weight_pack) in packed_weights_, the reverse pass's
-    /// (nn::conv_bwd_pack) in packed_bwd_weights_; -1 when the layer has
-    /// no such form (or prepacking is off).
+    /// Offset of this block's pre-packed weight panel in packed_weights_,
+    /// or -1 when the layer has no packed form (or prepacking is off).
     std::ptrdiff_t packed_offset = -1;
-    std::ptrdiff_t packed_bwd_offset = -1;
     /// run_saving() record offsets: the pre-norm conv output and the
     /// per-group (mean, istd) doubles (GroupNorm blocks), and the ReLU
     /// mask, one bit per output element in nn::relu_mask_words layout
@@ -154,18 +149,15 @@ class InferenceSession {
   void plan_reverse();
   void prepack_weights();
   float* value_ptr(int vid, float* arena, int batch) const;
-  /// The panel at a block's packed offset, or null when it has none.
-  static const float* packed_panel(const AlignedBuffer<float>& panels,
-                                   std::ptrdiff_t offset);
+  /// The block's compile-time weight panel, or null when it has none.
+  const float* packed_panel(const ConvBlockSpec& c) const;
 
   std::vector<ValueSpec> values_;
   std::vector<Node> nodes_;
   std::vector<Tensor> keep_;  ///< shares ownership of the parameter storage
-  /// Compile-time weight panels, one region per conv block with a packed
-  /// form: the forward's (nn::conv_weight_pack) and the reverse pass's
-  /// (nn::conv_bwd_pack).
+  /// Compile-time weight panels (nn::conv_weight_pack), one region per
+  /// conv block with a packed form.
   AlignedBuffer<float> packed_weights_;
-  AlignedBuffer<float> packed_bwd_weights_;
   std::size_t arena_floats_ = 0;
   std::size_t saved_floats_ = 0;  ///< run_saving() record
   std::size_t cot_floats_ = 0;    ///< run_vjp() cotangent arena

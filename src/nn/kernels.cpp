@@ -534,44 +534,48 @@ using VNarrowInt = std::conditional_t<kConvPairRows, VInt16, VInt8>;
 
 /// One sample's operands: `gyp` holds O padded cotangent planes and `gxp` C
 /// flat gradient planes, `gy_pitch` / `gx_pitch` floats apart, both with
-/// row pitch `row`.
+/// row pitch `row`; `w` is the raw [O, C, kh, kw] filters.
 struct ConvBwdJob {
   const float* gyp;
   float* gxp;
+  const float* w;
   std::size_t gy_pitch, gx_pitch;
-  int O, kh, kw, pad, row, Hout, Wout;
+  int C, O, kh, kw, pad, row, Hout, Wout;
 };
 
-/// acc[i] = the chain over o in [o0, o1) of w[o][i] * gy_o, where gy_o is
-/// the vector at `src` in cotangent plane o and `w` is a tap's [o][OC]
-/// panel.
+/// acc[i] = the chain over o in [o0, o1) of w[o * o_stride + i * taps] *
+/// gy_o, where gy_o is the vector at `src` in cotangent plane o and `w`
+/// points at one tap of the block's first input channel in the raw filters.
 template <int OC>
 __attribute__((always_inline)) inline void conv_bwd_slab(
-    const float* src, std::size_t gy_pitch, const float* w, int o0, int o1,
-    VNarrow (&acc)[OC]) {
+    const float* src, std::size_t gy_pitch, const float* w,
+    std::size_t o_stride, int taps, int o0, int o1, VNarrow (&acc)[OC]) {
   for (int i = 0; i < OC; ++i) acc[i] = VNarrow{};
   for (int o = o0; o < o1; ++o) {
     VNarrow y;
     __builtin_memcpy(&y, src + static_cast<std::size_t>(o) * gy_pitch,
                      sizeof y);
-    const float* wo = w + static_cast<std::size_t>(o) * OC;
-    for (int i = 0; i < OC; ++i) acc[i] += wo[i] * y;
+    const float* wo = w + static_cast<std::size_t>(o) * o_stride;
+    for (int i = 0; i < OC; ++i) acc[i] += wo[i * taps] * y;
   }
 }
 
 /// The backward register tile over flat vectors [v0, v1): input channels
 /// [c0, c0 + OC) of one vector at a time, the OC gradient vectors and OC
-/// tap chains in registers.  `wblk` is the channel block's panel,
-/// [tap][o][OC].  A second vector per tile would share each weight
-/// broadcast, but its 32 accumulators spill: on AVX-512 the UNet's layers
-/// ran 10-15% slower that way.  Out of line, like conv_tile_call, so each
-/// channel count gets its own register allocation.
+/// tap chains in registers.  The weights are broadcast straight from the
+/// raw filters: a block's O * OC * kh * kw of them stay in L1 across the
+/// tap loop.  A second vector per tile would share each weight broadcast,
+/// but its 32 accumulators spill: on AVX-512 the UNet's layers ran 10-15%
+/// slower that way.  Out of line, like conv_tile_call, so each channel
+/// count gets its own register allocation.
 template <int OC>
-__attribute__((noinline)) void conv_bwd_tiles(const ConvBwdJob& jb,
-                                              const float* wblk, int c0,
+__attribute__((noinline)) void conv_bwd_tiles(const ConvBwdJob& jb, int c0,
                                               std::size_t v0, std::size_t v1) {
   constexpr int lanes = kConvNarrowLanes;
   const int O = jb.O, kh = jb.kh, kw = jb.kw, R = jb.row;
+  const int taps = kh * kw;
+  const std::size_t o_stride = static_cast<std::size_t>(jb.C) * taps;
+  const float* wblk = jb.w + static_cast<std::size_t>(c0) * taps;
   VNarrowInt lane;
   for (int l = 0; l < lanes; ++l) lane[l] = l;
   for (std::size_t v = v0; v < v1; ++v) {
@@ -600,13 +604,13 @@ __attribute__((noinline)) void conv_bwd_tiles(const ConvBwdJob& jb,
         const float* src = jb.gyp + q +
                            static_cast<std::size_t>(kh - 1 - ki) * R +
                            static_cast<std::size_t>(kw - 1 - kj);
-        const float* wt =
-            wblk + static_cast<std::size_t>(ki * kw + kj) * O * OC;
+        const float* wt = wblk + ki * kw + kj;
         VNarrow t[OC];
-        conv_bwd_slab<OC>(src, jb.gy_pitch, wt, 0, std::min(O, kGemmKc), t);
+        conv_bwd_slab<OC>(src, jb.gy_pitch, wt, o_stride, taps, 0,
+                          std::min(O, kGemmKc), t);
         for (int o0 = kGemmKc; o0 < O; o0 += kGemmKc) {
           VNarrow part[OC];
-          conv_bwd_slab<OC>(src, jb.gy_pitch, wt, o0,
+          conv_bwd_slab<OC>(src, jb.gy_pitch, wt, o_stride, taps, o0,
                             std::min(O, o0 + kGemmKc), part);
           for (int i = 0; i < OC; ++i) t[i] += part[i];
         }
@@ -622,14 +626,11 @@ __attribute__((noinline)) void conv_bwd_tiles(const ConvBwdJob& jb,
   }
 }
 
-/// Channels [c0, c0 + bc) of the flat vectors [v0, v1).  `panel` is
-/// conv_bwd_pack's whole panel.
-void conv_bwd_block(const ConvBwdJob& jb, const float* panel, int c0, int bc,
-                    std::size_t v0, std::size_t v1) {
-  const float* wblk = panel + static_cast<std::size_t>(c0) * jb.kh * jb.kw *
-                                  static_cast<std::size_t>(jb.O);
+/// Channels [c0, c0 + bc) of the flat vectors [v0, v1).
+void conv_bwd_block(const ConvBwdJob& jb, int c0, int bc, std::size_t v0,
+                    std::size_t v1) {
   with_static_count<kConvOr>(bc, [&](auto kc) {
-    conv_bwd_tiles<decltype(kc)::value>(jb, wblk, c0, v0, v1);
+    conv_bwd_tiles<decltype(kc)::value>(jb, c0, v0, v1);
   });
 }
 
@@ -646,7 +647,7 @@ bool conv_bwd_direct(const Conv2dGeom& g) {
 /// `scratch` the caller's per-thread buffer.  Pool jobs split the channel
 /// blocks x flat vectors by geometry alone; every gx element is one lane of
 /// one tile, so the split never changes a bit.
-void conv_bwd_direct_sample(const Conv2dGeom& g, const float* panel,
+void conv_bwd_direct_sample(const Conv2dGeom& g, const float* w,
                             const float* gy, float* gx,
                             AlignedBuffer<float>& scratch) {
   const int C = g.in_channels, H = g.height, W = g.width;
@@ -717,7 +718,8 @@ void conv_bwd_direct_sample(const Conv2dGeom& g, const float* panel,
         });
   };
   copy_gx(true);
-  const ConvBwdJob jb{gyp, gxp, gy_pitch, gx_pitch, O, kh, kw, P, R, Hout, Wout};
+  const ConvBwdJob jb{gyp, gxp, w, gy_pitch, gx_pitch, C, O,
+                      kh,  kw,  P, R,        Hout,     Wout};
   const int blocks = (C + kConvOr - 1) / kConvOr;
   const std::size_t units = static_cast<std::size_t>(blocks) * nvec;
   // ~10 sustained FLOP/ns, like the forward's direct kernel.
@@ -730,8 +732,8 @@ void conv_bwd_direct_sample(const Conv2dGeom& g, const float* panel,
           const int cb = static_cast<int>(u / nvec);
           const std::size_t v0 = u % nvec;
           const std::size_t v1 = std::min(nvec, v0 + (u1 - u));
-          conv_bwd_block(jb, panel, cb * kConvOr,
-                         std::min(kConvOr, C - cb * kConvOr), v0, v1);
+          conv_bwd_block(jb, cb * kConvOr, std::min(kConvOr, C - cb * kConvOr),
+                         v0, v1);
           u += v1 - v0;
         }
       });
@@ -961,8 +963,8 @@ void conv2d_fwd(const Conv2dGeom& g, const float* x, const float* w,
 }
 
 void conv2d_bwd(const Conv2dGeom& g, const float* x, const float* w,
-                const float* packed_bwd, const float* gy, float* gx,
-                float* gw, float* gb) {
+                const float* gy, float* gx, float* gw, float* gb,
+                bool direct) {
   NF_TRACE_SPAN("nn.conv2d_backward");
   const int C = g.in_channels, H = g.height, W = g.width;
   const int O = g.out_channels, kh = g.kernel_h, kw = g.kernel_w;
@@ -973,10 +975,8 @@ void conv2d_bwd(const Conv2dGeom& g, const float* x, const float* w,
                         Wout);
   NF_CHECK(!gw || x != nullptr, "conv2d_bwd: null x with gw");
   NF_CHECK(!gx || w != nullptr, "conv2d_bwd: null w with gx");
-  NF_CHECK(!packed_bwd || conv_bwd_direct(g),
-           "conv2d_bwd: backward panel for a geometry without one");
   const bool identity = identity_unfold(g);
-  const bool direct = packed_bwd != nullptr && gw == nullptr;
+  const bool direct_gx = direct && gw == nullptr && conv_bwd_direct(g);
   // Same persistent-scratch scheme as the forward pass.  colbuf holds the
   // unfolded input for the weight gradient only, so an input-gradient-only
   // call skips the im2col pass entirely.  The input gradient's scratch is
@@ -994,7 +994,7 @@ void conv2d_bwd(const Conv2dGeom& g, const float* x, const float* w,
   const int dcol_channels = std::max(
       1, std::min(C, static_cast<int>(kDcolFloats /
                                       (static_cast<std::size_t>(taps) * cols))));
-  float* dcol = (!identity && !direct && gx)
+  float* dcol = (!identity && !direct_gx && gx)
                     ? tls_gx_scratch.ensure(
                           static_cast<std::size_t>(dcol_channels) * taps * cols)
                     : nullptr;
@@ -1019,8 +1019,8 @@ void conv2d_bwd(const Conv2dGeom& g, const float* x, const float* w,
       float* gxn = gx + static_cast<std::int64_t>(n) * C * H * W;
       if (identity) {  // dX += W^T (K,O) * dOut (O,cols), no scatter needed
         gemm_tn(K, cols, O, w, gout, gxn, true);
-      } else if (direct) {
-        conv_bwd_direct_sample(g, packed_bwd, gout, gxn, tls_gx_scratch);
+      } else if (direct_gx) {
+        conv_bwd_direct_sample(g, w, gout, gxn, tls_gx_scratch);
       } else {
         // dcol = W^T (K,O) * dOut (O,cols), one channel group at a time: a
         // group's dcol rows are a column block of W (gemm_tn_block — bitwise
@@ -1315,30 +1315,6 @@ void conv_weight_pack(const Conv2dGeom& g, const float* w, float* dst) {
     for (int k = 0; k < K; ++k)
       for (int i = 0; i < kConvOr; ++i)
         *dst++ = w[static_cast<std::size_t>(ob + i) * K + k];
-}
-
-std::size_t conv_bwd_pack_floats(const Conv2dGeom& g) {
-  // The direct backward kernel broadcasts, per tap and output channel, the
-  // weights of kConvOr consecutive input channels: blocks of kConvOr input
-  // channels (the last one narrower), each [tap][o][channel].  Neither
-  // forward layout puts those weights side by side (the forward's direct
-  // panel groups output channels), so the panel holds every weight once
-  // more.
-  if (!conv_bwd_direct(g)) return 0;
-  return static_cast<std::size_t>(g.out_channels) * g.in_channels *
-         g.kernel_h * g.kernel_w;
-}
-
-void conv_bwd_pack(const Conv2dGeom& g, const float* w, float* dst) {
-  const int C = g.in_channels, O = g.out_channels;
-  const int taps = g.kernel_h * g.kernel_w;
-  for (int c0 = 0; c0 < C; c0 += kConvOr) {
-    const int bc = std::min(kConvOr, C - c0);
-    for (int t = 0; t < taps; ++t)
-      for (int o = 0; o < O; ++o)
-        for (int i = 0; i < bc; ++i)
-          *dst++ = w[(static_cast<std::size_t>(o) * C + c0 + i) * taps + t];
-  }
 }
 
 std::size_t relu_mask_words(std::int64_t rows, std::int64_t cols) {

@@ -103,26 +103,16 @@ void conv2d_fwd(const Conv2dGeom& g, const float* x, const float* w,
 /// gradient depends on the filters and `gy` only, so a frozen-weight
 /// reverse pass needs no saved input.
 ///
-/// `packed_bwd` may be null, or a panel conv_bwd_pack built for this
-/// geometry.  With the panel and no `gw`, the input gradient runs the
-/// direct backward-data kernel; otherwise W^T·gy runs through the packed
-/// GEMM and col2im scatters it.  Both give the same bits
-/// (docs/inference.md, "The compiled reverse pass"), and `w` must point at
-/// the raw filters either way.
+/// `direct` chooses the input gradient's route when `gw` is null: true
+/// runs the direct backward-data kernel on the geometries it takes (stride
+/// 1, padding below the kernel extent, not the identity 1x1 conv, which
+/// keeps its GEMM); false, and every other call, runs W^T·gy through the
+/// packed GEMM and scatters it with col2im, the chain autograd and the
+/// tests keep as the reference.  Both give the same bits
+/// (docs/inference.md, "The compiled reverse pass").
 void conv2d_bwd(const Conv2dGeom& g, const float* x, const float* w,
-                const float* packed_bwd, const float* gy, float* gx,
-                float* gw, float* gb);
-
-/// Floats of the backward panel conv_bwd_pack builds for conv2d_bwd's
-/// direct kernel, or 0 when the geometry does not take that kernel: it
-/// needs stride 1 and padding below the kernel extent, and the identity
-/// 1x1 conv keeps its GEMM.  Like conv_weight_pack_floats, the layout is
-/// opaque and valid only for the geometry it was sized for (batch aside).
-std::size_t conv_bwd_pack_floats(const Conv2dGeom& g);
-
-/// Packs the [O, C, kh, kw] filters `w` into `dst` (conv_bwd_pack_floats(g)
-/// floats).  Only valid when that size is non-zero.
-void conv_bwd_pack(const Conv2dGeom& g, const float* w, float* dst);
+                const float* gy, float* gx, float* gw, float* gb,
+                bool direct = false);
 
 /// y[i] = f(x[i]) over n contiguous elements; `p` as documented on
 /// UnaryKind.  In-place (y == x) is allowed.

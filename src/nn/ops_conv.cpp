@@ -73,7 +73,7 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias,
   Tensor::attach_backward(
       out, inputs, [x, weight, bias, out = out.impl().get(), geom]() mutable {
         conv2d_bwd(
-            geom, x.data(), weight.data(), nullptr, out->grad.data(),
+            geom, x.data(), weight.data(), out->grad.data(),
             x.requires_grad() ? x.grad() : nullptr,
             weight.requires_grad() ? weight.grad() : nullptr,
             (bias.defined() && bias.requires_grad()) ? bias.grad() : nullptr);

@@ -471,10 +471,10 @@ TEST(Kernels, InputGradientOnlyConvBackwardMatchesFullCall) {
       runtime::set_thread_count(threads);
       std::vector<float> gx_full(nx, 0.25f), gx_only(nx, 0.25f);
       std::vector<float> gw(w.size(), 0.0f), gb(static_cast<std::size_t>(sh.O));
-      nn::conv2d_bwd(g, x.data(), w.data(), nullptr, gy.data(),
-                     gx_full.data(), gw.data(), gb.data());
-      nn::conv2d_bwd(g, nullptr, w.data(), nullptr, gy.data(), gx_only.data(),
-                     nullptr, nullptr);
+      nn::conv2d_bwd(g, x.data(), w.data(), gy.data(), gx_full.data(),
+                     gw.data(), gb.data());
+      nn::conv2d_bwd(g, nullptr, w.data(), gy.data(), gx_only.data(), nullptr,
+                     nullptr);
       EXPECT_TRUE(bitwise_equal(gx_full.data(), gx_only.data(), nx))
           << "k=" << sh.k << " threads=" << threads;
     }
@@ -483,21 +483,22 @@ TEST(Kernels, InputGradientOnlyConvBackwardMatchesFullCall) {
 }
 
 TEST(Kernels, DirectConvBackwardMatchesGemmChain) {
-  // conv2d_bwd's direct backward-data kernel (with the conv_bwd_pack panel)
-  // against the im2col-free GEMM + col2im chain it replaces (without the
-  // panel), bit for bit: every output width 1..33 over a grid of heights,
-  // channel counts (C = 7 and 13 leave a partial 8-channel block) and
-  // output channel counts (O = 300 crosses a K-slab flush), 3x3 pad 1/0
-  // and 5x5 pad 2 kernels, batch 1..3, 1 and 4 threads.  The prior
-  // gradient mixes -0, +0 and random values, the cotangent holds exact
-  // zeros, and one weight in four draws is +-inf: out-of-plane taps must be
-  // skipped, not added as padding products, so a border -0 stays -0 and
-  // no inf * 0 NaN appears where the chain has none.  1x1 convs keep the
-  // chain's identity GEMM and get no panel.
+  // conv2d_bwd's direct backward-data kernel (direct = true) against the
+  // im2col-free GEMM + col2im chain it replaces (direct = false), bit for
+  // bit: every output width 1..33 over a grid of heights, channel counts
+  // (C = 7 and 13 leave a partial 8-channel block) and output channel
+  // counts (O = 300 crosses a K-slab flush), 3x3 pad 1/0, 5x5 pad 2 and
+  // 1x1 kernels, batch 1..3, 1 and 4 threads.  The prior gradient mixes
+  // -0, +0 and random values, the cotangent holds exact zeros, and one
+  // weight in four draws is +-inf: out-of-plane taps must be skipped, not
+  // added as padding products, so a border -0 stays -0 and no inf * 0 NaN
+  // appears where the chain has none.  A 1x1 conv keeps the chain's
+  // identity GEMM either way, whose slab order differs from col2im's once
+  // O > kGemmKc.
   struct Kernel {
     int k, pad;
   };
-  constexpr Kernel kKernels[] = {{3, 1}, {3, 0}, {5, 2}};
+  constexpr Kernel kKernels[] = {{3, 1}, {3, 0}, {5, 2}, {1, 0}};
   for (const int threads : {1, 4}) {
     runtime::set_thread_count(threads);
     Rng rng(20261020);
@@ -505,7 +506,7 @@ TEST(Kernels, DirectConvBackwardMatchesGemmChain) {
       for (const int Hout : {1, 2, 3, 5, 8, 12})
         for (const int C : {1, 7, 8, 13})
           for (const int O : {1, 8, 12, 300}) {
-            const Kernel kn = kKernels[rng.uniform_index(3)];
+            const Kernel kn = kKernels[rng.uniform_index(4)];
             nn::Conv2dGeom g;
             g.batch = 1 + static_cast<int>(rng.uniform_index(3));
             g.in_channels = C;
@@ -534,14 +535,11 @@ TEST(Kernels, DirectConvBackwardMatchesGemmChain) {
               if (u < 0.3) v = -0.0f;
               else if (u < 0.4) v = 0.0f;
             }
-            std::vector<float> panel(nn::conv_bwd_pack_floats(g));
-            ASSERT_FALSE(panel.empty());
-            nn::conv_bwd_pack(g, w.data(), panel.data());
             std::vector<float> want = prior, got = prior;
-            nn::conv2d_bwd(g, nullptr, w.data(), nullptr, gy.data(),
-                           want.data(), nullptr, nullptr);
-            nn::conv2d_bwd(g, nullptr, w.data(), panel.data(), gy.data(),
-                           got.data(), nullptr, nullptr);
+            nn::conv2d_bwd(g, nullptr, w.data(), gy.data(), want.data(),
+                           nullptr, nullptr, /*direct=*/false);
+            nn::conv2d_bwd(g, nullptr, w.data(), gy.data(), got.data(),
+                           nullptr, nullptr, /*direct=*/true);
             ASSERT_TRUE(bitwise_equal(got.data(), want.data(), nx))
                 << Hout << "x" << Wout << " k=" << kn.k << " pad=" << kn.pad
                 << " C=" << C << " O=" << O << " batch=" << g.batch
@@ -560,23 +558,15 @@ TEST(Kernels, DirectConvBackwardMatchesGemmChain) {
     const auto w = random_input(12u * 13 * 9, rng.next_u64());
     const auto gy = random_input(12u * 96 * 96, rng.next_u64());
     const auto prior = random_input(nx, rng.next_u64());
-    std::vector<float> panel(nn::conv_bwd_pack_floats(big));
-    nn::conv_bwd_pack(big, w.data(), panel.data());
     std::vector<float> want = prior, got = prior;
-    nn::conv2d_bwd(big, nullptr, w.data(), nullptr, gy.data(), want.data(),
-                   nullptr, nullptr);
-    nn::conv2d_bwd(big, nullptr, w.data(), panel.data(), gy.data(),
-                   got.data(), nullptr, nullptr);
+    nn::conv2d_bwd(big, nullptr, w.data(), gy.data(), want.data(), nullptr,
+                   nullptr, /*direct=*/false);
+    nn::conv2d_bwd(big, nullptr, w.data(), gy.data(), got.data(), nullptr,
+                   nullptr, /*direct=*/true);
     ASSERT_TRUE(bitwise_equal(got.data(), want.data(), nx))
         << "96x96 threads=" << threads;
   }
   runtime::set_thread_count(0);
-  nn::Conv2dGeom head;
-  head.in_channels = 8;
-  head.height = head.width = head.out_height = head.out_width = 6;
-  head.out_channels = 1;
-  head.kernel_h = head.kernel_w = 1;
-  EXPECT_EQ(nn::conv_bwd_pack_floats(head), 0u);
 }
 
 TEST(Kernels, FusedConvMatchesUnfusedChainAtEveryWidth) {

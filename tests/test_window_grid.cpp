@@ -222,7 +222,9 @@ TEST(WindowExtraction, WindowCountBounds) {
 }
 
 TEST(WindowExtraction, GridBytesCountEveryLayerGrid) {
-  // Ten double grids per layer and window.
+  // Ten double grids per layer and window: LayerWindowData's five grids,
+  // its four slack types and the non-overlap slack.  A grid added there
+  // moves the estimate, and this count with it.
   EXPECT_EQ(window_grid_bytes(256, 256, 3), 256u * 256 * 3 * 80);
   EXPECT_LT(window_grid_bytes(1000, 1000, 3), kMaxWindowGridBytes);
   EXPECT_GT(window_grid_bytes(16000, 16000, 3), kMaxWindowGridBytes);
