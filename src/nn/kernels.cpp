@@ -526,11 +526,19 @@ void conv_direct_job(ConvShape shape, const ConvJob& jb, int rows,
 // computed and dropped, and reads past the last row land in zeroed slack.
 // ---------------------------------------------------------------------------
 
-/// Integer lane vectors matching the float vectors lane for lane, for the
-/// backward kernel's lane coordinates and masks.
+/// Integer lane vectors matching the float vectors lane for lane: the
+/// backward kernel's lane masks (signed, as vector compares produce) and
+/// lane coordinates (unsigned).  The coordinates take no signed vector
+/// arithmetic: GCC 12 under -fsanitize=signed-integer-overflow with
+/// -fno-sanitize-recover miscompiles signed adds on int vectors wider than
+/// the target's registers (8 lanes on an SSE2 build), which wrapped the
+/// lanes to the wrong rows.
 typedef int VInt8 __attribute__((vector_size(8 * sizeof(int))));
 typedef int VInt16 __attribute__((vector_size(16 * sizeof(int))));
 using VNarrowInt = std::conditional_t<kConvPairRows, VInt16, VInt8>;
+typedef unsigned VUInt8 __attribute__((vector_size(8 * sizeof(unsigned))));
+typedef unsigned VUInt16 __attribute__((vector_size(16 * sizeof(unsigned))));
+using VNarrowUInt = std::conditional_t<kConvPairRows, VUInt16, VUInt8>;
 
 /// One sample's operands: `gyp` holds O padded cotangent planes and `gxp` C
 /// flat gradient planes, `gy_pitch` / `gx_pitch` floats apart, both with
@@ -576,8 +584,10 @@ __attribute__((noinline)) void conv_bwd_tiles(const ConvBwdJob& jb, int c0,
   const int taps = kh * kw;
   const std::size_t o_stride = static_cast<std::size_t>(jb.C) * taps;
   const float* wblk = jb.w + static_cast<std::size_t>(c0) * taps;
-  VNarrowInt lane;
-  for (int l = 0; l < lanes; ++l) lane[l] = l;
+  const unsigned Ru = static_cast<unsigned>(R);
+  const unsigned P = static_cast<unsigned>(jb.pad);
+  VNarrowUInt lane;
+  for (int l = 0; l < lanes; ++l) lane[l] = static_cast<unsigned>(l);
   for (std::size_t v = v0; v < v1; ++v) {
     const std::size_t q = v * lanes;
     VNarrow gx[OC];
@@ -586,20 +596,22 @@ __attribute__((noinline)) void conv_bwd_tiles(const ConvBwdJob& jb, int c0,
                        jb.gxp + static_cast<std::size_t>(c0 + i) * jb.gx_pitch +
                            q,
                        sizeof gx[i]);
-    // Each lane's (row, column): the vector's first position, then one wrap
+    // Each lane's (row, column), both shifted by the padding so the bounds
+    // below are non-negative: the vector's first position, then one wrap
     // per row end the lanes cross.
-    const int j0 = static_cast<int>(q % static_cast<std::size_t>(R));
-    VNarrowInt row =
-        VNarrowInt{} + static_cast<int>(q / static_cast<std::size_t>(R));
-    VNarrowInt col = lane + j0;
-    for (int wraps = (j0 + lanes - 1) / R; wraps > 0; --wraps) {
-      const VNarrowInt over = col >= R;
-      col -= over & R;
-      row -= over;
+    const unsigned j0 = static_cast<unsigned>(q % Ru);
+    VNarrowUInt row = VNarrowUInt{} + (static_cast<unsigned>(q / Ru) + P);
+    VNarrowUInt col = lane + j0;
+    for (unsigned wraps = (j0 + lanes - 1) / Ru; wraps > 0; --wraps) {
+      const VNarrowInt over = col >= Ru;
+      col = over ? col - Ru : col;
+      row = over ? row + 1u : row;
     }
+    col += P;
     for (int ki = 0; ki < kh; ++ki) {
+      const unsigned kiu = static_cast<unsigned>(ki);
       const VNarrowInt row_in =
-          (row >= ki - jb.pad) & (row < jb.Hout + ki - jb.pad);
+          (row >= kiu) & (row < static_cast<unsigned>(jb.Hout) + kiu);
       for (int kj = 0; kj < kw; ++kj) {
         const float* src = jb.gyp + q +
                            static_cast<std::size_t>(kh - 1 - ki) * R +
@@ -614,8 +626,9 @@ __attribute__((noinline)) void conv_bwd_tiles(const ConvBwdJob& jb, int c0,
                             std::min(O, o0 + kGemmKc), part);
           for (int i = 0; i < OC; ++i) t[i] += part[i];
         }
+        const unsigned kju = static_cast<unsigned>(kj);
         const VNarrowInt in =
-            row_in & (col >= kj - jb.pad) & (col < jb.Wout + kj - jb.pad);
+            row_in & (col >= kju) & (col < static_cast<unsigned>(jb.Wout) + kju);
         for (int i = 0; i < OC; ++i) gx[i] = in ? gx[i] + t[i] : gx[i];
       }
     }
