@@ -575,13 +575,17 @@ __attribute__((always_inline)) inline void conv_bwd_slab(
 /// tap loop.  A second vector per tile would share each weight broadcast,
 /// but its 32 accumulators spill: on AVX-512 the UNet's layers ran 10-15%
 /// slower that way.  Out of line, like conv_tile_call, so each channel
-/// count gets its own register allocation.
-template <int OC>
+/// count gets its own register allocation.  `kTaps` is kh * kw fixed at
+/// compile time (the UNet's 3x3 convs), or 0 for a run-time count: a
+/// constant channel stride puts a step's OC broadcasts at fixed offsets
+/// from one pointer, where a run-time one needs OC index registers, which
+/// spilled and cost the 3x3 layers ~5%.
+template <int OC, int kTaps>
 __attribute__((noinline)) void conv_bwd_tiles(const ConvBwdJob& jb, int c0,
                                               std::size_t v0, std::size_t v1) {
   constexpr int lanes = kConvNarrowLanes;
   const int O = jb.O, kh = jb.kh, kw = jb.kw, R = jb.row;
-  const int taps = kh * kw;
+  const int taps = kTaps > 0 ? kTaps : kh * kw;
   const std::size_t o_stride = static_cast<std::size_t>(jb.C) * taps;
   const float* wblk = jb.w + static_cast<std::size_t>(c0) * taps;
   const unsigned Ru = static_cast<unsigned>(R);
@@ -643,7 +647,11 @@ __attribute__((noinline)) void conv_bwd_tiles(const ConvBwdJob& jb, int c0,
 void conv_bwd_block(const ConvBwdJob& jb, int c0, int bc, std::size_t v0,
                     std::size_t v1) {
   with_static_count<kConvOr>(bc, [&](auto kc) {
-    conv_bwd_tiles<decltype(kc)::value>(jb, c0, v0, v1);
+    constexpr int OC = decltype(kc)::value;
+    if (jb.kh * jb.kw == 9)
+      conv_bwd_tiles<OC, 9>(jb, c0, v0, v1);
+    else
+      conv_bwd_tiles<OC, 0>(jb, c0, v0, v1);
   });
 }
 
